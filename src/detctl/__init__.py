@@ -21,5 +21,5 @@ from .dynamics import (  # noqa: F401
     check_conditions,
     simulate,
 )
-from .fields import Field, Grid1D, Spectrum  # noqa: F401
+from .fields import Field, Grid1D  # noqa: F401
 from .interpolants import InterpolantSpec, Observations, observe  # noqa: F401

@@ -13,7 +13,6 @@ or the integration blew up), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -449,45 +448,25 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
     return 1 if failed else 0
 
 
-def cmd_sweep(config_path: str, out_dir: str | None, jobs: int) -> int:
+def cmd_sweep(config_path: str, out_dir: str | None) -> int:
     doc = _load_json(config_path)
     sw = parse_sweep_config(doc)
     out = _resolve_out_dir(out_dir)
     started = datetime.now(timezone.utc).isoformat()
 
     lo, hi = sw["N_range"]
-    cells = [(alpha, N) for alpha in sw["alphas"] for N in range(lo, hi + 1)]
-
-    def run_cell(cell):
-        alpha, N = cell
-        cfg, p = analysis.sweep_cell_config(
-            sw["nu"], alpha, sw["L"], sw["mu_of"](alpha), N, kind=sw["kind"],
-            ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"], ic_amplitude=sw["ic_amplitude"],
-        )
-        return cell, analysis.terminal_ratio(cfg, p), p.mu
-
-    results: dict[tuple[float, int], tuple[float, float]] = {}
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            for cell, ratio, mu in pool.map(run_cell, cells):
-                results[cell] = (ratio, mu)
-    else:
-        for cell in cells:
-            cell, ratio, mu = run_cell(cell)
-            results[cell] = (ratio, mu)
-
     threshold = sw["ratio_threshold"]
     minimal: dict[float, int | None] = {}
-    for alpha in sw["alphas"]:
-        minimal[alpha] = next(
-            (N for N in range(lo, hi + 1) if results[(alpha, N)][0] <= threshold), None
-        )
-
     rows = []
     for alpha in sw["alphas"]:
+        mu = sw["mu_of"](alpha)
+        terminal = analysis.rank_scan(
+            sw["nu"], alpha, sw["L"], mu, range(lo, hi + 1), kind=sw["kind"],
+            ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"], ic_amplitude=sw["ic_amplitude"],
+        )
+        minimal[alpha] = next((N for N, ratio in terminal.items() if ratio <= threshold), None)
         predicted = math.sqrt(alpha * sw["L"] ** 2 / sw["nu"]) / math.pi
-        for N in range(lo, hi + 1):
-            ratio, mu = results[(alpha, N)]
+        for N, ratio in terminal.items():
             rows.append((alpha, N, mu, ratio, int(ratio <= threshold),
                          -1 if minimal[alpha] is None else minimal[alpha], predicted))
 
@@ -553,8 +532,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--out-dir", dest="out_dir_global", default=None,
                         help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
-    parser.add_argument("--jobs", dest="jobs_global", type=int, default=None,
-                        help="concurrent sweep cells")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("simulate", help="run one configured simulation")
@@ -564,7 +541,6 @@ def main(argv=None) -> int:
     pw = sub.add_parser("sweep", help="run a controller-rank sweep")
     pw.add_argument("config", help="JSON sweep config")
     pw.add_argument("--out-dir", default=None)
-    pw.add_argument("--jobs", type=int, default=None)
 
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=verify.SUITES)
@@ -577,11 +553,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(args.config, out_dir)
         if args.command == "sweep":
-            jobs = args.jobs if args.jobs is not None else args.jobs_global
-            jobs = 1 if jobs is None else jobs
-            if jobs < 1:
-                raise ConfigError("--jobs must be >= 1")
-            return cmd_sweep(args.config, out_dir, jobs)
+            return cmd_sweep(args.config, out_dir)
         return cmd_verify(args.suite, args.seed, out_dir)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

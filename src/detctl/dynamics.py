@@ -6,12 +6,16 @@ two-stage exponential Runge-Kutta scheme optionally).  The cubic is always
 evaluated on a padded grid, so the resolved band never sees aliasing from
 the tripled bandwidth.
 
-Piecewise-constant controllers enter through their resolved-band projection,
-whose pairing against any resolved field equals the exact continuum pairing;
-delta controllers enter as mass-preserving single-cell sources on periodic
-grids.  ``check_conditions`` reports, per stability regime, whether the
-closed-loop hypotheses hold and the decay exponent they predict for the
-squared L2 norm.
+Every controller family enters through its (O, A, q) triple from
+:func:`detctl.interpolants.control_operator`: the control term is
+``A @ (O @ c).real`` and the recorded observation energy, interpolant norm
+and control pairing follow from the observations alone, so nothing here
+branches on the family.  Piecewise-constant controllers act through their
+resolved-band projection, whose pairing against any resolved field equals the
+exact continuum pairing; delta controllers act as mass-preserving single-cell
+sources on periodic grids.  ``check_conditions`` reports, per stability
+regime, whether the closed-loop hypotheses hold and the decay exponent they
+predict for the squared L2 norm.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from . import fields, interpolants
 from .fields import Field, Grid1D, coeffs_of, samples_of
-from .interpolants import DELTA, FOURIER, NODAL, VOLUME, InterpolantSpec, Observations
+from .interpolants import DELTA, FOURIER, NODAL, VOLUME, InterpolantSpec
 
 
 @dataclass(frozen=True)
@@ -106,6 +110,10 @@ class ICSpec:
         return fields.random_band(grid, self.kmax, self.seed, l2=self.amplitude)
 
 
+# relative tolerance on T / dt being a whole number of steps
+STEP_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class SimConfig:
     grid: Grid1D
@@ -120,10 +128,17 @@ class SimConfig:
             raise ValueError(f"time step must be positive, got dt={self.dt}")
         if not self.T > self.dt:
             raise ValueError(f"final time must exceed dt, got T={self.T}")
+        steps = self.T / self.dt
+        if abs(steps - round(steps)) > STEP_TOL * steps:
+            raise ValueError(f"final time T={self.T} is not a whole number of steps dt={self.dt}")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive integer")
         if self.scheme not in ("etd1", "etdrk2"):
             raise ValueError(f"scheme must be 'etd1' or 'etdrk2', got {self.scheme!r}")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.T / self.dt))
 
 
 @dataclass
@@ -175,21 +190,15 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, 0.5 + z / 6.0 + z ** 2 / 24.0, out)
 
 
-def _check_bc(p: ClosedLoopParams, grid: Grid1D) -> None:
-    if p.open_loop:
-        return
-    kind = p.spec.kind
-    if kind == DELTA and grid.bc != fields.PERIODIC:
-        raise ValueError("delta-nodal feedback requires a periodic grid")
-    if kind in (VOLUME, NODAL, FOURIER) and grid.bc != fields.NEUMANN:
-        raise ValueError(f"{kind!r} feedback requires a Neumann grid")
-
-
 class Stepper:
-    """Precomputed one-step map for a fixed (grid, params, dt, scheme)."""
+    """Precomputed one-step map for a fixed (grid, params, dt, scheme).
+
+    ``ctl`` is the controller's (O, A, q) triple on this grid, or None in
+    the open loop.
+    """
 
     def __init__(self, grid: Grid1D, p: ClosedLoopParams, dt: float, scheme: str = "etd1"):
-        _check_bc(p, grid)
+        self.ctl = None if p.open_loop else interpolants.control_operator(p.spec, grid)
         self.grid = grid
         self.p = p
         self.dt = dt
@@ -199,7 +208,6 @@ class Stepper:
         self.decay = np.exp(z)
         self.w1 = dt * _phi1(z)
         self.w2 = dt * _phi2(z)
-        self._setup_control()
         if grid.bc == fields.NEUMANN:
             self._pad = np.zeros(2 * grid.M)
             self._fine = Grid1D(grid.L, 2 * grid.M, fields.NEUMANN)
@@ -207,62 +215,13 @@ class Stepper:
             self._pad = np.zeros(2 * grid.M + 1, dtype=complex)
             self._fine = Grid1D(grid.L, 4 * grid.M, fields.PERIODIC)
 
-    def _setup_control(self) -> None:
-        p, grid = self.p, self.grid
-        self._G: np.ndarray | None = None
-        self._fmask: np.ndarray | None = None
-        self._delta: tuple | None = None
-        self._obs_eval: np.ndarray | None = None
-        self._cell_avg: np.ndarray | None = None
-        if p.open_loop:
-            return
-        spec = p.spec
-        if spec.kind in (VOLUME, NODAL):
-            self._G = interpolants.piecewise_projection_matrix(spec, grid)
-        elif spec.kind == FOURIER:
-            mask = np.zeros(grid.M)
-            mask[interpolants.fourier_mode_slice(spec)] = 1.0
-            self._fmask = mask
-        else:
-            idx = interpolants.delta_cell_indices(spec, grid)
-            m = np.arange(grid.M // 2 + 1)
-            obs_phase = np.exp(2j * np.pi * np.outer(np.asarray(spec.obs_points), m) / grid.L)
-            weights = np.full(grid.M // 2 + 1, 2.0)
-            weights[0] = 1.0
-            if grid.M % 2 == 0:
-                weights[-1] = 1.0
-            obs_mat = obs_phase * weights          # (E @ c).real = u(obs_points)
-            src = np.exp(-2j * np.pi * np.outer(m, idx) / grid.M)
-            src *= spec.h / (grid.dx * grid.M)     # rfft coeffs of unit cell sources
-            self._delta = (obs_mat, src, idx)
+    def observations(self, c: np.ndarray) -> np.ndarray:
+        """The controller's observations of the state with coefficients c."""
+        return (self.ctl.O @ c).real
 
     def control_coeffs(self, c: np.ndarray) -> np.ndarray:
         """Coefficients of I_h(u) for the active controller family."""
-        if self._G is not None:
-            return self._G @ c
-        if self._fmask is not None:
-            return self._fmask * c
-        obs_mat, src, _ = self._delta
-        obs = (obs_mat @ c).real
-        return src @ obs
-
-    def observations(self, c: np.ndarray, u_samples: np.ndarray | None = None) -> np.ndarray | None:
-        if self.p.open_loop:
-            return None
-        spec = self.p.spec
-        if spec.kind == VOLUME:
-            u = samples_of(self.grid, c) if u_samples is None else u_samples
-            return u.reshape(spec.N, -1).mean(axis=1)
-        if spec.kind == NODAL:
-            if self._obs_eval is None:
-                self._obs_eval = interpolants.point_eval_matrix(
-                    np.asarray(spec.obs_points), spec.L, self.grid.M
-                )
-            return self._obs_eval @ c
-        if spec.kind == FOURIER:
-            return c[interpolants.fourier_mode_slice(spec)].copy()
-        obs_mat, _, _ = self._delta
-        return (obs_mat @ c).real
+        return self.ctl.A @ self.observations(c)
 
     def fine_samples(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Samples on the dealiasing grid and its quadrature weight."""
@@ -275,13 +234,14 @@ class Stepper:
         self._pad[: c.shape[0]] = c
         w = samples_of(self._fine, self._pad)
         max_abs = float(np.max(np.abs(w)))
-        cubed = coeffs_of(_raw_field(self._fine, w ** 3))
+        # products, not w ** 3: np.power is several times slower on negative samples
+        cubed = coeffs_of(_raw_field(self._fine, w * w * w))
         return cubed[: c.shape[0]], max_abs
 
     def nonlin(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         cubed, max_abs = self.cube(c)
         out = self.p.alpha * c - cubed
-        if not self.p.open_loop:
+        if self.ctl is not None:
             out = out - self.p.mu * self.control_coeffs(c)
         return out, max_abs
 
@@ -289,7 +249,7 @@ class Stepper:
         """One step; returns (new coefficients, max|u| before the step)."""
         n0, max_abs = self.nonlin(c)
         limit = stability_limit(self.p, max_abs)
-        if self.dt > limit:
+        if not self.dt <= limit:  # a NaN state gives a NaN limit
             raise BlowupError(np.nan, f"dt={self.dt:.3g} exceeds the stability limit {limit:.3g}")
         pred = self.decay * c + self.w1 * n0
         if self.scheme == "etd1":
@@ -306,34 +266,6 @@ def _raw_field(grid: Grid1D, values: np.ndarray) -> Field:
     return f
 
 
-def rhs(u: Field, p: ClosedLoopParams) -> Field:
-    """Instantaneous right-hand side nu u_xx + alpha u - u^3 - mu I_h(u).
-
-    Piecewise-constant control terms enter through their resolved-band
-    projection (all integrals against resolved fields are exact); the delta
-    family enters as its single-cell grid realization.
-    """
-    _check_bc(p, u.grid)
-    st = Stepper(u.grid, p, dt=1.0)
-    c = coeffs_of(u)
-    k = u.grid.wavenumbers()
-    cubed, _ = st.cube(c)
-    out = -p.nu * k ** 2 * c + p.alpha * c - cubed
-    if not p.open_loop:
-        out = out - p.mu * st.control_coeffs(c)
-    return Field(u.grid, samples_of(u.grid, out))
-
-
-def step(u: Field, p: ClosedLoopParams, dt: float, scheme: str = "etd1") -> Field:
-    """Advance one time step (throwaway stepper; loops should use simulate)."""
-    st = Stepper(u.grid, p, dt, scheme)
-    c, _ = st.advance(coeffs_of(u))
-    vals = samples_of(u.grid, c)
-    if not np.all(np.isfinite(vals)):
-        raise BlowupError(dt, "non-finite state after step")
-    return Field(u.grid, vals)
-
-
 def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
     """Integrate to T and record norms, observation energy, and the energy residual.
 
@@ -343,14 +275,14 @@ def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
     its ends.
     """
     grid = cfg.grid
-    _check_bc(p, grid)
     if abs(grid.L - p.L) > 1e-14 * p.L:
         raise ValueError(f"grid length {grid.L} differs from params length {p.L}")
     st = Stepper(grid, p, cfg.dt, cfg.scheme)
+    ctl = st.ctl
     u0 = cfg.ic.realize(grid)
     c = coeffs_of(u0)
 
-    n_steps = int(round(cfg.T / cfg.dt))
+    n_steps = cfg.n_steps
     rec_steps = list(range(0, n_steps + 1, cfg.record_every))
     if rec_steps[-1] != n_steps:
         rec_steps.append(n_steps)
@@ -360,10 +292,6 @@ def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
     series = {name: np.empty(n_rec) for name in
               ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")}
 
-    cavg = None
-    if not p.open_loop and p.spec.kind in (VOLUME, NODAL):
-        cavg = interpolants.cell_average_matrix(p.spec, grid.M)
-
     def record(i: int, step_idx: int, c_now: np.ndarray) -> None:
         times[i] = step_idx * cfg.dt
         l2_sq = fields.l2_sq_of_coeffs(grid, c_now)
@@ -372,25 +300,18 @@ def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
         series["h1x"][i] = np.sqrt(max(h1x_sq, 0.0))
         series["h1"][i] = np.sqrt(max(l2_sq / grid.L ** 2 + h1x_sq, 0.0))
         w, dw = st.fine_samples(c_now)
-        series["l4p4"][i] = float(np.sum(w ** 4) * dw)
-        if p.open_loop:
+        w2 = w * w
+        series["l4p4"][i] = float(np.sum(w2 * w2) * dw)
+        if ctl is None:
             series["gamma2"][i] = 0.0
             series["ih_l2"][i] = 0.0
             series["pairing"][i] = 0.0
             return
-        u_samples = None
-        if p.spec.kind in (VOLUME, DELTA):
-            u_samples = samples_of(grid, c_now)
-        v = st.observations(c_now, u_samples)
-        series["gamma2"][i] = float(np.sum(v ** 2))
-        series["ih_l2"][i] = interpolants.interpolant_l2(Observations(v), p.spec, grid)
-        if p.spec.kind == DELTA:
-            idx = st._delta[2]
-            series["pairing"][i] = p.spec.h * float(np.sum(v * u_samples[idx]))
-        elif p.spec.kind == FOURIER:
-            series["pairing"][i] = interpolants.interpolant_norm_sq_from_modes(v, p.spec)
-        else:
-            series["pairing"][i] = p.spec.h * float(np.sum(v * (cavg @ c_now)))
+        v = st.observations(c_now)
+        v2 = v * v
+        series["gamma2"][i] = float(np.sum(v2))
+        series["ih_l2"][i] = float(np.sqrt(ctl.q @ v2))
+        series["pairing"][i] = fields.inner_of_coeffs(grid, ctl.A @ v, c_now)
 
     def partial(upto: int) -> TrajectoryRecord:
         sl = slice(0, upto)
@@ -400,22 +321,19 @@ def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
         )
         return TrajectoryRecord(times=times[sl].copy(), energy_residual=res, **cut)
 
-    rec_i = 0
     record(0, 0, c)
     rec_i = 1
-    next_rec = 1
     for n in range(1, n_steps + 1):
         t = n * cfg.dt
         try:
             c, _ = st.advance(c)
         except BlowupError as err:
             raise BlowupError(t, err.reason, partial(rec_i)) from None
-        if next_rec < n_rec and n == rec_steps[next_rec]:
+        if rec_i < n_rec and n == rec_steps[rec_i]:
             if not np.all(np.isfinite(c)):
                 raise BlowupError(t, "non-finite state", partial(rec_i))
-            record(next_rec, n, c)
+            record(rec_i, n, c)
             rec_i += 1
-            next_rec += 1
 
     residual = energy_residual_series(
         times, series["l2"], series["h1x"], series["l4p4"], series["pairing"], p
@@ -424,21 +342,39 @@ def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
 
 
 def _ddt(times: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Centered differences inside; third-order one-sided at the ends."""
+    """Derivative by polynomial stencils over the actual record times.
+
+    Three-point centered inside and four-point one-sided at the ends (two
+    points when there are fewer than four records), so an off-stride last
+    record keeps the accuracy; on uniform spacing these are the classical
+    weights.
+    """
     n = len(y)
-    out = np.empty(n)
+    out = np.zeros(n)
     if n < 2:
-        out[:] = 0.0
         return out
-    dt = times[1] - times[0]
-    out[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
-    if n >= 4:
-        out[0] = (-11 * y[0] + 18 * y[1] - 9 * y[2] + 2 * y[3]) / (6.0 * dt)
-        out[-1] = (11 * y[-1] - 18 * y[-2] + 9 * y[-3] - 2 * y[-4]) / (6.0 * dt)
-    else:
-        out[0] = (y[1] - y[0]) / dt
-        out[-1] = (y[-1] - y[-2]) / dt
+    ends = (1, 2, 3) if n >= 4 else (1,)
+    out[1:-1] = _stencil_ddt(times, y, np.arange(1, n - 1), (-1, 1))
+    out[0] = _stencil_ddt(times, y, 0, ends)
+    out[-1] = _stencil_ddt(times, y, n - 1, tuple(-o for o in ends))
     return out
+
+
+def _stencil_ddt(t: np.ndarray, y: np.ndarray, i, offsets: tuple[int, ...]):
+    """Derivative at node(s) i of the polynomial through nodes i and i + offsets.
+
+    Summed as weighted differences y[i + o] - y[i], which stay exact where
+    the record barely changes.
+    """
+    d = [t[i + o] - t[i] for o in offsets]
+    total = 0.0
+    for j, o in enumerate(offsets):
+        w = 1.0 / d[j]
+        for k, dk in enumerate(d):
+            if k != j:
+                w = w * dk / (dk - d[j])
+        total = total + w * (y[i + o] - y[i])
+    return total
 
 
 def energy_residual_series(times, l2, h1x, l4p4, pairing, p: ClosedLoopParams) -> np.ndarray:

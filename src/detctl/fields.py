@@ -6,9 +6,8 @@ cell midpoints x_j = (j + 1/2) L / M and expand in the cosine basis
 cos(k pi x / L), so zero-slope walls hold exactly in the basis; periodic
 grids sample at x_j = j L / M and use the complex Fourier basis.
 
-Norms are evaluated modally (exact for band-limited fields).  The quartic
-integral is computed on a refined grid so that the tripled bandwidth of the
-cube never aliases back into the quadrature.
+Norms and inner products are evaluated modally (exact for band-limited
+fields).
 """
 
 from __future__ import annotations
@@ -57,12 +56,6 @@ class Grid1D:
         return np.arange(self.M // 2 + 1) * 2.0 * np.pi / self.L
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=a.dtype if np.iscomplexobj(a) else float, copy=True)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Field:
     """Real-valued samples of a function on a Grid1D."""
@@ -76,11 +69,12 @@ class Field:
             raise ValueError(f"expected {self.grid.M} samples, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("field samples must be finite")
-        object.__setattr__(self, "values", _readonly(v))
+        v = v.copy()
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+def coeffs_of(f: Field) -> np.ndarray:
     """Modal coefficients of a field.
 
     Neumann: real cosine coefficients c[k] of sum_k c[k] cos(k pi x / L),
@@ -88,33 +82,6 @@ class Spectrum:
     sum_m c[m] exp(2i pi m x / L) + c.c. for m = 1..M/2, plus the real
     mean c[0] (rfft layout, length M//2 + 1).
     """
-
-    grid: Grid1D
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs)
-        n = self.grid.M if self.grid.bc == NEUMANN else self.grid.M // 2 + 1
-        if c.shape != (n,):
-            raise ValueError(f"expected {n} coefficients, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("spectral coefficients must be finite")
-        kind = complex if self.grid.bc == PERIODIC else float
-        object.__setattr__(self, "coeffs", _readonly(c.astype(kind)))
-
-
-def to_spectral(f: Field) -> Spectrum:
-    """Transform samples to modal coefficients (exact for resolved fields)."""
-    return Spectrum(f.grid, coeffs_of(f))
-
-
-def from_spectral(s: Spectrum) -> Field:
-    """Synthesize grid samples from modal coefficients."""
-    return Field(s.grid, samples_of(s.grid, s.coeffs))
-
-
-def coeffs_of(f: Field) -> np.ndarray:
-    """Raw coefficient array of a field (no Spectrum wrapper)."""
     g = f.grid
     if g.bc == NEUMANN:
         c = dct(f.values, type=2) / g.M
@@ -233,37 +200,20 @@ def h1_norm(f: Field) -> float:
     return float(np.sqrt(_l2_sq(f.grid, c) / f.grid.L ** 2 + _h1x_sq(f.grid, c)))
 
 
-def l4_pow4(f: Field) -> float:
-    """Integral of f^4 over [0, L], dealiased on a refined grid.
-
-    A field resolved by M modes has a quartic with bandwidth < 4M; midpoint
-    (Neumann) or trapezoid (periodic) quadrature on the refined grid
-    integrates that bandwidth exactly.
-    """
-    g = f.grid
-    c = coeffs_of(f)
-    if g.bc == NEUMANN:
-        fine = np.zeros(2 * g.M)
-        fine[: g.M] = c
-        w = samples_of(Grid1D(g.L, 2 * g.M, NEUMANN), fine)
-        return float(np.sum(w ** 4) * (g.L / (2 * g.M)))
-    fine = np.zeros(2 * g.M + 1, dtype=complex)
-    fine[: g.M // 2 + 1] = c
-    w = samples_of(Grid1D(g.L, 4 * g.M, PERIODIC), fine)
-    return float(np.sum(w ** 4) * (g.L / (4 * g.M)))
+def inner_of_coeffs(grid: Grid1D, a: np.ndarray, b: np.ndarray) -> float:
+    """L2 inner product straight from modal coefficients (Parseval)."""
+    if grid.bc == NEUMANN:
+        return float(grid.L * (a[0] * b[0] + 0.5 * np.sum(a[1:] * b[1:])))
+    prod = (a * np.conj(b)).real
+    total = prod[0] + 2.0 * np.sum(prod[1:-1]) + (2.0 if grid.M % 2 else 1.0) * prod[-1]
+    return float(grid.L * total)
 
 
 def inner(f: Field, g_: Field) -> float:
     """L2 inner product of two fields on the same grid."""
     if f.grid != g_.grid:
         raise ValueError("fields live on different grids")
-    g = f.grid
-    cf, cg = coeffs_of(f), coeffs_of(g_)
-    if g.bc == NEUMANN:
-        return float(g.L * (cf[0] * cg[0] + 0.5 * np.sum(cf[1:] * cg[1:])))
-    prod = (cf * np.conj(cg)).real
-    total = prod[0] + 2.0 * np.sum(prod[1:-1]) + (2.0 if g.M % 2 else 1.0) * prod[-1]
-    return float(g.L * total)
+    return inner_of_coeffs(f.grid, coeffs_of(f), coeffs_of(g_))
 
 
 def derivative(f: Field) -> Field:

@@ -12,9 +12,15 @@ The first three produce square-integrable interpolants; ``delta`` only
 actuates, through a mass-preserving single-cell source.  Volume observation
 is the per-cell sample mean (exact for cell-aligned piecewise constants, so
 observe and interpolate compose idempotently); nodal and delta observation
-evaluate the spectral representation at their points.  Deficits, pairings,
-and interpolant norms are exact integrals of the realized interpolant, so
-the inequality suites carry no quadrature error.
+evaluate the spectral representation at their points.  Deficits and
+pairings are exact integrals of the realized interpolant, so the inequality
+suites carry no quadrature error.
+
+The closed loop sees a family only through :func:`control_operator`, one
+triple (O, A, q) on grid coefficients c: observations ``(O @ c).real``, the
+interpolant's coefficients ``A @ obs``, and its squared norm ``q @ obs**2``.
+It is also the one place that fixes which boundary condition each family
+needs.  The field-level maps below are kept as its independent reference.
 """
 
 from __future__ import annotations
@@ -119,11 +125,6 @@ class Observations:
         object.__setattr__(self, "values", vv)
 
 
-def gamma_sq(obs: Observations) -> float:
-    """Observation energy: the sum of squared measurement values."""
-    return float(np.sum(obs.values ** 2))
-
-
 # ---------------------------------------------------------------------------
 # exact geometry matrices (cosine basis)
 
@@ -162,24 +163,6 @@ def chi_projection_matrix(spec: InterpolantSpec, n_modes: int) -> np.ndarray:
     B[0, :] = spec.h / spec.L
     B[1:, :] = (2.0 * spec.h / spec.L) * C[:, 1:].T
     return B
-
-
-def piecewise_projection_matrix(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
-    """Coefficient-space operator of the resolved-band projection of I_h.
-
-    For the volume and nodal families the interpolant is piecewise constant;
-    this returns G with coeffs(P_M I_h u) = G @ coeffs(u), where P_M is the
-    L2 projection onto the grid's cosine band.  Pairings of G @ c against any
-    resolved field equal the exact continuum pairings of I_h.
-    """
-    _require_neumann(spec, grid)
-    if spec.kind == VOLUME:
-        inner_map = cell_mean_matrix(spec, grid)
-    elif spec.kind == NODAL:
-        inner_map = point_eval_matrix(np.asarray(spec.obs_points), spec.L, grid.M)
-    else:
-        raise ValueError(f"no piecewise projection for kind {spec.kind!r}")
-    return chi_projection_matrix(spec, grid.M) @ inner_map
 
 
 def fourier_mode_slice(spec: InterpolantSpec) -> slice:
@@ -284,6 +267,62 @@ def delta_cell_indices(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# closed-loop control operator (coefficient space)
+
+@dataclass(frozen=True)
+class ControlOperator:
+    """A controller family as three arrays acting on a grid's coefficients c.
+
+    - ``O`` observes: ``obs = (O @ c).real``
+    - ``A`` actuates: ``A @ obs`` are the coefficients of the resolved-band
+      projection of I_h(u), or of the grid point sources for delta
+    - ``q`` weighs the interpolant norm: ``||I_h(u)||^2 = q @ obs**2``
+      (the discrete norm of the grid sources for delta)
+    """
+
+    O: np.ndarray
+    A: np.ndarray
+    q: np.ndarray
+
+
+def control_operator(spec: InterpolantSpec, grid: Grid1D) -> ControlOperator:
+    """The (O, A, q) triple of ``spec`` on ``grid``.
+
+    Volume and nodal controllers observe cell means and point values and
+    actuate the cell indicators, so ``A @ O`` pairs exactly with any resolved
+    field; fourier selects its modes and puts them back; delta observes point
+    values and deposits single-cell sources (see :func:`actuate_delta`).
+    Delta feedback needs a periodic grid, every other family a Neumann grid.
+    """
+    if spec.kind == DELTA:
+        if grid.bc != PERIODIC:
+            raise ValueError("delta-nodal feedback requires a periodic grid")
+        idx = delta_cell_indices(spec, grid)
+        m = np.arange(grid.M // 2 + 1)
+        weights = np.full(grid.M // 2 + 1, 2.0)
+        weights[0] = 1.0
+        if grid.M % 2 == 0:
+            weights[-1] = 1.0
+        # (O @ c).real = u(obs_points); A holds the rfft coefficients of unit cell sources
+        O = np.exp(2j * np.pi * np.outer(np.asarray(spec.obs_points), m) / grid.L) * weights
+        A = np.exp(-2j * np.pi * np.outer(m, idx) / grid.M) * (spec.h / (grid.dx * grid.M))
+        return ControlOperator(O, A, np.full(spec.N, spec.h ** 2 / grid.dx))
+    if grid.bc != NEUMANN:
+        raise ValueError(f"{spec.kind!r} feedback requires a Neumann grid")
+    if spec.kind == FOURIER:
+        O = np.eye(grid.M)[fourier_mode_slice(spec)]
+        q = np.full(spec.rank, 0.5 * spec.L)
+        if spec.include_mean:
+            q[0] = spec.L
+        return ControlOperator(O, O.T, q)
+    if spec.kind == VOLUME:
+        O = cell_mean_matrix(spec, grid)
+    else:
+        O = point_eval_matrix(spec.obs_points, spec.L, grid.M)
+    return ControlOperator(O, chi_projection_matrix(spec, grid.M), np.full(spec.N, spec.h))
+
+
+# ---------------------------------------------------------------------------
 # derived scalar quantities (exact integrals, no quadrature error)
 
 def defect(f: Field, spec: InterpolantSpec) -> float:
@@ -317,18 +356,6 @@ def interpolant_norm_sq_from_modes(values: np.ndarray, spec: InterpolantSpec) ->
     if spec.include_mean:
         return float(L * (values[0] ** 2 + 0.5 * np.sum(values[1:] ** 2)))
     return float(0.5 * L * np.sum(values ** 2))
-
-
-def interpolant_l2(obs: Observations, spec: InterpolantSpec, grid: Grid1D | None = None) -> float:
-    """L2 norm of the realized interpolant (discrete norm for delta sources)."""
-    v = obs.values
-    if spec.kind in (VOLUME, NODAL):
-        return float(np.sqrt(spec.h * np.sum(v ** 2)))
-    if spec.kind == FOURIER:
-        return float(np.sqrt(interpolant_norm_sq_from_modes(v, spec)))
-    if grid is None:
-        raise ValueError("delta realization norm needs the grid")
-    return float(np.sqrt(spec.h ** 2 / grid.dx * np.sum(v ** 2)))
 
 
 def pairing(f: Field, spec: InterpolantSpec) -> float:

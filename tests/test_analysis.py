@@ -3,12 +3,11 @@ import pytest
 
 from detctl.analysis import (
     NoFitError,
-    NotStabilizedError,
     absorbing_bounds,
     absorbing_entry_time,
     fit_decay_rate,
     linear_growth_rate,
-    minimal_stabilizing_N,
+    rank_scan,
     sweep_grid,
     unstable_mode_count,
     verify_decay_bound,
@@ -136,26 +135,26 @@ class TestAbsorbing:
         assert absorbing_entry_time(p, 0.5 * r0_sq) == 0.0
 
 
+def minimal_N(ratios, threshold=1e-4):
+    return next((N for N, r in ratios.items() if r <= threshold), None)
+
+
 class TestMinimalN:
     def test_low_alpha_returns_min(self):
         # alpha below nu (pi/L)^2: every mode except the mean is already
         # stable, one controller suffices
-        p = params(nu=1.0, alpha=4.0, L=1.0)
-        n = minimal_stabilizing_N(p, lambda a: 5.0 * a, range(1, 9))
-        assert n == 1
+        ratios = rank_scan(1.0, 4.0, 1.0, 20.0, range(1, 9))
+        assert list(ratios) == list(range(1, 9))
+        assert minimal_N(ratios) == 1
 
     def test_zero_gain_never_stabilizes(self):
-        p = params(nu=1.0, alpha=16.0, L=1.0)
-        with pytest.raises(NotStabilizedError) as exc:
-            minimal_stabilizing_N(p, lambda a: 0.0, range(1, 4))
-        ratios = exc.value.terminal_ratios
+        ratios = rank_scan(1.0, 16.0, 1.0, 0.0, range(1, 4))
         assert set(ratios) == {1, 2, 3}
         assert all(r > 1e-4 for r in ratios.values())
+        assert minimal_N(ratios) is None
 
     def test_moderate_alpha_needs_two(self):
-        p = params(nu=1.0, alpha=16.0, L=1.0)
-        n = minimal_stabilizing_N(p, lambda a: 5.0 * a, range(1, 9))
-        assert n == 2
+        assert minimal_N(rank_scan(1.0, 16.0, 1.0, 80.0, range(1, 9))) == 2
 
     def test_sweep_grid_alignment(self):
         g = sweep_grid(3, 2)

@@ -85,6 +85,13 @@ class TestValidation:
         assert code == 2
         assert "params.mu" in capsys.readouterr().err
 
+    def test_partial_final_step_exits_2(self, tmp_path, capsys):
+        doc = base_config()
+        doc["sim"]["dt"] = 0.003  # T = 0.2 is 66.7 steps
+        code = main(["simulate", write_config(tmp_path, doc), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "sim: final time" in capsys.readouterr().err
+
     def test_unknown_suite_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
@@ -125,7 +132,7 @@ class TestSimulateCommand:
         doc["params"] = {"nu": 1.0, "alpha": 30.0, "mu": 0.0}
         doc["control"] = None
         doc["sim"]["dt"] = 0.012
-        doc["sim"]["T"] = 1.0
+        doc["sim"]["T"] = 0.996
         doc["sim"]["ic"] = {"kind": "constant", "value": 0.05}
         out = tmp_path / "out"
         code = main(["simulate", write_config(tmp_path, doc), "--out-dir", str(out)])
@@ -167,19 +174,6 @@ class TestSweepCommand:
         direct = analysis.terminal_ratio(cfg, p)
         assert data["terminal_ratio"] == pytest.approx(direct, rel=1e-12)
         assert int(data["minimal_N"]) == 2
-
-    def test_jobs_parallel_same_output(self, tmp_path):
-        doc = {"sweep": {"alphas": [4.0, 16.0], "nu": 1.0, "L": 1.0,
-                         "mu_rule": {"type": "proportional", "factor": 5.0},
-                         "N_range": [1, 3], "kind": "volume",
-                         "ic": {"seed": 0, "kmax": 2, "amplitude": 1.0}},
-               "experiment": {"name": "par"}}
-        cfg = write_config(tmp_path, doc)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["sweep", cfg, "--out-dir", str(a)]) == 0
-        assert main(["sweep", cfg, "--out-dir", str(b), "--jobs", "3"]) == 0
-        assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
-        assert (a / "summary.json").read_bytes() == (b / "summary.json").read_bytes()
 
 
 class TestVerifyCommand:

@@ -5,20 +5,22 @@ from detctl.fields import (
     NEUMANN,
     PERIODIC,
     Grid1D,
+    coeffs_of,
     constant_field,
     cosine_mode,
     l2_norm,
+    l2_sq_of_coeffs,
+    samples_of,
 )
 from detctl.dynamics import (
     BlowupError,
     ClosedLoopParams,
     ICSpec,
     SimConfig,
+    Stepper,
     check_conditions,
-    rhs,
     simulate,
     stability_limit,
-    step,
 )
 from detctl.interpolants import DELTA, FOURIER, VOLUME, InterpolantSpec
 
@@ -29,6 +31,19 @@ def neumann(M=64, L=1.0):
 
 def open_loop(nu=1.0, alpha=4.0, L=1.0):
     return ClosedLoopParams(nu=nu, alpha=alpha, L=L)
+
+
+def rhs(u, p):
+    """Samples of nu u_xx + alpha u - u^3 - mu I_h(u) from the stepper's nonlinearity."""
+    c = coeffs_of(u)
+    n, _ = Stepper(u.grid, p, dt=1.0).nonlin(c)
+    return samples_of(u.grid, -p.nu * u.grid.wavenumbers() ** 2 * c + n)
+
+
+def step(u, p, dt):
+    """Samples after one exponential-Euler step of the stepper."""
+    c, _ = Stepper(u.grid, p, dt).advance(coeffs_of(u))
+    return samples_of(u.grid, c)
 
 
 class TestParams:
@@ -57,7 +72,7 @@ class TestRhs:
         p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
                              spec=InterpolantSpec(FOURIER, 2, 1.0))
         out = rhs(constant_field(neumann(), 0.0), p)
-        assert np.max(np.abs(out.values)) < 1e-14
+        assert np.max(np.abs(out)) < 1e-14
 
     def test_linearization(self):
         # tiny single mode: rhs ~ (alpha - nu (k pi / L)^2) u, cubic negligible
@@ -67,30 +82,30 @@ class TestRhs:
             u = cosine_mode(g, k, amplitude=1e-8)
             out = rhs(u, p)
             lam = p.alpha - p.nu * (k * np.pi / p.L) ** 2
-            assert np.max(np.abs(out.values - lam * u.values)) < 1e-12
+            assert np.max(np.abs(out - lam * u.values)) < 1e-12
 
     def test_nonzero_steady_state(self):
         # u = sqrt(alpha) balances alpha u = u^3 in the open loop
         p = open_loop(alpha=3.0)
         u = constant_field(neumann(), np.sqrt(3.0))
-        assert np.max(np.abs(rhs(u, p).values)) < 1e-12
+        assert np.max(np.abs(rhs(u, p))) < 1e-12
 
     def test_bc_kind_mismatch(self):
         p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0, mu=1.0,
                              spec=InterpolantSpec(DELTA, 2, 1.0))
         with pytest.raises(ValueError, match="periodic"):
-            rhs(constant_field(neumann(), 1.0), p)
+            Stepper(neumann(), p, dt=1e-3)
         p2 = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0, mu=1.0,
                               spec=InterpolantSpec(VOLUME, 2, 1.0))
         with pytest.raises(ValueError, match="Neumann"):
-            rhs(constant_field(Grid1D(1.0, 64, PERIODIC), 1.0), p2)
+            Stepper(Grid1D(1.0, 64, PERIODIC), p2, dt=1e-3)
 
 
 class TestStep:
     def test_zero_fixed(self):
         u = constant_field(neumann(), 0.0)
         out = step(u, open_loop(), 1e-3)
-        assert np.max(np.abs(out.values)) < 1e-14
+        assert np.max(np.abs(out)) < 1e-14
 
     def test_pure_heat_modal_factor(self):
         # alpha must be > 0 by contract; use a tiny alpha and remove its
@@ -103,7 +118,7 @@ class TestStep:
         out = step(u, p, dt)
         factor = np.exp(-nu * (k * np.pi / p.L) ** 2 * dt)
         ref = u.values * factor
-        assert np.max(np.abs(out.values - ref)) < 1e-10 * np.max(np.abs(ref))
+        assert np.max(np.abs(out - ref)) < 1e-10 * np.max(np.abs(ref))
 
     def test_linear_growth_rate_100_steps(self):
         # amplitude ratio matches exp((alpha - nu (k pi/L)^2) * t) to 1e-4
@@ -111,11 +126,12 @@ class TestStep:
         p = ClosedLoopParams(nu=1.0, alpha=4.0, L=np.pi)
         k, dt, n = 1, 1e-4, 100
         u = cosine_mode(g, k, amplitude=1e-6)
-        v = u
+        st = Stepper(g, p, dt)
+        c = coeffs_of(u)
         for _ in range(n):
-            v = step(v, p, dt)
+            c, _ = st.advance(c)
         lam = p.alpha - p.nu * (k * np.pi / p.L) ** 2
-        ratio = l2_norm(v) / l2_norm(u)
+        ratio = np.sqrt(l2_sq_of_coeffs(g, c)) / l2_norm(u)
         assert abs(ratio - np.exp(lam * n * dt)) < 1e-4 * np.exp(lam * n * dt)
 
     def test_stability_limit_enforced(self):
@@ -124,6 +140,14 @@ class TestStep:
         assert stability_limit(p, 5.0) == 0.5 / (100.0 + 75.0)
         with pytest.raises(BlowupError, match="stability"):
             step(u, p, 0.02)
+
+    def test_nan_state_rejected(self):
+        # a NaN state gives a NaN limit, which no comparison with dt may let through
+        p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0)
+        c = np.zeros(32)
+        c[3] = np.nan
+        with pytest.raises(BlowupError, match="stability"):
+            Stepper(neumann(M=32), p, 1e-3).advance(c)
 
     def test_convergence_order(self):
         # closed-loop smooth run: halving dt reduces the terminal error
@@ -174,7 +198,7 @@ class TestSimulate:
         # gain pushes the explicit step over the stability limit mid-run
         g = neumann(M=32)
         p = ClosedLoopParams(nu=1.0, alpha=30.0, L=1.0)
-        cfg = SimConfig(grid=g, dt=0.012, T=1.0, ic=ICSpec("constant", value=0.05),
+        cfg = SimConfig(grid=g, dt=0.012, T=0.996, ic=ICSpec("constant", value=0.05),
                         record_every=1)
         # dt is inside the limit at |u|=0.05 but outside once u grows toward sqrt(alpha)
         with pytest.raises(BlowupError) as exc:
@@ -182,6 +206,26 @@ class TestSimulate:
         rec = exc.value.record
         assert rec is not None and len(rec) >= 1
         assert exc.value.time > 0
+
+    def test_final_time_whole_steps(self):
+        ic = ICSpec("constant", value=0.1)
+        with pytest.raises(ValueError, match="whole number of steps"):
+            SimConfig(grid=neumann(), dt=0.3, T=1.0, ic=ic)
+        assert SimConfig(grid=neumann(), dt=0.1, T=1.0, ic=ic).n_steps == 10
+
+    def test_off_stride_last_record_residual(self):
+        # T = 1.003 puts the last record 3 steps after the one before it;
+        # the residual there must stay at the level of the on-stride records
+        g = neumann(M=32)
+        spec = InterpolantSpec(FOURIER, 2, 1.0)
+        p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0, spec=spec)
+        ic = ICSpec("random-band", seed=5, kmax=3, amplitude=1.0)
+        tails = []
+        for T in (1.0, 1.003):
+            cfg = SimConfig(grid=g, dt=1e-3, T=T, ic=ic, record_every=10, scheme="etdrk2")
+            tails.append(simulate(cfg, p).energy_residual[-1])
+        assert tails[1] < 1e-6
+        assert tails[1] < 100 * max(tails[0], 1e-9)
 
     def test_energy_residual_small_closed_loop(self):
         g = neumann(M=32)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from detctl import fields
+from detctl.dynamics import ClosedLoopParams, Stepper
 from detctl.fields import (
     Field,
     Grid1D,
@@ -11,14 +12,12 @@ from detctl.fields import (
     derivative,
     eval_field,
     field_from_function,
-    from_spectral,
     h1_norm,
     h1x_norm,
     inner,
     l2_norm,
-    l4_pow4,
     random_band,
-    to_spectral,
+    samples_of,
 )
 
 
@@ -56,29 +55,29 @@ class TestGrid:
 
 class TestTransforms:
     def test_constant_has_only_mean(self):
-        s = to_spectral(constant_field(neumann(), 3.5))
-        assert abs(s.coeffs[0] - 3.5) < 1e-13
-        assert np.max(np.abs(s.coeffs[1:])) < 1e-13
+        c = coeffs_of(constant_field(neumann(), 3.5))
+        assert abs(c[0] - 3.5) < 1e-13
+        assert np.max(np.abs(c[1:])) < 1e-13
 
     def test_single_mode_coefficient(self):
         g = neumann(M=64)
-        s = to_spectral(cosine_mode(g, 3))
+        c = coeffs_of(cosine_mode(g, 3))
         expected = np.zeros(64)
         expected[3] = 1.0
-        assert np.max(np.abs(s.coeffs - expected)) < 1e-12
+        assert np.max(np.abs(c - expected)) < 1e-12
 
     def test_roundtrip_random_band(self):
         g = neumann(M=128)
         f = random_band(g, kmax=16, seed=1)
-        back = from_spectral(to_spectral(f))
+        back = samples_of(g, coeffs_of(f))
         scale = np.max(np.abs(f.values))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * scale
+        assert np.max(np.abs(back - f.values)) < 1e-12 * scale
 
     def test_roundtrip_periodic(self):
         g = periodic(M=128)
         f = random_band(g, kmax=16, seed=2)
-        back = from_spectral(to_spectral(f))
-        assert np.max(np.abs(back.values - f.values)) < 1e-12 * np.max(np.abs(f.values))
+        back = samples_of(g, coeffs_of(f))
+        assert np.max(np.abs(back - f.values)) < 1e-12 * np.max(np.abs(f.values))
 
     def test_rejects_nonfinite(self):
         g = neumann(M=8)
@@ -147,9 +146,13 @@ class TestNorms:
         assert abs(l2_norm(f) ** 2 - L / 2) < 1e-12
 
     def test_l4_closed_form(self):
-        # (2 cos(pi x))^4 integrates to 16 * 3/8 = 6 on [0, 1]
-        f = cosine_mode(neumann(M=64), 1, amplitude=2.0)
-        assert abs(l4_pow4(f) - 6.0) < 1e-10
+        # (2 cos(pi x))^4 and (2 cos(2 pi x))^4 integrate to 16 * 3/8 = 6 on [0, 1];
+        # the dealiasing grid of the stepper integrates the quartic exactly
+        p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0)
+        for f in (cosine_mode(neumann(M=64), 1, amplitude=2.0),
+                  field_from_function(periodic(M=64), lambda x: 2.0 * np.cos(2 * np.pi * x))):
+            w, dw = Stepper(f.grid, p, dt=1e-3).fine_samples(coeffs_of(f))
+            assert abs(np.sum(w ** 4) * dw - 6.0) < 1e-10
 
     def test_parseval_against_quadrature(self):
         g = neumann(M=256)

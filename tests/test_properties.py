@@ -1,0 +1,110 @@
+"""Property tests of the closed-loop control operator against the field-level
+interpolant maps, and of the recorder's independence from its stride."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from detctl.dynamics import ClosedLoopParams, ICSpec, SimConfig, simulate
+from detctl.fields import (
+    NEUMANN,
+    PERIODIC,
+    Field,
+    Grid1D,
+    coeffs_of,
+    inner_of_coeffs,
+    l2_norm,
+    samples_of,
+)
+from detctl.interpolants import (
+    DELTA,
+    KINDS,
+    NODAL,
+    InterpolantSpec,
+    Observations,
+    actuate_delta,
+    control_operator,
+    interpolate,
+    pairing,
+)
+
+L = 1.0
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def controlled_fields(draw):
+    """A family, its rank and points, a grid and a band-limited field on it.
+
+    Delta actuation points sit on grid nodes, where the single-cell source
+    realizes the point actuator exactly; every other point is anywhere in
+    its cell.
+    """
+    kind = draw(st.sampled_from(KINDS))
+    N = draw(st.integers(1, 6))
+    M = max(8, 4 * N * draw(st.integers(1, 4)))
+    grid = Grid1D(L, M, PERIODIC if kind == DELTA else NEUMANN)
+    h = L / N
+    unit = st.floats(0.0, 1.0)
+    obs_points = act_points = None
+    if kind in (NODAL, DELTA):
+        obs_points = tuple(h * (k + draw(unit)) for k in range(N))
+    if kind == DELTA:
+        per_cell = M // N
+        act_points = tuple(grid.dx * (k * per_cell + draw(st.integers(1, per_cell - 1)))
+                           for k in range(N))
+    spec = InterpolantSpec(kind, N, L, obs_points=obs_points, act_points=act_points,
+                           include_mean=draw(st.booleans()))
+    kmax = draw(st.integers(0, grid.M // 4 - 1))
+    amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * kmax + 2, max_size=2 * kmax + 2))
+    if grid.bc == NEUMANN:
+        c = np.zeros(grid.M)
+        c[: kmax + 1] = amps[: kmax + 1]
+    else:
+        c = np.zeros(grid.M // 2 + 1, dtype=complex)
+        c[: kmax + 1] = np.array(amps[: kmax + 1]) + 1j * np.array(amps[kmax + 1:])
+        c[0] = c[0].real
+    return spec, Field(grid, samples_of(grid, c))
+
+
+@PROPERTY
+@given(controlled_fields())
+def test_operator_pairing_matches_field_pairing(case):
+    spec, f = case
+    ctl = control_operator(spec, f.grid)
+    c = coeffs_of(f)
+    v = (ctl.O @ c).real
+    got = inner_of_coeffs(f.grid, ctl.A @ v, c)
+    scale = L * np.max(np.abs(f.values)) ** 2
+    assert abs(got - pairing(f, spec)) <= 1e-12 * max(scale, 1e-300)
+
+
+@PROPERTY
+@given(controlled_fields())
+def test_operator_norm_weight_matches_realized_interpolant(case):
+    spec, f = case
+    ctl = control_operator(spec, f.grid)
+    v = (ctl.O @ coeffs_of(f)).real
+    if spec.kind == DELTA:
+        realized = actuate_delta(Observations(v), spec, f.grid)
+    else:
+        realized = interpolate(Observations(v), spec, f.grid)
+    want = l2_norm(realized)
+    assert abs(np.sqrt(ctl.q @ v ** 2) - want) <= 1e-12 * max(want, 1e-300)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 1000), n_steps=st.integers(8, 40))
+def test_state_independent_of_record_stride(kind, seed, n_steps):
+    bc = PERIODIC if kind == DELTA else NEUMANN
+    grid = Grid1D(L, 32, bc)
+    p = ClosedLoopParams(nu=1.0, alpha=4.0, L=L, mu=20.0, spec=InterpolantSpec(kind, 2, L))
+    ic = ICSpec("random-band", seed=seed, kmax=3, amplitude=1.0)
+    dt = 1e-3
+    every = simulate(SimConfig(grid, dt, n_steps * dt, ic, 1, "etdrk2"), p)
+    strided = simulate(SimConfig(grid, dt, n_steps * dt, ic, 7, "etdrk2"), p)
+    steps = np.rint(strided.times / dt).astype(int)
+    assert steps[-1] == n_steps
+    for name in ("l2", "h1x", "l4p4", "gamma2", "ih_l2", "pairing"):
+        assert np.array_equal(getattr(every, name)[steps], getattr(strided, name)), name
+
