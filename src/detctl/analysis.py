@@ -89,6 +89,13 @@ def verify_decay_bound(traj: TrajectoryRecord, r: float, slack: float) -> bool:
     return bool(np.all(e <= bound))
 
 
+def energy_allowance(traj: TrajectoryRecord) -> float:
+    """Largest energy residual the recorded identity may leave:
+    1e-3 * max(max ||u||_H1^2, 1)."""
+    h1_max = float(np.max(traj.h1)) if len(traj) else 0.0
+    return 1e-3 * max(h1_max ** 2, 1.0)
+
+
 def absorbing_bounds(p: ClosedLoopParams) -> tuple[float, float]:
     """Asymptotic L2 and derivative bounds (R0^2, R1^2) of the closed loop.
 

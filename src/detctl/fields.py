@@ -1,4 +1,4 @@
-"""Scalar fields on [0, L]: grids, transforms, differentiation, and norms.
+"""Scalar fields on [0, L]: grids, transforms, point evaluation, and norms.
 
 A field is stored by its samples on a uniform grid and identified with the
 trigonometric polynomial those samples determine.  Neumann grids sample at
@@ -6,17 +6,20 @@ cell midpoints x_j = (j + 1/2) L / M and expand in the cosine basis
 cos(k pi x / L), so zero-slope walls hold exactly in the basis; periodic
 grids sample at x_j = j L / M and use the complex Fourier basis.
 
-Norms and inner products are evaluated modally (exact for band-limited
-fields).
+``Grid1D`` owns the coefficient layout.  Its Parseval weights ``w`` turn
+every norm and inner product into one contraction, sum(w * a * conj(b)),
+exact for band-limited fields, and :func:`point_eval_matrix` evaluates
+coefficients at arbitrary points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.fft import dct, idct, idst
+from scipy.fft import dct, idct
 
 NEUMANN = "neumann"
 PERIODIC = "periodic"
@@ -54,6 +57,25 @@ class Grid1D:
         if self.bc == NEUMANN:
             return np.arange(self.M) * np.pi / self.L
         return np.arange(self.M // 2 + 1) * 2.0 * np.pi / self.L
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """Parseval weights of the coefficient layout: ||u||^2 = sum(w * |c|^2).
+
+        Neumann: L * (1, 1/2, ..., 1/2).  Periodic: L * (1, 2, ..., 2, 1):
+        each rfft column past the mean stands for a conjugate pair, except
+        the Nyquist column of an even M, so for odd M the last entry is 2.
+        Built once per grid and read-only.
+        """
+        if self.bc == NEUMANN:
+            w = np.full(self.M, 0.5 * self.L)
+        else:
+            w = np.full(self.M // 2 + 1, 2.0 * self.L)
+            if self.M % 2 == 0:
+                w[-1] = self.L
+        w[0] = self.L
+        w.setflags(write=False)
+        return w
 
 
 @dataclass(frozen=True)
@@ -157,56 +179,40 @@ def random_band(grid: Grid1D, kmax: int, seed: int, l2: float | None = None,
 
 
 # ---------------------------------------------------------------------------
-# norms and calculus
+# norms, inner products and point evaluation
+
+def inner_of_coeffs(grid: Grid1D, a: np.ndarray, b: np.ndarray) -> float:
+    """L2 inner product straight from modal coefficients (Parseval): one
+    contraction of Re(a * conj(b)) with the grid's weights over the last axis."""
+    return float((a * np.conj(b)).real @ grid.w)
+
 
 def l2_sq_of_coeffs(grid: Grid1D, coeffs: np.ndarray) -> float:
     """Squared L2 norm straight from modal coefficients (Parseval)."""
-    if grid.bc == NEUMANN:
-        return grid.L * (coeffs[0] ** 2 + 0.5 * np.sum(coeffs[1:] ** 2))
-    mag = np.abs(coeffs) ** 2
-    total = mag[0] + 2.0 * np.sum(mag[1:-1])
-    # Nyquist column of rfft is not doubled for even M
-    total += (2.0 if grid.M % 2 else 1.0) * mag[-1]
-    return grid.L * total
+    return inner_of_coeffs(grid, coeffs, coeffs)
 
 
 def h1x_sq_of_coeffs(grid: Grid1D, coeffs: np.ndarray) -> float:
     """Squared L2 norm of the derivative from modal coefficients."""
-    k = grid.wavenumbers()
-    if grid.bc == NEUMANN:
-        return (grid.L / 2.0) * np.sum((k[1:] * coeffs[1:]) ** 2)
-    mag = (k * np.abs(coeffs)) ** 2
-    total = 2.0 * np.sum(mag[1:-1]) + (2.0 if grid.M % 2 else 1.0) * mag[-1]
-    return grid.L * total
-
-
-_l2_sq = l2_sq_of_coeffs
-_h1x_sq = h1x_sq_of_coeffs
+    kc = grid.wavenumbers() * coeffs
+    return inner_of_coeffs(grid, kc, kc)
 
 
 def l2_norm(f: Field) -> float:
     """L2 norm, evaluated modally (Parseval)."""
-    return float(np.sqrt(max(_l2_sq(f.grid, coeffs_of(f)), 0.0)))
+    return float(np.sqrt(max(l2_sq_of_coeffs(f.grid, coeffs_of(f)), 0.0)))
 
 
 def h1x_norm(f: Field) -> float:
     """L2 norm of the derivative, ||f_x||."""
-    return float(np.sqrt(max(_h1x_sq(f.grid, coeffs_of(f)), 0.0)))
+    return float(np.sqrt(max(h1x_sq_of_coeffs(f.grid, coeffs_of(f)), 0.0)))
 
 
 def h1_norm(f: Field) -> float:
     """Weighted H1 norm: ||f||_H1^2 = ||f||^2 / L^2 + ||f_x||^2."""
     c = coeffs_of(f)
-    return float(np.sqrt(_l2_sq(f.grid, c) / f.grid.L ** 2 + _h1x_sq(f.grid, c)))
-
-
-def inner_of_coeffs(grid: Grid1D, a: np.ndarray, b: np.ndarray) -> float:
-    """L2 inner product straight from modal coefficients (Parseval)."""
-    if grid.bc == NEUMANN:
-        return float(grid.L * (a[0] * b[0] + 0.5 * np.sum(a[1:] * b[1:])))
-    prod = (a * np.conj(b)).real
-    total = prod[0] + 2.0 * np.sum(prod[1:-1]) + (2.0 if grid.M % 2 else 1.0) * prod[-1]
-    return float(grid.L * total)
+    l2_sq = l2_sq_of_coeffs(f.grid, c)
+    return float(np.sqrt(l2_sq / f.grid.L ** 2 + h1x_sq_of_coeffs(f.grid, c)))
 
 
 def inner(f: Field, g_: Field) -> float:
@@ -216,38 +222,21 @@ def inner(f: Field, g_: Field) -> float:
     return inner_of_coeffs(f.grid, coeffs_of(f), coeffs_of(g_))
 
 
-def derivative(f: Field) -> Field:
-    """Spectral derivative, sampled on the same grid."""
-    g = f.grid
-    c = coeffs_of(f)
-    if g.bc == NEUMANN:
-        # d/dx cos(k pi x / L) = -(k pi / L) sin(k pi x / L): a sine series
-        s = -(np.arange(g.M) * np.pi / g.L) * c
-        vals = idst(np.concatenate([s[1:], [0.0]]) * g.M, type=2)
-        return Field(g, vals)
-    k = g.wavenumbers()
-    dc = 1j * k * c
-    if g.M % 2 == 0:
-        dc[-1] = 0.0  # Nyquist derivative is not representable as a real field
-    return Field(g, samples_of(g, dc))
+def point_eval_matrix(grid: Grid1D, x: np.ndarray) -> np.ndarray:
+    """E with u(x) = (E @ c).real for the coefficients c of u on ``grid``.
+
+    Neumann rows are cos(k pi x / L); periodic rows are exp(2i pi m x / L)
+    times the multiplicity w / L of each rfft column.
+    """
+    theta = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), grid.wavenumbers())
+    if grid.bc == NEUMANN:
+        return np.cos(theta)
+    return np.exp(1j * theta) * (grid.w / grid.L)
 
 
 def eval_field(f: Field, x: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric polynomial through the samples at points x.
 
-    Exact for band-limited fields; this is the point-evaluation map used by
-    nodal observations.
+    Exact for band-limited fields; nodal and delta observation use it.
     """
-    g = f.grid
-    c = coeffs_of(f)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if g.bc == NEUMANN:
-        k = np.arange(g.M)
-        return np.cos(np.outer(x, k) * (np.pi / g.L)) @ c
-    m = np.arange(g.M // 2 + 1)
-    phase = np.exp(2j * np.pi * np.outer(x, m) / g.L)
-    weights = np.full(g.M // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if g.M % 2 == 0:
-        weights[-1] = 1.0
-    return (phase @ (weights * c)).real
+    return (point_eval_matrix(f.grid, x) @ coeffs_of(f)).real

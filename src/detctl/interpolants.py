@@ -20,7 +20,11 @@ The closed loop sees a family only through :func:`control_operator`, one
 triple (O, A, q) on grid coefficients c: observations ``(O @ c).real``, the
 interpolant's coefficients ``A @ obs``, and its squared norm ``q @ obs**2``.
 It is also the one place that fixes which boundary condition each family
-needs.  The field-level maps below are kept as its independent reference.
+needs.  The coefficient layout comes from the grid: point observation is
+``fields.point_eval_matrix``, and the fourier weights, the indicator
+projection and the deficits and pairings use the grid's Parseval weights
+``Grid1D.w``.  The field-level maps below are kept as the operator's
+independent reference.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .fields import (
     Grid1D,
     coeffs_of,
     eval_field,
+    l2_sq_of_coeffs,
+    point_eval_matrix,
     samples_of,
 )
 
@@ -131,38 +137,28 @@ class Observations:
 def cell_average_matrix(spec: InterpolantSpec, n_modes: int) -> np.ndarray:
     """C[k, m] = mean of cos(m pi x / L) over cell J_k, exact integrals."""
     L, N, h = spec.L, spec.N, spec.h
-    C = np.zeros((N, n_modes))
-    C[:, 0] = 1.0
-    edges = np.arange(N + 1) * h
-    for m in range(1, n_modes):
-        s = np.sin(m * np.pi * edges / L)
-        C[:, m] = (L / (m * np.pi * h)) * (s[1:] - s[:-1])
+    C = np.ones((N, n_modes))
+    m = np.arange(1, n_modes)
+    s = np.sin(np.outer(np.arange(N + 1) * h, m) * (np.pi / L))
+    C[:, 1:] = np.diff(s, axis=0) * (L / (np.pi * h * m))
     return C
 
 
 def cell_mean_matrix(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
-    """Coefficient-space form of the per-cell sample mean used by observe."""
+    """Coefficient-space form of the per-cell sample mean used by observe.
+
+    The midpoint rule over a cell's M/N samples of cos(m pi x / L) is the
+    exact cell average times (theta/2) / sin(theta/2), theta = m pi / M.
+    """
     _require_neumann(spec, grid)
     if grid.M % spec.N != 0:
         raise ValueError(f"M={grid.M} must be a multiple of N={spec.N} for cell-aligned averages")
-    reps = grid.M // spec.N
-    basis = np.cos(np.outer(grid.points(), np.arange(grid.M)) * (np.pi / grid.L))
-    return basis.reshape(spec.N, reps, grid.M).mean(axis=1)
+    return cell_average_matrix(spec, grid.M) / np.sinc(np.arange(grid.M) / (2 * grid.M))
 
 
-def point_eval_matrix(points: np.ndarray, L: float, n_modes: int) -> np.ndarray:
-    """E[k, m] = cos(m pi x_k / L)."""
-    pts = np.asarray(points, dtype=float)
-    return np.cos(np.outer(pts, np.arange(n_modes)) * (np.pi / L))
-
-
-def chi_projection_matrix(spec: InterpolantSpec, n_modes: int) -> np.ndarray:
-    """B[m, k] = cosine coefficients of the indicator of cell J_k."""
-    C = cell_average_matrix(spec, n_modes)
-    B = np.zeros((n_modes, spec.N))
-    B[0, :] = spec.h / spec.L
-    B[1:, :] = (2.0 * spec.h / spec.L) * C[:, 1:].T
-    return B
+def chi_projection_matrix(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
+    """B[m, k] = coefficients of the indicator of cell J_k on a Neumann grid."""
+    return spec.h * cell_average_matrix(spec, grid.M).T / grid.w[:, None]
 
 
 def fourier_mode_slice(spec: InterpolantSpec) -> slice:
@@ -297,29 +293,22 @@ def control_operator(spec: InterpolantSpec, grid: Grid1D) -> ControlOperator:
     if spec.kind == DELTA:
         if grid.bc != PERIODIC:
             raise ValueError("delta-nodal feedback requires a periodic grid")
-        idx = delta_cell_indices(spec, grid)
-        m = np.arange(grid.M // 2 + 1)
-        weights = np.full(grid.M // 2 + 1, 2.0)
-        weights[0] = 1.0
-        if grid.M % 2 == 0:
-            weights[-1] = 1.0
-        # (O @ c).real = u(obs_points); A holds the rfft coefficients of unit cell sources
-        O = np.exp(2j * np.pi * np.outer(np.asarray(spec.obs_points), m) / grid.L) * weights
-        A = np.exp(-2j * np.pi * np.outer(m, idx) / grid.M) * (spec.h / (grid.dx * grid.M))
+        O = point_eval_matrix(grid, spec.obs_points)
+        # A holds the rfft coefficients of unit sources at the actuated grid points
+        x_act = grid.points()[delta_cell_indices(spec, grid)]
+        A = np.exp(-1j * np.outer(grid.wavenumbers(), x_act)) * (spec.h / (grid.dx * grid.M))
         return ControlOperator(O, A, np.full(spec.N, spec.h ** 2 / grid.dx))
     if grid.bc != NEUMANN:
         raise ValueError(f"{spec.kind!r} feedback requires a Neumann grid")
     if spec.kind == FOURIER:
-        O = np.eye(grid.M)[fourier_mode_slice(spec)]
-        q = np.full(spec.rank, 0.5 * spec.L)
-        if spec.include_mean:
-            q[0] = spec.L
-        return ControlOperator(O, O.T, q)
+        sl = fourier_mode_slice(spec)
+        O = np.eye(grid.M)[sl]
+        return ControlOperator(O, O.T, grid.w[sl])
     if spec.kind == VOLUME:
         O = cell_mean_matrix(spec, grid)
     else:
-        O = point_eval_matrix(spec.obs_points, spec.L, grid.M)
-    return ControlOperator(O, chi_projection_matrix(spec, grid.M), np.full(spec.N, spec.h))
+        O = point_eval_matrix(grid, spec.obs_points)
+    return ControlOperator(O, chi_projection_matrix(spec, grid), np.full(spec.N, spec.h))
 
 
 # ---------------------------------------------------------------------------
@@ -339,23 +328,15 @@ def defect(f: Field, spec: InterpolantSpec) -> float:
     _require_neumann(spec, grid)
     _check_rank_resolved(spec, grid)
     c = coeffs_of(f)
-    L = spec.L
-    l2_sq = L * (c[0] ** 2 + 0.5 * np.sum(c[1:] ** 2))
+    l2_sq = l2_sq_of_coeffs(grid, c)
     if spec.kind == FOURIER:
         sl = fourier_mode_slice(spec)
-        d_sq = l2_sq - interpolant_norm_sq_from_modes(c[sl], spec)
+        d_sq = l2_sq - grid.w[sl] @ c[sl] ** 2
     else:
         v = observe(f, spec).values
         fbar = cell_average_matrix(spec, grid.M) @ c
         d_sq = l2_sq - 2.0 * spec.h * np.sum(v * fbar) + spec.h * np.sum(v ** 2)
     return float(np.sqrt(max(d_sq, 0.0)))
-
-
-def interpolant_norm_sq_from_modes(values: np.ndarray, spec: InterpolantSpec) -> float:
-    L = spec.L
-    if spec.include_mean:
-        return float(L * (values[0] ** 2 + 0.5 * np.sum(values[1:] ** 2)))
-    return float(0.5 * L * np.sum(values ** 2))
 
 
 def pairing(f: Field, spec: InterpolantSpec) -> float:
@@ -374,7 +355,7 @@ def pairing(f: Field, spec: InterpolantSpec) -> float:
     if spec.kind == FOURIER:
         _require_neumann(spec, grid)
         sl = fourier_mode_slice(spec)
-        return interpolant_norm_sq_from_modes(c[sl], spec)
+        return float(grid.w[sl] @ c[sl] ** 2)
     f_obs = eval_field(f, np.asarray(spec.obs_points))
     f_act = eval_field(f, np.asarray(spec.act_points))
     return float(spec.h * np.sum(f_obs * f_act))

@@ -21,7 +21,6 @@ from .interpolants import (
     VOLUME,
     InterpolantSpec,
     cell_average_matrix,
-    point_eval_matrix,
 )
 
 
@@ -98,7 +97,7 @@ def _ratio_fn(spec: InterpolantSpec, n_modes: int):
 
     elif spec.kind == NODAL:
         C = cell_average_matrix(spec, n_modes)
-        E = point_eval_matrix(np.asarray(spec.obs_points), L, n_modes)
+        E = np.cos(np.outer(spec.obs_points, k) * (np.pi / L))
 
         def defect_sq(a):
             fx = E @ a

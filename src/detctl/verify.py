@@ -201,7 +201,7 @@ def energy_suite(seed: int = 0) -> dict:
                     ic=ICSpec("random-band", seed=seed + 20, kmax=3, amplitude=1.0),
                     record_every=1, scheme="etdrk2")
     traj = simulate(cfg, p)
-    allowance = 1e-3 * max(float(np.max(traj.h1)) ** 2, 1.0)
+    allowance = analysis.energy_allowance(traj)
     resid = float(np.max(traj.energy_residual))
     props["projection_loop_energy_identity"] = _prop(resid <= allowance, resid, len(traj),
                                                      allowance)
@@ -216,7 +216,7 @@ def energy_suite(seed: int = 0) -> dict:
                     ic=ICSpec("random-band", seed=seed + 11, kmax=2, amplitude=1.0),
                     record_every=1, scheme="etdrk2")
     traj = simulate(cfg, p)
-    allowance = 1e-3 * max(float(np.max(traj.h1)) ** 2, 1.0)
+    allowance = analysis.energy_allowance(traj)
     resid = float(np.max(traj.energy_residual))
     props["point_loop_energy_identity"] = _prop(resid <= allowance, resid, len(traj), allowance)
     ok = analysis.verify_decay_bound(traj, 0.25, 0.05)

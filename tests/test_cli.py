@@ -142,6 +142,22 @@ class TestSimulateCommand:
         data = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
         assert data.size >= 1
 
+    def test_failed_energy_identity_is_reported(self, tmp_path, capsys):
+        # thm41's amplitude-10 start, cut short: its fast transient is not
+        # resolved by the record stride, so the identity's allowance is exceeded
+        doc = base_config()
+        doc["grid"]["M"] = 64
+        doc["sim"] = {"dt": 1e-4, "T": 0.05, "record_every": 50, "scheme": "etdrk2",
+                      "ic": {"kind": "random-band", "seed": 5, "kmax": 4, "amplitude": 10.0}}
+        out = tmp_path / "out"
+        code = main(["simulate", write_config(tmp_path, doc), "--out-dir", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["energy_ok"] is False
+        assert code == 0 and summary["failed_checks"] == []
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "energy:" in ln)
+        assert line.startswith("  energy: FAIL (max residual ")
+        assert f"allowance {summary['energy_allowance']:.6g})" in line
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DETCTL_OUT_DIR", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, base_config())

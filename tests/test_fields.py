@@ -9,7 +9,6 @@ from detctl.fields import (
     coeffs_of,
     constant_field,
     cosine_mode,
-    derivative,
     eval_field,
     field_from_function,
     h1_norm,
@@ -97,16 +96,6 @@ class TestTransforms:
 
 
 class TestDerivative:
-    def test_constant_derivative_is_zero(self):
-        d = derivative(constant_field(neumann(), 2.0))
-        assert np.max(np.abs(d.values)) < 1e-12
-
-    def test_single_mode(self):
-        # d/dx cos(pi x / L) = -sin(x) for L = pi
-        g = Grid1D(np.pi, 64)
-        d = derivative(cosine_mode(g, 1))
-        assert np.max(np.abs(d.values + np.sin(g.points()))) < 1e-10
-
     def test_two_mode_derivative_norm(self):
         L = 1.0
         g = Grid1D(L, 128)
@@ -115,22 +104,6 @@ class TestDerivative:
         )
         expected = (L / 2) * ((2 * np.pi / L) ** 2 + (5 * np.pi / L) ** 2)
         assert abs(h1x_norm(f) ** 2 - expected) < 1e-8 * expected
-
-    def test_derivative_linearity(self):
-        g = neumann(M=64)
-        f1 = random_band(g, kmax=8, seed=5)
-        f2 = random_band(g, kmax=8, seed=6)
-        combo = Field(g, f1.values + 3.0 * f2.values)
-        lhs = derivative(combo).values
-        rhs = derivative(f1).values + 3.0 * derivative(f2).values
-        assert np.max(np.abs(lhs - rhs)) < 1e-11
-
-    def test_periodic_mode(self):
-        g = periodic(L=2.0, M=64)
-        f = field_from_function(g, lambda x: np.sin(2 * np.pi * x / 2.0))
-        d = derivative(f)
-        exact = np.pi * np.cos(np.pi * g.points())
-        assert np.max(np.abs(d.values - exact)) < 1e-10
 
 
 class TestNorms:

@@ -24,6 +24,7 @@ from detctl.interpolants import (
     Observations,
     actuate_delta,
     cell_average_matrix,
+    cell_mean_matrix,
     control_operator,
     defect,
     delta_cell_indices,
@@ -134,6 +135,26 @@ class TestInterpolate:
     def test_delta_has_no_interpolant(self):
         with pytest.raises(ValueError, match="delta"):
             interpolate(Observations(np.zeros(4)), InterpolantSpec(DELTA, 4, L), grid())
+
+
+class TestGeometryMatrices:
+    @pytest.mark.parametrize("M, N", [(64, 4), (84, 7), (256, 8), (1024, 4)])
+    def test_cell_average_matrix_matches_per_mode_loop(self, M, N):
+        spec = InterpolantSpec(VOLUME, N, 2.0)
+        edges = np.arange(N + 1) * spec.h
+        want = np.ones((N, M))
+        for m in range(1, M):
+            s = np.sin(m * np.pi * edges / spec.L)
+            want[:, m] = (spec.L / (m * np.pi * spec.h)) * (s[1:] - s[:-1])
+        assert np.max(np.abs(cell_average_matrix(spec, M) - want)) <= 1e-13
+
+    @pytest.mark.parametrize("M, N", [(64, 4), (84, 7), (256, 8), (1024, 4)])
+    def test_cell_mean_matrix_is_the_sample_mean_of_the_basis(self, M, N):
+        g = Grid1D(2.0, M)
+        spec = InterpolantSpec(VOLUME, N, 2.0)
+        basis = np.cos(np.outer(g.points(), np.arange(M)) * (np.pi / g.L))
+        brute = basis.reshape(N, M // N, M).mean(axis=1)
+        assert np.max(np.abs(cell_mean_matrix(spec, g) - brute)) <= 1e-12
 
 
 class TestDefect:

@@ -1,5 +1,7 @@
-"""Property tests of the closed-loop control operator against the field-level
-interpolant maps, and of the recorder's independence from its stride."""
+"""Property tests of the grid's coefficient layout (transforms, Parseval
+weights, point evaluation), of the closed-loop control operator against the
+field-level interpolant maps, and of the recorder's independence from its
+stride."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from detctl.fields import (
     coeffs_of,
     inner_of_coeffs,
     l2_norm,
+    l2_sq_of_coeffs,
+    point_eval_matrix,
     samples_of,
 )
 from detctl.interpolants import (
@@ -30,6 +34,59 @@ from detctl.interpolants import (
 
 L = 1.0
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def layouts(draw):
+    """A grid of either boundary condition (odd and even periodic M), random
+    samples on it, and two random coefficient vectors of band at most M/4."""
+    bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
+    grid = Grid1D(L, draw(st.integers(8, 70)), bc)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kmax = draw(st.integers(0, grid.M // 4))
+    bands = []
+    for _ in range(2):
+        c = np.zeros(grid.w.shape, dtype=float if bc == NEUMANN else complex)
+        c[: kmax + 1] = rng.uniform(-1.0, 1.0, kmax + 1)
+        if bc == PERIODIC:
+            c[1: kmax + 1] += 1j * rng.uniform(-1.0, 1.0, kmax)
+        bands.append(c)
+    return grid, rng.standard_normal(grid.M), bands
+
+
+@PROPERTY
+@given(layouts())
+def test_transform_round_trip(case):
+    grid, u, (a, _) = case
+    back = samples_of(grid, coeffs_of(Field(grid, u)))
+    assert np.max(np.abs(back - u)) <= 1e-12 * np.max(np.abs(u))
+    back = coeffs_of(Field(grid, samples_of(grid, a)))
+    assert np.max(np.abs(back - a)) <= 1e-12 * np.max(np.abs(a))
+
+
+@PROPERTY
+@given(layouts())
+def test_parseval_weights_match_midpoint_quadrature(case):
+    grid, u, (a, b) = case
+    ua, ub = samples_of(grid, a), samples_of(grid, b)
+    scale = L * np.max(np.abs(ua)) * np.max(np.abs(ub))
+    assert abs(inner_of_coeffs(grid, a, b) - np.sum(ua * ub) * grid.dx) <= 1e-12 * scale
+    assert abs(l2_sq_of_coeffs(grid, a) - np.sum(ua * ua) * grid.dx) <= 1e-12 * L * np.max(ua ** 2)
+    # over the whole layout (Nyquist column included) the weights are the
+    # discrete Parseval identity of the samples
+    want = np.sum(u * u) * grid.dx
+    assert abs(l2_sq_of_coeffs(grid, coeffs_of(Field(grid, u))) - want) <= 1e-12 * want
+
+
+@PROPERTY
+@given(layouts())
+def test_point_evaluation_at_grid_points_gives_samples(case):
+    grid, u, (a, _) = case
+    E = point_eval_matrix(grid, grid.points())
+    c = coeffs_of(Field(grid, u))
+    assert np.max(np.abs((E @ c).real - u)) <= 1e-12 * np.max(np.abs(u))
+    ua = samples_of(grid, a)
+    assert np.max(np.abs((E @ a).real - ua)) <= 1e-12 * np.max(np.abs(ua))
 
 
 @st.composite
