@@ -4,7 +4,9 @@ The stiff diffusion term is advanced exactly mode by mode; the reaction and
 control terms are integrated explicitly (exponential Euler by default, a
 two-stage exponential Runge-Kutta scheme optionally).  The cubic is always
 evaluated on a padded grid, so the resolved band never sees aliasing from
-the tripled bandwidth.
+the tripled bandwidth.  On small grids the transforms to and from the padded
+grid are two precomputed real matrices, one matmul each way; above
+``DENSE_MAX_ENTRIES`` they are scipy's transforms.
 
 Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fields, interpolants
-from .fields import Field, Grid1D, coeffs_of, samples_of
+from .fields import Field, Grid1D, coeffs_of, coeffs_of_samples, samples_of
 from .interpolants import DELTA, FOURIER, NODAL, VOLUME, InterpolantSpec
 
 
@@ -190,11 +192,56 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, 0.5 + z / 6.0 + z ** 2 / 24.0, out)
 
 
+# Entries of the real synthesis matrix up to which the stepper transforms to
+# and from its padded grid by dense matmuls (2M x M Neumann, 4M x 2(M//2 + 1)
+# periodic).  The dense cube's cost grows with the entries and scipy's barely
+# with M, so one entry count is the crossover for both boundary conditions:
+# in the cube timing table in CHANGES.md dense is ahead up to 74k entries
+# (periodic M=128, Neumann M=192), level within 6% from 75k to 80k (periodic
+# M=136 and 140, Neumann M=200) and behind from 84k (periodic M=144, Neumann
+# M=208).
+DENSE_MAX_ENTRIES = 80_000
+
+
+def _padded_transforms(grid: Grid1D, fine: Grid1D):
+    """Synthesis c -> samples on ``fine`` and analysis of such samples back to
+    ``grid``'s coefficient layout, truncated to its band.
+
+    Dense: S is the fine grid's point evaluation of the resolved columns and T
+    its Parseval-weighted transpose; on periodic grids both act on
+    ``c.view(float)``, real and imaginary parts interleaved.  The coarse
+    Nyquist column of an even M is a conjugate pair on the fine grid (twice
+    its coarse-grid amplitude), exactly as in the padded irfft.  S is built
+    from ``grid``'s own n columns, reweighted to the fine grid's
+    multiplicities, so the unresolved columns are never formed.
+    """
+    n = grid.w.shape[0]
+    parts = 2 if grid.bc == fields.PERIODIC else 1
+    dtype = np.complex128 if parts == 2 else np.float64
+    if fine.M * n * parts > DENSE_MAX_ENTRIES:
+        def synth(c: np.ndarray) -> np.ndarray:
+            pad = np.zeros(fine.w.shape, dtype)
+            pad[:n] = c
+            return samples_of(fine, pad)
+
+        def analyze(v: np.ndarray) -> np.ndarray:
+            return coeffs_of_samples(fine, v)[:n]
+
+        return synth, analyze
+    E = fields.point_eval_matrix(grid, fine.points()) * (fine.w[:n] / grid.w)
+    S = np.stack([E.real, -E.imag], axis=-1).reshape(fine.M, -1) if parts == 2 else E
+    T = np.ascontiguousarray(S.T * (fine.dx / np.repeat(fine.w[:n], parts))[:, None])
+    return (lambda c: S @ c.view(np.float64)), (lambda v: (T @ v).view(dtype))
+
+
 class Stepper:
     """Precomputed one-step map for a fixed (grid, params, dt, scheme).
 
     ``ctl`` is the controller's (O, A, q) triple on this grid, or None in
-    the open loop.
+    the open loop.  The cubic is evaluated on the padded grid ``_fine`` (2M
+    Neumann, 4M periodic points) through the transforms of
+    ``_padded_transforms``: two precomputed real matrices up to
+    ``DENSE_MAX_ENTRIES``, scipy's transforms above it.
     """
 
     def __init__(self, grid: Grid1D, p: ClosedLoopParams, dt: float, scheme: str = "etd1"):
@@ -203,17 +250,15 @@ class Stepper:
         self.p = p
         self.dt = dt
         self.scheme = scheme
-        k = grid.wavenumbers()
-        z = -p.nu * k ** 2 * dt
+        z = -p.nu * grid.wavenumbers ** 2 * dt
         self.decay = np.exp(z)
         self.w1 = dt * _phi1(z)
         self.w2 = dt * _phi2(z)
         if grid.bc == fields.NEUMANN:
-            self._pad = np.zeros(2 * grid.M)
             self._fine = Grid1D(grid.L, 2 * grid.M, fields.NEUMANN)
         else:
-            self._pad = np.zeros(2 * grid.M + 1, dtype=complex)
             self._fine = Grid1D(grid.L, 4 * grid.M, fields.PERIODIC)
+        self._synth, self._analyze = _padded_transforms(grid, self._fine)
 
     def observations(self, c: np.ndarray) -> np.ndarray:
         """The controller's observations of the state with coefficients c."""
@@ -225,18 +270,12 @@ class Stepper:
 
     def fine_samples(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Samples on the dealiasing grid and its quadrature weight."""
-        self._pad[: c.shape[0]] = c
-        w = samples_of(self._fine, self._pad)
-        return w, self.grid.L / self._fine.M
+        return self._synth(c), self._fine.dx
 
     def cube(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased coefficients of u^3 and max|u| on the padded grid."""
-        self._pad[: c.shape[0]] = c
-        w = samples_of(self._fine, self._pad)
-        max_abs = float(np.max(np.abs(w)))
-        # products, not w ** 3: np.power is several times slower on negative samples
-        cubed = coeffs_of(_raw_field(self._fine, w * w * w))
-        return cubed[: c.shape[0]], max_abs
+        w = self._synth(c)
+        return self._analyze(w * w * w), float(np.max(np.abs(w)))
 
     def nonlin(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         cubed, max_abs = self.cube(c)
@@ -256,14 +295,6 @@ class Stepper:
             return pred, max_abs
         n1, _ = self.nonlin(pred)
         return pred + self.w2 * (n1 - n0), max_abs
-
-
-def _raw_field(grid: Grid1D, values: np.ndarray) -> Field:
-    # internal fast path: skip finiteness validation inside hot loops
-    f = object.__new__(Field)
-    object.__setattr__(f, "grid", grid)
-    object.__setattr__(f, "values", values)
-    return f
 
 
 def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:

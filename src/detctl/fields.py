@@ -52,11 +52,18 @@ class Grid1D:
             return (j + 0.5) * self.dx
         return j * self.dx
 
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
-        """Modal wavenumbers k-hat: k*pi/L (Neumann), 2*pi*m/L (periodic)."""
+        """Modal wavenumbers k-hat: k*pi/L (Neumann), 2*pi*m/L (periodic).
+
+        Built once per grid and read-only.
+        """
         if self.bc == NEUMANN:
-            return np.arange(self.M) * np.pi / self.L
-        return np.arange(self.M // 2 + 1) * 2.0 * np.pi / self.L
+            k = np.arange(self.M) * np.pi / self.L
+        else:
+            k = np.arange(self.M // 2 + 1) * 2.0 * np.pi / self.L
+        k.setflags(write=False)
+        return k
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -104,12 +111,17 @@ def coeffs_of(f: Field) -> np.ndarray:
     sum_m c[m] exp(2i pi m x / L) + c.c. for m = 1..M/2, plus the real
     mean c[0] (rfft layout, length M//2 + 1).
     """
-    g = f.grid
-    if g.bc == NEUMANN:
-        c = dct(f.values, type=2) / g.M
+    return coeffs_of_samples(f.grid, f.values)
+
+
+def coeffs_of_samples(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+    """``coeffs_of`` on raw samples, which are not checked for finiteness,
+    so a non-finite state reaches the stepper's stability guard."""
+    if grid.bc == NEUMANN:
+        c = dct(values, type=2) / grid.M
         c[0] *= 0.5
         return c
-    return np.fft.rfft(f.values) / g.M
+    return np.fft.rfft(values) / grid.M
 
 
 def samples_of(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
@@ -194,7 +206,7 @@ def l2_sq_of_coeffs(grid: Grid1D, coeffs: np.ndarray) -> float:
 
 def h1x_sq_of_coeffs(grid: Grid1D, coeffs: np.ndarray) -> float:
     """Squared L2 norm of the derivative from modal coefficients."""
-    kc = grid.wavenumbers() * coeffs
+    kc = grid.wavenumbers * coeffs
     return inner_of_coeffs(grid, kc, kc)
 
 
@@ -228,7 +240,7 @@ def point_eval_matrix(grid: Grid1D, x: np.ndarray) -> np.ndarray:
     Neumann rows are cos(k pi x / L); periodic rows are exp(2i pi m x / L)
     times the multiplicity w / L of each rfft column.
     """
-    theta = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), grid.wavenumbers())
+    theta = np.outer(np.atleast_1d(np.asarray(x, dtype=float)), grid.wavenumbers)
     if grid.bc == NEUMANN:
         return np.cos(theta)
     return np.exp(1j * theta) * (grid.w / grid.L)

@@ -296,7 +296,7 @@ def control_operator(spec: InterpolantSpec, grid: Grid1D) -> ControlOperator:
         O = point_eval_matrix(grid, spec.obs_points)
         # A holds the rfft coefficients of unit sources at the actuated grid points
         x_act = grid.points()[delta_cell_indices(spec, grid)]
-        A = np.exp(-1j * np.outer(grid.wavenumbers(), x_act)) * (spec.h / (grid.dx * grid.M))
+        A = np.exp(-1j * np.outer(grid.wavenumbers, x_act)) * (spec.h / (grid.dx * grid.M))
         return ControlOperator(O, A, np.full(spec.N, spec.h ** 2 / grid.dx))
     if grid.bc != NEUMANN:
         raise ValueError(f"{spec.kind!r} feedback requires a Neumann grid")

@@ -51,6 +51,14 @@ class TestGrid:
         gp = periodic(M=8)
         assert np.allclose(gp.points(), np.arange(8) / 8)
 
+    def test_layout_vectors_cached_read_only(self):
+        for g in (neumann(M=8), periodic(M=8)):
+            fresh = Grid1D(g.L, g.M, g.bc)
+            for vec in (g.w, g.wavenumbers):
+                assert not vec.flags.writeable
+            assert g.wavenumbers is g.wavenumbers and g.w is g.w
+            assert g == fresh and hash(g) == hash(fresh)
+
 
 class TestTransforms:
     def test_constant_has_only_mean(self):

@@ -1,5 +1,6 @@
 """Property tests of the grid's coefficient layout (transforms, Parseval
-weights, point evaluation), of the closed-loop control operator against the
+weights, point evaluation), of the stepper's padded transforms against the
+padded scipy transforms, of the closed-loop control operator against the
 field-level interpolant maps, and of the recorder's independence from its
 stride."""
 
@@ -7,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detctl.dynamics import ClosedLoopParams, ICSpec, SimConfig, simulate
+from detctl.dynamics import ClosedLoopParams, ICSpec, SimConfig, Stepper, simulate
 from detctl.fields import (
     NEUMANN,
     PERIODIC,
@@ -87,6 +88,65 @@ def test_point_evaluation_at_grid_points_gives_samples(case):
     assert np.max(np.abs((E @ c).real - u)) <= 1e-12 * np.max(np.abs(u))
     ua = samples_of(grid, a)
     assert np.max(np.abs((E @ a).real - ua)) <= 1e-12 * np.max(np.abs(ua))
+
+
+def padded_reference(stepper, c):
+    """Fine samples and truncated cube coefficients through scipy on the
+    stepper's padded grid."""
+    fine = stepper._fine
+    pad = np.zeros(fine.w.shape, dtype=c.dtype)
+    pad[: c.shape[0]] = c
+    w = samples_of(fine, pad)
+    return w, coeffs_of(Field(fine, w ** 3))[: c.shape[0]]
+
+
+@st.composite
+def padded_states(draw):
+    """A stepper of either boundary condition and a random state over its
+    whole coefficient layout.  M falls on both sides of the dense/scipy
+    crossover (Neumann M=200, periodic M=140), odd and even."""
+    bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
+    M = draw(st.one_of(st.integers(8, 136), st.integers(210, 288),
+                       st.sampled_from((140, 141, 200, 201))))
+    grid = Grid1D(L, M, bc)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    c = rng.uniform(-1.0, 1.0, grid.w.shape)
+    if bc == PERIODIC:
+        c = c + 1j * rng.uniform(-1.0, 1.0, grid.w.shape)
+        c[0] = c[0].real
+    return Stepper(grid, ClosedLoopParams(nu=1.0, alpha=1.0, L=L), 1e-3), c
+
+
+@PROPERTY
+@given(padded_states())
+def test_stepper_transforms_match_padded_scipy(case):
+    stepper, c = case
+    w_ref, cubed_ref = padded_reference(stepper, c)
+    w, dw = stepper.fine_samples(c)
+    assert dw == L / stepper._fine.M
+    assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+    cubed, max_abs = stepper.cube(c)
+    assert cubed.dtype == c.dtype and cubed.shape == c.shape
+    assert np.max(np.abs(cubed - cubed_ref)) <= 1e-13 * np.max(np.abs(cubed_ref))
+    assert abs(max_abs - np.max(np.abs(w_ref))) <= 1e-13 * np.max(np.abs(w_ref))
+
+
+def test_even_periodic_nyquist_column_is_a_conjugate_pair_on_the_padded_grid():
+    # the padded irfft takes the coarse Nyquist column as an interior column of
+    # the 4M grid, so it is sampled at twice its coarse-grid amplitude; the
+    # dense matrices (M=64 is below the crossover) must do the same
+    grid = Grid1D(L, 64, PERIODIC)
+    stepper = Stepper(grid, ClosedLoopParams(nu=1.0, alpha=1.0, L=L), 1e-3)
+    c = np.zeros(grid.w.shape, dtype=complex)
+    c[-1] = 0.75
+    w_ref, cubed_ref = padded_reference(stepper, c)
+    w, _ = stepper.fine_samples(c)
+    x = stepper._fine.points()
+    assert np.max(np.abs(w - 1.5 * np.cos(np.pi * grid.M * x / L))) <= 1e-13
+    assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
+    cubed, max_abs = stepper.cube(c)
+    assert np.max(np.abs(cubed - cubed_ref)) <= 1e-13 * np.max(np.abs(cubed_ref))
+    assert abs(max_abs - 1.5) <= 1e-13
 
 
 @st.composite
