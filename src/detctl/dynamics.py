@@ -4,9 +4,16 @@ The stiff diffusion term is advanced exactly mode by mode; the reaction and
 control terms are integrated explicitly (exponential Euler by default, a
 two-stage exponential Runge-Kutta scheme optionally).  The cubic is always
 evaluated on a padded grid, so the resolved band never sees aliasing from
-the tripled bandwidth.  On small grids the transforms to and from the padded
-grid are two precomputed real matrices, one matmul each way; above
-``DENSE_MAX_ENTRIES`` they are scipy's transforms.
+the tripled bandwidth.  The stepper keeps the state as one real vector (the
+coefficients, real and imaginary parts interleaved on periodic grids) and
+folds everything linear in a step (diffusion, alpha u and the rank-N
+feedback) into precomputed stage operators once, so a step is the cube plus
+a few matrix-vector products.  On small grids every operator, the transforms
+to and from the padded grid included, is one dense real matrix; above
+``DENSE_MAX_ENTRIES`` the transforms are scipy's and the linear part a
+diagonal plus the rank-N factors.  The recorder keeps each record's state,
+padded-grid samples and observation products and reduces them to the
+recorded series ``RECORD_CHUNK`` records at a time.
 
 Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
@@ -22,6 +29,7 @@ predict for the squared L2 norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,56 +200,111 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, 0.5 + z / 6.0 + z ** 2 / 24.0, out)
 
 
-# Entries of the real synthesis matrix up to which the stepper transforms to
-# and from its padded grid by dense matmuls (2M x M Neumann, 4M x 2(M//2 + 1)
-# periodic).  The dense cube's cost grows with the entries and scipy's barely
-# with M, so one entry count is the crossover for both boundary conditions:
-# in the cube timing table in CHANGES.md dense is ahead up to 74k entries
-# (periodic M=128, Neumann M=192), level within 6% from 75k to 80k (periodic
-# M=136 and 140, Neumann M=200) and behind from 84k (periodic M=144, Neumann
-# M=208).
-DENSE_MAX_ENTRIES = 80_000
+# Entries of the real synthesis matrix up to which the stepper's stage
+# operators are dense matrices (S is 2M x M Neumann, 4M x 2(M//2 + 1)
+# periodic, and the step's cost grows with its entries while scipy's barely
+# grows with M), so one entry count is the crossover for both boundary
+# conditions.  In the fused-step timing table in CHANGES.md dense is ahead on
+# both schemes up to 62k entries (Neumann M=176, periodic M=124), within 5% at
+# 67k (Neumann M=184, periodic M=128) and behind on ETDRK2 from 74k (Neumann
+# M=192, periodic M=140).
+DENSE_MAX_ENTRIES = 64_000
+
+# Records the recorder reduces together; its buffers hold this many state
+# rows, padded-grid sample rows and observation rows.
+RECORD_CHUNK = 64
 
 
-def _padded_transforms(grid: Grid1D, fine: Grid1D):
-    """Synthesis c -> samples on ``fine`` and analysis of such samples back to
-    ``grid``'s coefficient layout, truncated to its band.
+def _real_columns(E: np.ndarray, parts: int) -> np.ndarray:
+    """R with R @ c.view(float64) == (E @ c).real (``parts`` = 2 for complex c)."""
+    if parts == 1:
+        return E.real
+    return np.stack([E.real, -E.imag], axis=-1).reshape(E.shape[0], -1)
 
-    Dense: S is the fine grid's point evaluation of the resolved columns and T
-    its Parseval-weighted transpose; on periodic grids both act on
-    ``c.view(float)``, real and imaginary parts interleaved.  The coarse
-    Nyquist column of an even M is a conjugate pair on the fine grid (twice
-    its coarse-grid amplitude), exactly as in the padded irfft.  S is built
-    from ``grid``'s own n columns, reweighted to the fine grid's
-    multiplicities, so the unresolved columns are never formed.
+
+def _real_rows(A: np.ndarray, parts: int) -> np.ndarray:
+    """R with R @ v == (A @ v).view(float64) for real v."""
+    if parts == 1:
+        return A.real
+    return np.stack([A.real, A.imag], axis=1).reshape(-1, A.shape[1])
+
+
+def _stage_operators(grid: Grid1D, fine: Grid1D, weights, alpha: float, low_rank):
+    """The maps of one ETD step on the real state x = c.view(float64).
+
+    ``weights`` are (decay, w1, w2) in that layout; the linear part is
+    Lin = alpha I - U @ V, with ``low_rank`` = (U, V) = (mu A_r, O_r), the
+    real forms of the control operator, or None in the open loop.  Returns
+    ``synth`` (x -> samples on ``fine``), ``analyze`` (such samples -> the
+    layout of x, truncated to the band) and the stage maps
+    P = diag(decay) + diag(w1) Lin, Q = diag(w1) analyze,
+    W2L = diag(w2) Lin and W2T = diag(w2) analyze.
+
+    Dense: ``synth`` is S, the fine grid's point evaluation of the resolved
+    columns, ``analyze`` its Parseval-weighted transpose T, and every stage
+    map is one precomputed matrix.  The coarse Nyquist column of an even M is
+    a conjugate pair on the fine grid (twice its coarse-grid amplitude),
+    exactly as in the padded irfft.  S is built from ``grid``'s own n
+    columns, reweighted to the fine grid's multiplicities, so the unresolved
+    columns are never formed.  Above ``DENSE_MAX_ENTRIES``: scipy's
+    transforms on a zero-padded copy, with Lin kept as its diagonal plus the
+    rank-N factors, since a dense n x n P would dwarf the transforms.
     """
     n = grid.w.shape[0]
     parts = 2 if grid.bc == fields.PERIODIC else 1
-    dtype = np.complex128 if parts == 2 else np.float64
+    decay, w1, w2 = weights
     if fine.M * n * parts > DENSE_MAX_ENTRIES:
-        def synth(c: np.ndarray) -> np.ndarray:
+        dtype = np.complex128 if parts == 2 else np.float64
+
+        def synth(x: np.ndarray) -> np.ndarray:
             pad = np.zeros(fine.w.shape, dtype)
-            pad[:n] = c
+            pad[:n] = x.view(dtype)
             return samples_of(fine, pad)
 
         def analyze(v: np.ndarray) -> np.ndarray:
-            return coeffs_of_samples(fine, v)[:n]
+            return coeffs_of_samples(fine, v)[:n].view(np.float64)
 
-        return synth, analyze
+        def lin(diag: np.ndarray, scale: np.ndarray):
+            """x -> diag * x - diag(scale) U V x."""
+            if low_rank is None:
+                return lambda x: diag * x
+            U, V = scale[:, None] * low_rank[0], low_rank[1]
+            return lambda x: diag * x - U @ (V @ x)
+
+        return (synth, analyze, lin(decay + alpha * w1, w1), lambda v: w1 * analyze(v),
+                lin(alpha * w2, w2), lambda v: w2 * analyze(v))
     E = fields.point_eval_matrix(grid, fine.points()) * (fine.w[:n] / grid.w)
-    S = np.stack([E.real, -E.imag], axis=-1).reshape(fine.M, -1) if parts == 2 else E
+    S = _real_columns(E, parts)
     T = np.ascontiguousarray(S.T * (fine.dx / np.repeat(fine.w[:n], parts))[:, None])
-    return (lambda c: S @ c.view(np.float64)), (lambda v: (T @ v).view(dtype))
+    Lin = alpha * np.eye(n * parts)
+    if low_rank is not None:
+        Lin -= low_rank[0] @ low_rank[1]
+    P = np.diag(decay) + w1[:, None] * Lin
+    return (S.__matmul__, T.__matmul__, P.__matmul__, (w1[:, None] * T).__matmul__,
+            (w2[:, None] * Lin).__matmul__, (w2[:, None] * T).__matmul__)
 
 
 class Stepper:
     """Precomputed one-step map for a fixed (grid, params, dt, scheme).
 
     ``ctl`` is the controller's (O, A, q) triple on this grid, or None in
-    the open loop.  The cubic is evaluated on the padded grid ``_fine`` (2M
-    Neumann, 4M periodic points) through the transforms of
-    ``_padded_transforms``: two precomputed real matrices up to
-    ``DENSE_MAX_ENTRIES``, scipy's transforms above it.
+    the open loop.  The state is one real vector x = c.view(float64): the
+    cosine coefficients on Neumann grids, the rfft coefficients with real
+    and imaginary parts interleaved on periodic ones.  Everything in a step
+    but the cube is linear, so ``_stage_operators`` folds the diffusion,
+    alpha u and the rank-N feedback -mu A_r O_r (``_A``, ``_O``: the real
+    forms of ``ctl.A`` and ``ctl.O``) into the ETD stage maps once:
+
+        ETD1:    w = S x,  y = P x - Q w^3
+        ETDRK2:  v = S y,  y + W2L (y - x) - W2T (v^3 - w^3)
+
+    with S the synthesis on the padded grid ``_fine`` (2M Neumann, 4M
+    periodic points), where the cube is taken without aliasing.  Up to
+    ``DENSE_MAX_ENTRIES`` each map is one precomputed real matrix; above it
+    the same algebra runs on scipy's transforms.  ``decay``, ``w1`` and
+    ``w2`` are the ETD weights exp(z), dt phi1(z) and dt phi2(z),
+    z = -nu k^2 dt, in the coefficient layout.  ``cube`` and
+    ``fine_samples`` expose the unfused transforms.
     """
 
     def __init__(self, grid: Grid1D, p: ClosedLoopParams, dt: float, scheme: str = "etd1"):
@@ -258,43 +321,126 @@ class Stepper:
             self._fine = Grid1D(grid.L, 2 * grid.M, fields.NEUMANN)
         else:
             self._fine = Grid1D(grid.L, 4 * grid.M, fields.PERIODIC)
-        self._synth, self._analyze = _padded_transforms(grid, self._fine)
-
-    def observations(self, c: np.ndarray) -> np.ndarray:
-        """The controller's observations of the state with coefficients c."""
-        return (self.ctl.O @ c).real
-
-    def control_coeffs(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients of I_h(u) for the active controller family."""
-        return self.ctl.A @ self.observations(c)
+        parts = 2 if grid.bc == fields.PERIODIC else 1
+        if self.ctl is None:
+            self._O = self._A = low_rank = None
+        else:
+            self._O = _real_columns(self.ctl.O, parts)
+            self._A = _real_rows(self.ctl.A, parts)
+            low_rank = (p.mu * self._A, self._O)
+        weights = [np.repeat(v, parts) for v in (self.decay, self.w1, self.w2)]
+        (self._synth, self._analyze, self._P, self._Q, self._W2L,
+         self._W2T) = _stage_operators(grid, self._fine, weights, p.alpha, low_rank)
 
     def fine_samples(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Samples on the dealiasing grid and its quadrature weight."""
-        return self._synth(c), self._fine.dx
+        return self._synth(c.view(np.float64)), self._fine.dx
 
     def cube(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased coefficients of u^3 and max|u| on the padded grid."""
-        w = self._synth(c)
-        return self._analyze(w * w * w), float(np.max(np.abs(w)))
-
-    def nonlin(self, c: np.ndarray) -> tuple[np.ndarray, float]:
-        cubed, max_abs = self.cube(c)
-        out = self.p.alpha * c - cubed
-        if self.ctl is not None:
-            out = out - self.p.mu * self.control_coeffs(c)
-        return out, max_abs
+        w = self._synth(c.view(np.float64))
+        return self._analyze(w * w * w).view(c.dtype), float(np.max(np.abs(w)))
 
     def advance(self, c: np.ndarray) -> tuple[np.ndarray, float]:
-        """One step; returns (new coefficients, max|u| before the step)."""
-        n0, max_abs = self.nonlin(c)
+        """One step; returns (new state, max|u| on the padded grid before the step).
+
+        ``c`` is the state in the grid's coefficient layout or its real view
+        x; the new state comes back in the same dtype.
+        """
+        x = c.view(np.float64)
+        w = self._synth(x)
+        w2 = w * w
+        max_abs = math.sqrt(w2.max())
         limit = stability_limit(self.p, max_abs)
         if not self.dt <= limit:  # a NaN state gives a NaN limit
             raise BlowupError(np.nan, f"dt={self.dt:.3g} exceeds the stability limit {limit:.3g}")
-        pred = self.decay * c + self.w1 * n0
-        if self.scheme == "etd1":
-            return pred, max_abs
-        n1, _ = self.nonlin(pred)
-        return pred + self.w2 * (n1 - n0), max_abs
+        w3 = w2 * w
+        y = self._P(x) - self._Q(w3)
+        if self.scheme == "etdrk2":
+            v = self._synth(y)
+            y = y + self._W2L(y - x) - self._W2T(v * v * v - w3)
+        return y.view(c.dtype), max_abs
+
+
+SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
+
+
+class _Recorder:
+    """The recorded series of one run, reduced ``RECORD_CHUNK`` records at a time.
+
+    Each record keeps the state row x, its samples on the padded grid and
+    H @ x, where H stacks the real observation matrix O_r over
+    G = A_r^T diag(w): the observations are v = O_r x and the control
+    pairing sum(w Re((A v) conj(c))) is v . (G x).  Every matrix product is
+    one vector per record, because BLAS rounds a row differently depending
+    on how many rows share the call and the series must not depend on the
+    record stride; the norms, the L4 term and the observation series are
+    elementwise products and row sums over the chunk, which numpy rounds
+    row by row.
+    """
+
+    def __init__(self, st: Stepper, n_rec: int):
+        grid = st.grid
+        parts = 2 if grid.bc == fields.PERIODIC else 1
+        self._p = st.p
+        self._w = np.repeat(grid.w, parts)
+        self._wk2 = self._w * np.repeat(grid.wavenumbers, parts) ** 2
+        self._synth = st._synth
+        self._dw = st._fine.dx
+        rows = min(RECORD_CHUNK, n_rec)
+        self._x = np.empty((rows, self._w.shape[0]))
+        self._u = np.empty((rows, st._fine.M))
+        if st.ctl is None:
+            self._H = None
+        else:
+            self._H = np.vstack([st._O, st._A.T * self._w])
+            self._hx = np.empty((rows, self._H.shape[0]))
+            self._q = st.ctl.q
+        self.times = np.empty(n_rec)
+        self.series = {name: np.zeros(n_rec) for name in SERIES}
+        self.count = 0      # records taken
+        self._done = 0      # records reduced into ``series``
+
+    def add(self, t: float, x: np.ndarray) -> None:
+        i = self.count - self._done
+        self.times[self.count] = t
+        self._x[i] = x
+        self._u[i] = self._synth(x)
+        if self._H is not None:
+            np.matmul(self._H, x, out=self._hx[i])
+        self.count += 1
+        if i + 1 == self._x.shape[0]:
+            self.flush()
+
+    def flush(self) -> None:
+        k = self.count - self._done
+        rows, s = slice(self._done, self.count), self.series
+        x2 = np.square(self._x[:k])
+        l2_sq = (x2 * self._w).sum(axis=1)
+        h1x_sq = (x2 * self._wk2).sum(axis=1)
+        s["l2"][rows] = np.sqrt(l2_sq)
+        s["h1x"][rows] = np.sqrt(h1x_sq)
+        s["h1"][rows] = np.sqrt(l2_sq / self._p.L ** 2 + h1x_sq)
+        u2 = np.square(self._u[:k], out=self._u[:k])
+        s["l4p4"][rows] = np.square(u2, out=u2).sum(axis=1) * self._dw
+        if self._H is not None:
+            n_obs = self._H.shape[0] // 2
+            v, g = self._hx[:k, :n_obs], self._hx[:k, n_obs:]
+            v2 = v * v
+            s["gamma2"][rows] = v2.sum(axis=1)
+            s["ih_l2"][rows] = np.sqrt((v2 * self._q).sum(axis=1))
+            s["pairing"][rows] = (v * g).sum(axis=1)
+        self._done = self.count
+
+    def result(self) -> TrajectoryRecord:
+        """The records taken so far, with their energy residual."""
+        self.flush()
+        cut = {name: values[: self.count] for name, values in self.series.items()}
+        times = self.times[: self.count]
+        res = energy_residual_series(
+            times, cut["l2"], cut["h1x"], cut["l4p4"], cut["pairing"], self._p
+        )
+        return TrajectoryRecord(times=times, energy_residual=res, **cut)
 
 
 def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
@@ -309,67 +455,24 @@ def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
     if abs(grid.L - p.L) > 1e-14 * p.L:
         raise ValueError(f"grid length {grid.L} differs from params length {p.L}")
     st = Stepper(grid, p, cfg.dt, cfg.scheme)
-    ctl = st.ctl
-    u0 = cfg.ic.realize(grid)
-    c = coeffs_of(u0)
+    x = coeffs_of(cfg.ic.realize(grid)).view(np.float64)
 
     n_steps = cfg.n_steps
     rec_steps = list(range(0, n_steps + 1, cfg.record_every))
     if rec_steps[-1] != n_steps:
         rec_steps.append(n_steps)
-    n_rec = len(rec_steps)
-
-    times = np.empty(n_rec)
-    series = {name: np.empty(n_rec) for name in
-              ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")}
-
-    def record(i: int, step_idx: int, c_now: np.ndarray) -> None:
-        times[i] = step_idx * cfg.dt
-        l2_sq = fields.l2_sq_of_coeffs(grid, c_now)
-        h1x_sq = fields.h1x_sq_of_coeffs(grid, c_now)
-        series["l2"][i] = np.sqrt(max(l2_sq, 0.0))
-        series["h1x"][i] = np.sqrt(max(h1x_sq, 0.0))
-        series["h1"][i] = np.sqrt(max(l2_sq / grid.L ** 2 + h1x_sq, 0.0))
-        w, dw = st.fine_samples(c_now)
-        w2 = w * w
-        series["l4p4"][i] = float(np.sum(w2 * w2) * dw)
-        if ctl is None:
-            series["gamma2"][i] = 0.0
-            series["ih_l2"][i] = 0.0
-            series["pairing"][i] = 0.0
-            return
-        v = st.observations(c_now)
-        v2 = v * v
-        series["gamma2"][i] = float(np.sum(v2))
-        series["ih_l2"][i] = float(np.sqrt(ctl.q @ v2))
-        series["pairing"][i] = fields.inner_of_coeffs(grid, ctl.A @ v, c_now)
-
-    def partial(upto: int) -> TrajectoryRecord:
-        sl = slice(0, upto)
-        cut = {name: series[name][sl].copy() for name in series}
-        res = energy_residual_series(
-            times[sl], cut["l2"], cut["h1x"], cut["l4p4"], cut["pairing"], p
-        )
-        return TrajectoryRecord(times=times[sl].copy(), energy_residual=res, **cut)
-
-    record(0, 0, c)
-    rec_i = 1
-    for n in range(1, n_steps + 1):
-        t = n * cfg.dt
+    rec = _Recorder(st, len(rec_steps))
+    rec.add(0.0, x)
+    for start, stop in zip(rec_steps, rec_steps[1:]):
         try:
-            c, _ = st.advance(c)
+            for n in range(start + 1, stop + 1):
+                x, _ = st.advance(x)
         except BlowupError as err:
-            raise BlowupError(t, err.reason, partial(rec_i)) from None
-        if rec_i < n_rec and n == rec_steps[rec_i]:
-            if not np.all(np.isfinite(c)):
-                raise BlowupError(t, "non-finite state", partial(rec_i))
-            record(rec_i, n, c)
-            rec_i += 1
-
-    residual = energy_residual_series(
-        times, series["l2"], series["h1x"], series["l4p4"], series["pairing"], p
-    )
-    return TrajectoryRecord(times=times, energy_residual=residual, **series)
+            raise BlowupError(n * cfg.dt, err.reason, rec.result()) from None
+        if not np.isfinite(x).all():
+            raise BlowupError(stop * cfg.dt, "non-finite state", rec.result())
+        rec.add(stop * cfg.dt, x)
+    return rec.result()
 
 
 def _ddt(times: np.ndarray, y: np.ndarray) -> np.ndarray:

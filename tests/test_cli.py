@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from detctl import analysis
-from detctl.cli import ConfigError, main, parse_simulate_config, parse_sweep_config
+from detctl.cli import (
+    CSV_BLOCK_ROWS,
+    CSV_COLUMNS,
+    ConfigError,
+    main,
+    parse_simulate_config,
+    parse_sweep_config,
+    write_trajectory_csv,
+)
+from detctl.dynamics import TrajectoryRecord
 
 
 def base_config(**overrides):
@@ -173,6 +182,24 @@ class TestSimulateCommand:
         # 17 significant digits round-trip doubles exactly
         val = lines[1].split(",")[1]
         assert float(val) == float(format(float(val), ".17g"))
+
+
+def test_trajectory_csv_bytes_match_savetxt(tmp_path):
+    # more rows than one formatting block, with inf, NaN, signed zeros,
+    # subnormals and extremes among the values
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((CSV_BLOCK_ROWS + 37, 9)) * 10.0 ** rng.integers(-300, 300, (1, 9))
+    data[3, 1:4] = (np.inf, -np.inf, np.nan)
+    data[5, 2:5] = (-0.0, 5e-324, np.finfo(float).max)
+    data[-1, -1] = np.nan
+    traj = TrajectoryRecord(*data.T)
+    write_trajectory_csv(tmp_path / "t.csv", traj)
+    with open(tmp_path / "ref.csv", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        table = np.column_stack([traj.times, traj.l2, traj.h1x, traj.h1, traj.l4p4,
+                                 traj.gamma2, traj.ih_l2, traj.energy_residual])
+        np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\n")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestSweepCommand:

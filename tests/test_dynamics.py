@@ -13,6 +13,8 @@ from detctl.fields import (
     samples_of,
 )
 from detctl.dynamics import (
+    RECORD_CHUNK,
+    SERIES,
     BlowupError,
     ClosedLoopParams,
     ICSpec,
@@ -34,9 +36,14 @@ def open_loop(nu=1.0, alpha=4.0, L=1.0):
 
 
 def rhs(u, p):
-    """Samples of nu u_xx + alpha u - u^3 - mu I_h(u) from the stepper's nonlinearity."""
+    """Samples of nu u_xx + alpha u - u^3 - mu I_h(u) from the stepper's cube and
+    control operator."""
     c = coeffs_of(u)
-    n, _ = Stepper(u.grid, p, dt=1.0).nonlin(c)
+    st = Stepper(u.grid, p, dt=1.0)
+    cubed, _ = st.cube(c)
+    n = p.alpha * c - cubed
+    if st.ctl is not None:
+        n = n - p.mu * st.ctl.A @ (st.ctl.O @ c).real
     return samples_of(u.grid, -p.nu * u.grid.wavenumbers ** 2 * c + n)
 
 
@@ -208,6 +215,30 @@ class TestSimulate:
         rec = exc.value.record
         assert rec is not None and len(rec) >= 1
         assert exc.value.time > 0
+
+    def test_blowup_mid_chunk_partial_record_matches_cut_run(self):
+        # the guard trips inside the recorder's second chunk: the partial
+        # record must be the run cut at its last recorded step, bit for bit
+        g = neumann(M=32)
+        p = ClosedLoopParams(nu=1.0, alpha=100.0, L=1.0)
+        ic = ICSpec("constant", value=1e-4)
+        dt = 1.5e-3
+        with pytest.raises(BlowupError, match="stability") as exc:
+            simulate(SimConfig(grid=g, dt=dt, T=300 * dt, ic=ic), p)
+        rec = exc.value.record
+        assert RECORD_CHUNK < len(rec) < 2 * RECORD_CHUNK - 1
+        assert exc.value.time == len(rec) * dt
+        cut = simulate(SimConfig(grid=g, dt=dt, T=(len(rec) - 1) * dt, ic=ic), p)
+        for name in ("times", "energy_residual") + SERIES:
+            assert np.array_equal(getattr(rec, name), getattr(cut, name)), name
+        # every record, the unflushed tail of the chunk included, is the norm
+        # of the stepped state
+        st = Stepper(g, p, dt)
+        c = coeffs_of(ic.realize(g))
+        for k, l2 in enumerate(rec.l2):
+            if k:
+                c, _ = st.advance(c)
+            assert abs(l2 - np.sqrt(l2_sq_of_coeffs(g, c))) <= 1e-13 * l2
 
     def test_final_time_whole_steps(self):
         ic = ICSpec("constant", value=0.1)

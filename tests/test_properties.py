@@ -1,14 +1,24 @@
 """Property tests of the grid's coefficient layout (transforms, Parseval
 weights, point evaluation), of the stepper's padded transforms against the
-padded scipy transforms, of the closed-loop control operator against the
-field-level interpolant maps, and of the recorder's independence from its
-stride."""
+padded scipy transforms, of its fused step against the unfused ETD
+composition, of the closed-loop control operator against the field-level
+interpolant maps, and of the recorder's independence from its stride."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detctl.dynamics import ClosedLoopParams, ICSpec, SimConfig, Stepper, simulate
+from detctl.dynamics import (
+    DENSE_MAX_ENTRIES,
+    RECORD_CHUNK,
+    SERIES,
+    ClosedLoopParams,
+    ICSpec,
+    SimConfig,
+    Stepper,
+    simulate,
+)
 from detctl.fields import (
     NEUMANN,
     PERIODIC,
@@ -25,6 +35,7 @@ from detctl.interpolants import (
     DELTA,
     KINDS,
     NODAL,
+    VOLUME,
     InterpolantSpec,
     Observations,
     actuate_delta,
@@ -104,10 +115,10 @@ def padded_reference(stepper, c):
 def padded_states(draw):
     """A stepper of either boundary condition and a random state over its
     whole coefficient layout.  M falls on both sides of the dense/scipy
-    crossover (Neumann M=200, periodic M=140), odd and even."""
+    crossover (Neumann M=178, periodic M=125), odd and even."""
     bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
-    M = draw(st.one_of(st.integers(8, 136), st.integers(210, 288),
-                       st.sampled_from((140, 141, 200, 201))))
+    M = draw(st.one_of(st.integers(8, 120), st.integers(190, 288),
+                       st.sampled_from((125, 126, 178, 179))))
     grid = Grid1D(L, M, bc)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     c = rng.uniform(-1.0, 1.0, grid.w.shape)
@@ -147,6 +158,78 @@ def test_even_periodic_nyquist_column_is_a_conjugate_pair_on_the_padded_grid():
     cubed, max_abs = stepper.cube(c)
     assert np.max(np.abs(cubed - cubed_ref)) <= 1e-13 * np.max(np.abs(cubed_ref))
     assert abs(max_abs - 1.5) <= 1e-13
+
+
+def unfused_step(stepper, c):
+    """ETD1 or ETDRK2 composed term by term from the ETD weights, the padded
+    scipy cube and the control operator, and max|u| before the step."""
+    p, ctl = stepper.p, stepper.ctl
+
+    def nonlin(c):
+        w, cubed = padded_reference(stepper, c)
+        out = p.alpha * c - cubed
+        if ctl is not None:
+            out = out - p.mu * ctl.A @ (ctl.O @ c).real
+        return out, np.max(np.abs(w))
+
+    n0, max_abs = nonlin(c)
+    pred = stepper.decay * c + stepper.w1 * n0
+    if stepper.scheme == "etd1":
+        return pred, max_abs
+    return pred + stepper.w2 * (nonlin(pred)[0] - n0), max_abs
+
+
+# grid sizes that keep the stepper's operators dense, and past the crossover
+DENSE_M = {NEUMANN: (8, 178), PERIODIC: (8, 125)}
+SCIPY_M = {NEUMANN: (179, 288), PERIODIC: (126, 288)}
+
+
+@st.composite
+def stepped_states(draw, kind, scheme, dense):
+    """A stepper of one controller family (or the open loop, on either
+    boundary condition) on a grid on the given side of the dense/scipy
+    crossover, and a random state with 1/(k+1)^2 decaying columns over its
+    whole layout, inside the stability limit."""
+    if kind is None:
+        bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
+    else:
+        bc = PERIODIC if kind == DELTA else NEUMANN
+    N = draw(st.integers(1, 4))
+    lo, hi = (DENSE_M if dense else SCIPY_M)[bc]
+    if kind == VOLUME:  # cell-aligned means need M a multiple of N
+        M = N * draw(st.integers(-(-lo // N), hi // N))
+    else:
+        M = draw(st.integers(lo, hi))
+    grid = Grid1D(L, M, bc)
+    spec = None if kind is None else InterpolantSpec(kind, N, L)
+    p = ClosedLoopParams(nu=1.0, alpha=draw(st.floats(0.5, 10.0)), L=L,
+                         mu=draw(st.floats(0.5, 20.0)), spec=spec)
+    stepper = Stepper(grid, p, draw(st.sampled_from((1e-4, 1e-3))), scheme)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    decay = 1.0 / (1.0 + np.arange(grid.w.shape[0])) ** 2
+    c = rng.uniform(-1.0, 1.0, grid.w.shape) * decay
+    if bc == PERIODIC:
+        c = c + 1j * rng.uniform(-1.0, 1.0, grid.w.shape) * decay
+        c[0] = c[0].real
+    return stepper, c
+
+
+@pytest.mark.parametrize("dense", (True, False))
+@pytest.mark.parametrize("scheme", ("etd1", "etdrk2"))
+@pytest.mark.parametrize("kind", KINDS + (None,))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fused_step_matches_unfused_composition(kind, scheme, dense, data):
+    stepper, c = data.draw(stepped_states(kind, scheme, dense))
+    assert (stepper._fine.M * c.view(np.float64).shape[0] <= DENSE_MAX_ENTRIES) == dense
+    want, want_max = unfused_step(stepper, c)
+    got, max_abs = stepper.advance(c)
+    assert got.dtype == c.dtype and got.shape == c.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert abs(max_abs - want_max) <= 1e-13 * want_max
+    # the real view is the same state
+    x, _ = stepper.advance(c.view(np.float64))
+    assert np.array_equal(x, got.view(np.float64))
 
 
 @st.composite
@@ -211,8 +294,11 @@ def test_operator_norm_weight_matches_realized_interpolant(case):
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 1000), n_steps=st.integers(8, 40))
+@given(kind=st.sampled_from(KINDS), seed=st.integers(0, 1000),
+       n_steps=st.one_of(st.integers(8, 40),
+                         st.integers(14 * RECORD_CHUNK + 1, 16 * RECORD_CHUNK)))
 def test_state_independent_of_record_stride(kind, seed, n_steps):
+    # the long inputs span more than two recorder chunks at both strides
     bc = PERIODIC if kind == DELTA else NEUMANN
     grid = Grid1D(L, 32, bc)
     p = ClosedLoopParams(nu=1.0, alpha=4.0, L=L, mu=20.0, spec=InterpolantSpec(kind, 2, L))
@@ -222,6 +308,5 @@ def test_state_independent_of_record_stride(kind, seed, n_steps):
     strided = simulate(SimConfig(grid, dt, n_steps * dt, ic, 7, "etdrk2"), p)
     steps = np.rint(strided.times / dt).astype(int)
     assert steps[-1] == n_steps
-    for name in ("l2", "h1x", "l4p4", "gamma2", "ih_l2", "pairing"):
+    for name in SERIES:
         assert np.array_equal(getattr(every, name)[steps], getattr(strided, name)), name
-
