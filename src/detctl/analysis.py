@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .dynamics import (
+    Batch,
     BlowupError,
     ClosedLoopParams,
     ICSpec,
@@ -160,17 +161,17 @@ def sweep_cell_config(
     u0 = ic.realize(grid)
     u_cap = max(2.0 * math.sqrt(alpha), 2.0 * float(np.max(np.abs(u0.values))))
     T = 20.0 / alpha
-    dt = safety * stability_limit(p, u_cap)
+    dt = safety * stability_limit(alpha, mu, u_cap)
     n_steps = max(int(math.ceil(T / dt)), 10)
     cfg = SimConfig(grid=grid, dt=T / n_steps, T=T, ic=ic, record_every=n_steps)
     return cfg, p
 
 
-def terminal_ratio(cfg: SimConfig, p: ClosedLoopParams) -> float:
+def terminal_ratio(cfg: SimConfig, p: ClosedLoopParams, batch: Batch | None = None) -> float:
     """||u(T)|| / ||u(0)||; infinite when the run blows up or trips the
-    adaptive step limit."""
+    adaptive step limit.  ``batch`` is as in :func:`simulate`."""
     try:
-        traj = simulate(cfg, p)
+        traj = simulate(cfg, p, batch)
     except BlowupError:
         return float("inf")
     if traj.l2[0] == 0.0:
@@ -179,20 +180,23 @@ def terminal_ratio(cfg: SimConfig, p: ClosedLoopParams) -> float:
 
 
 def rank_scan(
-    nu: float, alpha: float, L: float, mu: float, Ns: Iterable[int],
+    nu: float, alphas: Sequence[float], L: float, mus: Sequence[float], Ns: Iterable[int],
     *, kind: str = VOLUME, ic_seed: int = 0, ic_kmax: int = 2, ic_amplitude: float = 1.0,
-) -> dict[int, float]:
-    """Terminal ratio of every rank N in ``Ns`` at one alpha.
+) -> list[dict[int, float]]:
+    """Terminal ratio of every rank N in ``Ns`` at every alpha (with its gain mu).
 
-    Each cell runs from the fixed random band state of
-    :func:`sweep_cell_config`.  Every rank is run: the stabilization
-    criterion (a ratio at or below a threshold such as 1e-4, far below any
-    transient overshoot) is not assumed monotone in N, so the minimal
-    stabilizing rank is the first one that meets it.
+    Returns one {N: ratio} per alpha.  Each cell runs from the fixed random
+    band state of :func:`sweep_cell_config`, and all cells form one
+    :class:`Batch`, which steps the cells that share a grid and a step
+    schedule together (a cell that blows up gets an infinite ratio).  Every
+    rank is run: the stabilization criterion (a ratio at or below a
+    threshold such as 1e-4, far below any transient overshoot) is not
+    assumed monotone in N, so the minimal stabilizing rank is the first one
+    that meets it.
     """
-    ratios = {}
-    for N in Ns:
-        cfg, p = sweep_cell_config(nu, alpha, L, mu, N, kind=kind, ic_seed=ic_seed,
-                                   ic_kmax=ic_kmax, ic_amplitude=ic_amplitude)
-        ratios[N] = terminal_ratio(cfg, p)
-    return ratios
+    Ns = list(Ns)
+    cells = [[sweep_cell_config(nu, alpha, L, mu, N, kind=kind, ic_seed=ic_seed,
+                                ic_kmax=ic_kmax, ic_amplitude=ic_amplitude) for N in Ns]
+             for alpha, mu in zip(alphas, mus)]
+    batch = Batch(member for row in cells for member in row)
+    return [{N: terminal_ratio(cfg, p, batch) for N, (cfg, p) in zip(Ns, row)} for row in cells]

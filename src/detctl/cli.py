@@ -472,12 +472,12 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
     threshold = sw["ratio_threshold"]
     minimal: dict[float, int | None] = {}
     rows = []
-    for alpha in sw["alphas"]:
-        mu = sw["mu_of"](alpha)
-        terminal = analysis.rank_scan(
-            sw["nu"], alpha, sw["L"], mu, range(lo, hi + 1), kind=sw["kind"],
-            ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"], ic_amplitude=sw["ic_amplitude"],
-        )
+    mus = [sw["mu_of"](alpha) for alpha in sw["alphas"]]
+    scans = analysis.rank_scan(
+        sw["nu"], sw["alphas"], sw["L"], mus, range(lo, hi + 1), kind=sw["kind"],
+        ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"], ic_amplitude=sw["ic_amplitude"],
+    )
+    for alpha, mu, terminal in zip(sw["alphas"], mus, scans):
         minimal[alpha] = next((N for N, ratio in terminal.items() if ratio <= threshold), None)
         predicted = math.sqrt(alpha * sw["L"] ** 2 / sw["nu"]) / math.pi
         for N, ratio in terminal.items():

@@ -15,6 +15,12 @@ diagonal plus the rank-N factors.  The recorder keeps each record's state,
 padded-grid samples and observation products and reduces them to the
 recorded series ``RECORD_CHUNK`` records at a time.
 
+One engine steps a batch of runs: a :class:`Batch` steps its members that
+share a grid, a step count, a record stride and a scheme as one (B, n) state,
+a member that trips the stability guard leaves its group, and
+:func:`simulate` reads one member's outcome (a run on its own is a batch of
+one).
+
 Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
 ``A @ (O @ c).real`` and the recorded observation energy, interpolant norm
@@ -31,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -170,18 +177,26 @@ class TrajectoryRecord:
 
 
 class BlowupError(RuntimeError):
-    """Integration failed; carries the failure time and any partial record."""
+    """Integration failed; carries the failure time and any partial record.
 
-    def __init__(self, time: float, reason: str, record: TrajectoryRecord | None = None):
+    ``Stepper.advance`` raises it before the step, with ``failed`` mapping
+    the row of every member that tripped the guard to its own reason, so a
+    batch can drop those members and retry the step for the rest.
+    """
+
+    def __init__(self, time: float, reason: str, record: TrajectoryRecord | None = None,
+                 failed: dict[int, str] | None = None):
         super().__init__(f"integration failed at t={time:.6g}: {reason}")
         self.time = time
         self.reason = reason
         self.record = record
+        self.failed = failed
 
 
-def stability_limit(p: ClosedLoopParams, max_abs_u: float) -> float:
-    """Explicit-part step bound 0.5 / (alpha + 3 max|u|^2 + mu)."""
-    return 0.5 / (p.alpha + 3.0 * max_abs_u ** 2 + p.mu)
+def stability_limit(alpha, mu, max_abs_u):
+    """Explicit-part step bound 0.5 / (alpha + 3 max|u|^2 + mu); scalars for
+    one run, or per-member arrays for a batch."""
+    return 0.5 / (alpha + 3.0 * max_abs_u ** 2 + mu)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -229,108 +244,178 @@ def _real_rows(A: np.ndarray, parts: int) -> np.ndarray:
     return np.stack([A.real, A.imag], axis=1).reshape(-1, A.shape[1])
 
 
-def _stage_operators(grid: Grid1D, fine: Grid1D, weights, alpha: float, low_rank):
-    """The maps of one ETD step on the real state x = c.view(float64).
+def _padded_transforms(grid: Grid1D, fine: Grid1D) -> tuple[np.ndarray, np.ndarray] | None:
+    """Dense S (x -> samples on ``fine``) and T (such samples -> x, truncated
+    to the band), or None above ``DENSE_MAX_ENTRIES``.
 
-    ``weights`` are (decay, w1, w2) in that layout; the linear part is
-    Lin = alpha I - U @ V, with ``low_rank`` = (U, V) = (mu A_r, O_r), the
-    real forms of the control operator, or None in the open loop.  Returns
-    ``synth`` (x -> samples on ``fine``), ``analyze`` (such samples -> the
-    layout of x, truncated to the band) and the stage maps
-    P = diag(decay) + diag(w1) Lin, Q = diag(w1) analyze,
-    W2L = diag(w2) Lin and W2T = diag(w2) analyze.
-
-    Dense: ``synth`` is S, the fine grid's point evaluation of the resolved
-    columns, ``analyze`` its Parseval-weighted transpose T, and every stage
-    map is one precomputed matrix.  The coarse Nyquist column of an even M is
-    a conjugate pair on the fine grid (twice its coarse-grid amplitude),
-    exactly as in the padded irfft.  S is built from ``grid``'s own n
-    columns, reweighted to the fine grid's multiplicities, so the unresolved
-    columns are never formed.  Above ``DENSE_MAX_ENTRIES``: scipy's
-    transforms on a zero-padded copy, with Lin kept as its diagonal plus the
-    rank-N factors, since a dense n x n P would dwarf the transforms.
+    S is the fine grid's point evaluation of the resolved columns and T its
+    Parseval-weighted transpose.  The coarse Nyquist column of an even M is a
+    conjugate pair on the fine grid (twice its coarse-grid amplitude),
+    exactly as in the padded irfft.  S is built from ``grid``'s own columns,
+    reweighted to the fine grid's multiplicities, so the unresolved columns
+    are never formed.
     """
     n = grid.w.shape[0]
     parts = 2 if grid.bc == fields.PERIODIC else 1
-    decay, w1, w2 = weights
     if fine.M * n * parts > DENSE_MAX_ENTRIES:
-        dtype = np.complex128 if parts == 2 else np.float64
-
-        def synth(x: np.ndarray) -> np.ndarray:
-            pad = np.zeros(fine.w.shape, dtype)
-            pad[:n] = x.view(dtype)
-            return samples_of(fine, pad)
-
-        def analyze(v: np.ndarray) -> np.ndarray:
-            return coeffs_of_samples(fine, v)[:n].view(np.float64)
-
-        def lin(diag: np.ndarray, scale: np.ndarray):
-            """x -> diag * x - diag(scale) U V x."""
-            if low_rank is None:
-                return lambda x: diag * x
-            U, V = scale[:, None] * low_rank[0], low_rank[1]
-            return lambda x: diag * x - U @ (V @ x)
-
-        return (synth, analyze, lin(decay + alpha * w1, w1), lambda v: w1 * analyze(v),
-                lin(alpha * w2, w2), lambda v: w2 * analyze(v))
+        return None
     E = fields.point_eval_matrix(grid, fine.points()) * (fine.w[:n] / grid.w)
     S = _real_columns(E, parts)
     T = np.ascontiguousarray(S.T * (fine.dx / np.repeat(fine.w[:n], parts))[:, None])
-    Lin = alpha * np.eye(n * parts)
-    if low_rank is not None:
-        Lin -= low_rank[0] @ low_rank[1]
-    P = np.diag(decay) + w1[:, None] * Lin
-    return (S.__matmul__, T.__matmul__, P.__matmul__, (w1[:, None] * T).__matmul__,
-            (w2[:, None] * Lin).__matmul__, (w2[:, None] * T).__matmul__)
+    return S, T
+
+
+def _applier(M: np.ndarray, single: bool):
+    """x -> M @ x for every member, as one bound call: ``M`` is one (n, m)
+    map that all members share or a (B, n, m) stack, and the state is one
+    member's (m,) vector (``single``) or the batch's (B, m) rows."""
+    if M.ndim == 3:
+        return partial(_stacked_matvec, M)
+    return M.__matmul__ if single else M.T.__rmatmul__
+
+
+def _stacked_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.matmul(M, x[:, :, None])[:, :, 0]
+
+
+def _diagonal_plus_low_rank(d: np.ndarray, U, V, x: np.ndarray) -> np.ndarray:
+    return d * x - U(V(x))
 
 
 class Stepper:
-    """Precomputed one-step map for a fixed (grid, params, dt, scheme).
+    """Precomputed one-step map of B members that share a grid and a scheme.
 
-    ``ctl`` is the controller's (O, A, q) triple on this grid, or None in
-    the open loop.  The state is one real vector x = c.view(float64): the
-    cosine coefficients on Neumann grids, the rfft coefficients with real
-    and imaginary parts interleaved on periodic ones.  Everything in a step
-    but the cube is linear, so ``_stage_operators`` folds the diffusion,
-    alpha u and the rank-N feedback -mu A_r O_r (``_A``, ``_O``: the real
-    forms of ``ctl.A`` and ``ctl.O``) into the ETD stage maps once:
+    ``p`` and ``dt`` are one member's, or sequences with one entry per
+    member; one member steps a state of shape (n,), a batch one of shape
+    (B, n).  The state is the real view x = c.view(float64): the cosine
+    coefficients on Neumann grids, the rfft coefficients with real and
+    imaginary parts interleaved on periodic ones.  ``ctls`` holds each
+    member's (O, A, q) triple on this grid, or None in the open loop.
+    Everything in a step but the cube is linear, so the diffusion, alpha u
+    and the rank-N feedback are folded into the ETD stage maps once:
 
         ETD1:    w = S x,  y = P x - Q w^3
         ETDRK2:  v = S y,  y + W2L (y - x) - W2T (v^3 - w^3)
 
     with S the synthesis on the padded grid ``_fine`` (2M Neumann, 4M
-    periodic points), where the cube is taken without aliasing.  Up to
-    ``DENSE_MAX_ENTRIES`` each map is one precomputed real matrix; above it
-    the same algebra runs on scipy's transforms.  ``decay``, ``w1`` and
-    ``w2`` are the ETD weights exp(z), dt phi1(z) and dt phi2(z),
-    z = -nu k^2 dt, in the coefficient layout.  ``cube`` and
+    periodic points), where the cube is taken without aliasing, T the
+    analysis back to the band, Lin = alpha I - mu A_r O_r (``_real_ctl``
+    holds the real forms O_r, A_r of ``ctl.O``, ``ctl.A``),
+    P = diag(decay) + diag(w1) Lin, Q = diag(w1) T, W2L = diag(w2) Lin and
+    W2T = diag(w2) T.  ``decay``, ``w1`` and ``w2`` are the ETD weights
+    exp(z), dt phi1(z) and dt phi2(z), z = -nu k^2 dt, one row per member.
+
+    The maps are built as arrays and kept as their bound products
+    (``_P``, ``_Q``, ``_W2L``, ``_W2T``, ``_synth``, ``_analyze``).  S and T
+    are built once and applied to the whole batch as one product.  A map
+    that every member shares is one 2-D matrix (at B=1 every map is), so a
+    single run makes one matrix-vector product per map.  Q and W2T of
+    members with different nu or dt are (B, n) weights on the shared T
+    product, and P and W2L of members with different parameters or dt are
+    their (B, n) diagonals plus the rank-N feedback as (B, n, N) and
+    (B, N, n) stacks, zero-padded to one rank and applied with
+    ``np.matmul``: as fast as (B, n, n) stacks at M=64 and a tenth of their
+    memory.  Up to ``DENSE_MAX_ENTRIES`` S, T and the shared maps are dense
+    matrices; above it S and T are scipy's transforms along the last axis
+    and every P and W2L is a diagonal plus rank-N factors.  BLAS rounds a
+    product of several rows differently from one row, so a member of a
+    batch may differ from its single run in the last bits; a given batch is
+    deterministic.
+
+    ``advance`` guards every member before the step: if a member's dt
+    exceeds its ``stability_limit`` (a NaN state included) it raises
+    ``BlowupError`` with ``failed`` naming that member's row.  ``cube`` and
     ``fine_samples`` expose the unfused transforms.
     """
 
-    def __init__(self, grid: Grid1D, p: ClosedLoopParams, dt: float, scheme: str = "etd1"):
-        self.ctl = None if p.open_loop else interpolants.control_operator(p.spec, grid)
+    def __init__(self, grid: Grid1D, p, dt, scheme: str = "etd1"):
+        self.params = (p,) if isinstance(p, ClosedLoopParams) else tuple(p)
+        self.dt = np.broadcast_to(np.asarray(dt, dtype=float), (len(self.params),)).copy()
         self.grid = grid
-        self.p = p
-        self.dt = dt
         self.scheme = scheme
-        z = -p.nu * grid.wavenumbers ** 2 * dt
-        self.decay = np.exp(z)
-        self.w1 = dt * _phi1(z)
-        self.w2 = dt * _phi2(z)
         if grid.bc == fields.NEUMANN:
             self._fine = Grid1D(grid.L, 2 * grid.M, fields.NEUMANN)
         else:
             self._fine = Grid1D(grid.L, 4 * grid.M, fields.PERIODIC)
         parts = 2 if grid.bc == fields.PERIODIC else 1
-        if self.ctl is None:
-            self._O = self._A = low_rank = None
+        ops = {}    # members with one spec share its control operator
+        for q in self.params:
+            if not q.open_loop and q.spec not in ops:
+                ctl = interpolants.control_operator(q.spec, grid)
+                ops[q.spec] = ctl, (_real_columns(ctl.O, parts), _real_rows(ctl.A, parts))
+        self.ctls = tuple(None if q.open_loop else ops[q.spec][0] for q in self.params)
+        self._real_ctl = tuple(None if q.open_loop else ops[q.spec][1] for q in self.params)
+        alpha, mu, nu = (np.array([getattr(q, name) for q in self.params])
+                         for name in ("alpha", "mu", "nu"))
+        z = -nu[:, None] * grid.wavenumbers ** 2 * self.dt[:, None]
+        self.decay = np.exp(z)
+        self.w1 = self.dt[:, None] * _phi1(z)
+        self.w2 = self.dt[:, None] * _phi2(z)
+
+        single = len(self.params) == 1
+        # the guard's (dt, alpha, mu): Python floats for one member
+        self._guard = ((float(self.dt[0]), float(alpha[0]), float(mu[0])) if single
+                       else (self.dt, alpha, mu))
+        members = list(zip(self.params, self.dt.tolist()))
+        shared_lin = len(set(members)) == 1
+        shared_weights = len({(q.nu, d) for q, d in members}) == 1
+        decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
+        stages = (w1, w2) if scheme == "etdrk2" else (w1,)  # weights of (P, Q) and (W2L, W2T)
+        n = decay.shape[1]
+        self._S, self._T = _padded_transforms(grid, self._fine) or (None, None)
+        if self._S is not None:
+            self._synth, self._analyze = _applier(self._S, single), _applier(self._T, single)
         else:
-            self._O = _real_columns(self.ctl.O, parts)
-            self._A = _real_rows(self.ctl.A, parts)
-            low_rank = (p.mu * self._A, self._O)
-        weights = [np.repeat(v, parts) for v in (self.decay, self.w1, self.w2)]
-        (self._synth, self._analyze, self._P, self._Q, self._W2L,
-         self._W2T) = _stage_operators(grid, self._fine, weights, p.alpha, low_rank)
+            self._synth, self._analyze = self._scipy_synth, self._scipy_analyze
+        if self._S is not None and shared_lin:
+            Lin = alpha[0] * np.eye(n)
+            if self._real_ctl[0] is not None:
+                O, A = self._real_ctl[0]
+                Lin -= (mu[0] * A) @ O
+            lin = [w[0][:, None] * Lin for w in stages]
+            lin[0] += np.diag(decay[0])
+            lin_maps = [_applier(m, single) for m in lin]
+        else:
+            # each member's diagonal and its rank-N feedback U (V x), one
+            # row for all members when they share them
+            rows = 1 if shared_lin else len(members)
+            diags = [(decay + alpha[:, None] * w1)[:rows], (alpha[:, None] * w2)[:rows]]
+            diags = [d[0] if shared_lin else d for d in diags[: len(stages)]]
+            factors = self._real_ctl[:rows]
+            ranks = [f[0].shape[0] for f in factors if f is not None]
+            lin_maps = [d.__mul__ for d in diags]
+            if ranks:
+                V = np.zeros((rows, max(ranks), n))
+                U = np.zeros((len(stages), rows, n, max(ranks)))
+                for i, f in enumerate(factors):
+                    if f is not None:
+                        O, A = f
+                        V[i, : O.shape[0]] = O
+                        for k, w in enumerate(stages):
+                            U[k, i, :, : O.shape[0]] = w[i][:, None] * (mu[i] * A)
+                if shared_lin:
+                    V, U = V[0], U[:, 0]
+                lin_maps = [partial(_diagonal_plus_low_rank, d, _applier(u, single),
+                                    _applier(V, single)) for d, u in zip(diags, U)]
+        if self._S is not None and shared_weights:
+            weighted = [_applier(w[0][:, None] * self._T, single) for w in stages]
+        else:
+            analyze = self._analyze
+            weighted = [lambda v, r=(w[0] if shared_weights else w): r * analyze(v)
+                        for w in stages]
+        self._P, self._Q = lin_maps[0], weighted[0]
+        self._W2L, self._W2T = (lin_maps[1], weighted[1]) if len(stages) == 2 else (None, None)
+
+    def _scipy_synth(self, x: np.ndarray) -> np.ndarray:
+        n = self.grid.w.shape[0]
+        dtype = np.complex128 if self.grid.bc == fields.PERIODIC else np.float64
+        pad = np.zeros(x.shape[:-1] + self._fine.w.shape, dtype)
+        pad[..., :n] = x.view(dtype)
+        return samples_of(self._fine, pad)
+
+    def _scipy_analyze(self, v: np.ndarray) -> np.ndarray:
+        c = coeffs_of_samples(self._fine, v)[..., : self.grid.w.shape[0]]
+        return np.ascontiguousarray(c).view(np.float64)
 
     def fine_samples(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Samples on the dealiasing grid and its quadrature weight."""
@@ -341,19 +426,32 @@ class Stepper:
         w = self._synth(c.view(np.float64))
         return self._analyze(w * w * w).view(c.dtype), float(np.max(np.abs(w)))
 
-    def advance(self, c: np.ndarray) -> tuple[np.ndarray, float]:
-        """One step; returns (new state, max|u| on the padded grid before the step).
+    def advance(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step of every member; returns (new state, max|u| on the padded
+        grid before the step, per member).
 
         ``c`` is the state in the grid's coefficient layout or its real view
-        x; the new state comes back in the same dtype.
+        x, one row per member in a batch; the new state comes back in the
+        same dtype.
         """
         x = c.view(np.float64)
         w = self._synth(x)
         w2 = w * w
-        max_abs = math.sqrt(w2.max())
-        limit = stability_limit(self.p, max_abs)
-        if not self.dt <= limit:  # a NaN state gives a NaN limit
-            raise BlowupError(np.nan, f"dt={self.dt:.3g} exceeds the stability limit {limit:.3g}")
+        dt, alpha, mu = self._guard
+        # a NaN state gives a NaN limit, which no comparison lets through
+        if x.ndim == 1:
+            max_abs = math.sqrt(w2.max())
+            limit = stability_limit(alpha, mu, max_abs)
+            tripped = not dt <= limit
+        else:
+            max_abs = np.sqrt(w2.max(axis=1))
+            limit = stability_limit(alpha, mu, max_abs)
+            tripped = not (dt <= limit).all()
+        if tripped:
+            limit = np.broadcast_to(limit, self.dt.shape)
+            failed = {int(i): f"dt={self.dt[i]:.3g} exceeds the stability limit {limit[i]:.3g}"
+                      for i in np.flatnonzero(~(self.dt <= limit))}
+            raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
         w3 = w2 * w
         y = self._P(x) - self._Q(w3)
         if self.scheme == "etdrk2":
@@ -366,7 +464,7 @@ SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
 
 
 class _Recorder:
-    """The recorded series of one run, reduced ``RECORD_CHUNK`` records at a time.
+    """The recorded series of one member, reduced ``RECORD_CHUNK`` records at a time.
 
     Each record keeps the state row x, its samples on the padded grid and
     H @ x, where H stacks the real observation matrix O_r over
@@ -374,28 +472,30 @@ class _Recorder:
     pairing sum(w Re((A v) conj(c))) is v . (G x).  Every matrix product is
     one vector per record, because BLAS rounds a row differently depending
     on how many rows share the call and the series must not depend on the
-    record stride; the norms, the L4 term and the observation series are
-    elementwise products and row sums over the chunk, which numpy rounds
-    row by row.
+    record stride or the batch; the norms, the L4 term and the observation
+    series are elementwise products and row sums over the chunk, which numpy
+    rounds row by row.
     """
 
-    def __init__(self, st: Stepper, n_rec: int):
+    def __init__(self, st: Stepper, member: int, n_rec: int):
         grid = st.grid
         parts = 2 if grid.bc == fields.PERIODIC else 1
-        self._p = st.p
+        self._p = st.params[member]
         self._w = np.repeat(grid.w, parts)
         self._wk2 = self._w * np.repeat(grid.wavenumbers, parts) ** 2
-        self._synth = st._synth
+        # one member's row: a matrix-vector product whatever the batch
+        self._synth = st._scipy_synth if st._S is None else st._S.__matmul__
         self._dw = st._fine.dx
         rows = min(RECORD_CHUNK, n_rec)
         self._x = np.empty((rows, self._w.shape[0]))
         self._u = np.empty((rows, st._fine.M))
-        if st.ctl is None:
+        if st.ctls[member] is None:
             self._H = None
         else:
-            self._H = np.vstack([st._O, st._A.T * self._w])
+            O, A = st._real_ctl[member]
+            self._H = np.vstack([O, A.T * self._w])
             self._hx = np.empty((rows, self._H.shape[0]))
-            self._q = st.ctl.q
+            self._q = st.ctls[member].q
         self.times = np.empty(n_rec)
         self.series = {name: np.zeros(n_rec) for name in SERIES}
         self.count = 0      # records taken
@@ -443,36 +543,108 @@ class _Recorder:
         return TrajectoryRecord(times=times, energy_residual=res, **cut)
 
 
-def simulate(cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord:
+class Batch:
+    """Runs that are integrated together.
+
+    ``members`` are (SimConfig, ClosedLoopParams) pairs.  The members with
+    the same grid, step count, record stride and scheme form one group,
+    stepped as one (B, n) state by one ``Stepper`` (their dt, initial state
+    and parameters may differ), each with its own recorder.  A group is
+    integrated the first time :func:`simulate` asks for one of its members,
+    and every member's outcome is kept for its own call.  A member that
+    trips the stability guard, or whose recorded state is not finite, leaves
+    its group with its failure time and partial record; the others go on.
+    """
+
+    def __init__(self, members) -> None:
+        groups: dict[tuple, dict] = {}
+        self._group: dict[tuple, dict] = {}     # each member's group, in order
+        for cfg, p in members:
+            if abs(cfg.grid.L - p.L) > 1e-14 * p.L:
+                raise ValueError(f"grid length {cfg.grid.L} differs from params length {p.L}")
+            group = groups.setdefault((cfg.grid, cfg.n_steps, cfg.record_every, cfg.scheme), {})
+            group[cfg, p] = None
+            self._group[cfg, p] = group
+        self._outcome: dict[tuple, TrajectoryRecord | BlowupError] = {}
+
+    def outcome(self, cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord | BlowupError:
+        """The record of member (cfg, p), or the ``BlowupError`` that ended it."""
+        if (cfg, p) not in self._outcome:
+            if (cfg, p) not in self._group:
+                raise ValueError("(cfg, p) is not a member of this batch")
+            group = list(self._group[cfg, p])
+            self._outcome.update(zip(group, _integrate(group)))
+        return self._outcome[cfg, p]
+
+
+def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
+    """The time loop of one group; each member's record or its error, in order."""
+    cfgs = [cfg for cfg, _ in members]
+    grid, n_steps, scheme = cfgs[0].grid, cfgs[0].n_steps, cfgs[0].scheme
+    rec_steps = list(range(0, n_steps + 1, cfgs[0].record_every))
+    if rec_steps[-1] != n_steps:
+        rec_steps.append(n_steps)
+    live = list(range(len(members)))    # the member in each row of x
+    st = Stepper(grid, [p for _, p in members], [cfg.dt for cfg in cfgs], scheme)
+    recs = [_Recorder(st, m, len(rec_steps)) for m in live]
+    adds = [(rec.add, cfg.dt) for rec, cfg in zip(recs, cfgs)]
+    x = np.stack([coeffs_of(cfg.ic.realize(grid)).view(np.float64) for cfg in cfgs])
+    if len(live) == 1:
+        x = x[0]
+    out: list = [None] * len(members)
+    n = k = 0   # steps taken, records taken
+    while k < len(rec_steps):
+        stop = rec_steps[k]
+        try:
+            for n in range(n + 1, stop + 1):
+                x, _ = st.advance(x)
+        except BlowupError as err:  # step n was not taken
+            failed = {row: (n, reason) for row, reason in err.failed.items()}
+            n -= 1
+        else:
+            if np.isfinite(x).all():
+                if x.ndim == 1:
+                    add, dt = adds[0]
+                    add(stop * dt, x)
+                else:
+                    for (add, dt), row in zip(adds, x):
+                        add(stop * dt, row)
+                k += 1
+                continue
+            finite = np.isfinite(x.reshape(len(live), -1)).all(axis=1)
+            failed = {int(row): (stop, "non-finite state") for row in np.flatnonzero(~finite)}
+        # the failed members leave with their records, and the rest go on
+        for row, (step, reason) in failed.items():
+            m = live[row]
+            out[m] = BlowupError(step * cfgs[m].dt, reason, recs[m].result())
+        keep = [row for row in range(len(live)) if row not in failed]
+        if not keep:
+            return out
+        x = x.reshape(len(live), -1)[keep]
+        live, adds = [live[row] for row in keep], [adds[row] for row in keep]
+        if len(live) == 1:
+            x = x[0]
+        st = Stepper(grid, [members[m][1] for m in live], [cfgs[m].dt for m in live], scheme)
+    for m in live:
+        out[m] = recs[m].result()
+    return out
+
+
+def simulate(cfg: SimConfig, p: ClosedLoopParams, batch: Batch | None = None) -> TrajectoryRecord:
     """Integrate to T and record norms, observation energy, and the energy residual.
 
-    The residual series is assembled afterwards from the recorded quantities:
+    With ``batch``, a :class:`Batch` that holds (cfg, p), the run is stepped
+    together with its group there; without it, it is a batch of its own.
+    Raises the run's ``BlowupError``.  The residual series is assembled
+    afterwards from the recorded quantities:
     |d/dt ||u||^2 / 2 + nu ||u_x||^2 - alpha ||u||^2 + ||u||_L4^4 + mu <I_h u, u>|,
     with centered differencing inside the record and one-sided stencils at
     its ends.
     """
-    grid = cfg.grid
-    if abs(grid.L - p.L) > 1e-14 * p.L:
-        raise ValueError(f"grid length {grid.L} differs from params length {p.L}")
-    st = Stepper(grid, p, cfg.dt, cfg.scheme)
-    x = coeffs_of(cfg.ic.realize(grid)).view(np.float64)
-
-    n_steps = cfg.n_steps
-    rec_steps = list(range(0, n_steps + 1, cfg.record_every))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
-    rec = _Recorder(st, len(rec_steps))
-    rec.add(0.0, x)
-    for start, stop in zip(rec_steps, rec_steps[1:]):
-        try:
-            for n in range(start + 1, stop + 1):
-                x, _ = st.advance(x)
-        except BlowupError as err:
-            raise BlowupError(n * cfg.dt, err.reason, rec.result()) from None
-        if not np.isfinite(x).all():
-            raise BlowupError(stop * cfg.dt, "non-finite state", rec.result())
-        rec.add(stop * cfg.dt, x)
-    return rec.result()
+    outcome = (Batch([(cfg, p)]) if batch is None else batch).outcome(cfg, p)
+    if isinstance(outcome, BlowupError):
+        raise outcome
+    return outcome
 
 
 def _ddt(times: np.ndarray, y: np.ndarray) -> np.ndarray:

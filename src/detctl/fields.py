@@ -115,20 +115,22 @@ def coeffs_of(f: Field) -> np.ndarray:
 
 
 def coeffs_of_samples(grid: Grid1D, values: np.ndarray) -> np.ndarray:
-    """``coeffs_of`` on raw samples, which are not checked for finiteness,
-    so a non-finite state reaches the stepper's stability guard."""
+    """``coeffs_of`` on raw samples along the last axis, which are not
+    checked for finiteness, so a non-finite state reaches the stepper's
+    stability guard."""
     if grid.bc == NEUMANN:
         c = dct(values, type=2) / grid.M
-        c[0] *= 0.5
+        c[..., 0] *= 0.5
         return c
     return np.fft.rfft(values) / grid.M
 
 
 def samples_of(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
+    """Grid samples of coefficients in the layout of ``coeffs_of``, along the last axis."""
     if grid.bc == NEUMANN:
         y = np.asarray(coeffs, dtype=float) * grid.M
         y = y.copy()
-        y[0] *= 2.0
+        y[..., 0] *= 2.0
         return idct(y, type=2)
     return np.fft.irfft(np.asarray(coeffs) * grid.M, n=grid.M)
 

@@ -76,73 +76,70 @@ def logistic_constant_state(c0: float, t: float, p: ClosedLoopParams) -> float:
 # empirical interpolation constants
 
 def _ratio_fn(spec: InterpolantSpec, n_modes: int):
-    """defect / (h ||phi_x||) as a function of a coefficient vector.
+    """defect / (h ||phi_x||) of each row of a (K, n_modes) coefficient stack.
 
     Uses exact integrals of the true interpolant (analytic cell averages),
-    so the returned value is a lower bound on the sharp constant of the
-    family itself, free of quadrature effects.
+    so the returned values are lower bounds on the sharp constant of the
+    family itself, free of quadrature effects.  A row with a vanishing
+    derivative gets NaN.
     """
     L, h = spec.L, spec.h
     k = np.arange(n_modes)
     deriv_w = (L / 2.0) * (k * np.pi / L) ** 2
 
     def l2_sq(a):
-        return L * (a[0] ** 2 + 0.5 * np.sum(a[1:] ** 2))
+        return L * (a[:, 0] ** 2 + 0.5 * np.sum(a[:, 1:] ** 2, axis=1))
 
     if spec.kind == VOLUME:
         C = cell_average_matrix(spec, n_modes)
 
         def defect_sq(a):
-            return l2_sq(a) - h * np.sum((C @ a) ** 2)
+            return l2_sq(a) - h * np.sum((a @ C.T) ** 2, axis=1)
 
     elif spec.kind == NODAL:
         C = cell_average_matrix(spec, n_modes)
         E = np.cos(np.outer(spec.obs_points, k) * (np.pi / L))
 
         def defect_sq(a):
-            fx = E @ a
-            return l2_sq(a) - 2.0 * h * np.sum(fx * (C @ a)) + h * np.sum(fx ** 2)
+            fx = a @ E.T
+            return l2_sq(a) - 2.0 * h * np.sum(fx * (a @ C.T), axis=1) + h * np.sum(fx ** 2, axis=1)
 
     elif spec.kind == FOURIER:
-        lo = 0 if spec.include_mean else None
 
         def defect_sq(a):
-            tail = a[spec.N + 1:]
-            d = 0.5 * L * np.sum(tail ** 2)
-            if lo is None:
-                d += L * a[0] ** 2
+            d = 0.5 * L * np.sum(a[:, spec.N + 1:] ** 2, axis=1)
+            if not spec.include_mean:
+                d = d + L * a[:, 0] ** 2
             return d
 
     else:
         raise ValueError(f"no interpolation constant for kind {spec.kind!r}")
 
     def ratio(a):
-        dx_sq = float(np.sum(deriv_w * a ** 2))
-        if dx_sq <= 0.0:
-            return None
-        d_sq = max(defect_sq(a), 0.0)
-        return float(np.sqrt(d_sq) / (h * np.sqrt(dx_sq)))
+        dx_sq = np.sum(deriv_w * a ** 2, axis=1)
+        d_sq = np.maximum(defect_sq(a), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(dx_sq > 0.0, np.sqrt(d_sq) / (h * np.sqrt(dx_sq)), np.nan)
 
     return ratio
 
 
 def _coordinate_ascent(ratio, a0: np.ndarray, iterations: int = 100) -> float:
-    """Greedy per-coordinate sharpening with step halving."""
+    """Greedy coordinate sharpening with step halving: each pass tries every
+    coordinate up and down as one stack and keeps the best trial if it
+    improves."""
     a = a0.copy()
-    best = ratio(a)
+    best = float(ratio(a[None])[0])
     step = 0.5
     scale = np.abs(a) + 0.1 * max(np.max(np.abs(a)), 1e-12)
+    moves = np.concatenate([np.diag(scale), -np.diag(scale)])
     for _ in range(iterations):
-        improved = False
-        for i in range(len(a)):
-            for sign in (1.0, -1.0):
-                trial = a.copy()
-                trial[i] += sign * step * scale[i]
-                r = ratio(trial)
-                if r is not None and r > best:
-                    best, a = r, trial
-                    improved = True
-        if not improved:
+        trials = a + step * moves
+        r = np.nan_to_num(ratio(trials), nan=-np.inf)
+        j = int(np.argmax(r))
+        if r[j] > best:
+            best, a = float(r[j]), trials[j]
+        else:
             step *= 0.5
             if step < 1e-6:
                 break
@@ -158,14 +155,8 @@ def empirical_bh_constant(spec: InterpolantSpec, ens: TrialEnsemble) -> float:
     if spec.kind == DELTA:
         raise ValueError("delta controllers have no interpolation constant")
     ratio = _ratio_fn(spec, ens.kmax + 1)
-    best = None
-    best_a = None
-    for a in ens.coefficient_trials():
-        r = ratio(a)
-        if r is None:
-            continue
-        if best is None or r > best:
-            best, best_a = r, a
-    if best is None:
+    trials = np.array(list(ens.coefficient_trials()))
+    r = ratio(trials)
+    if np.isnan(r).all():
         raise ValueError("degenerate ensemble: every trial has a vanishing derivative")
-    return _coordinate_ascent(ratio, best_a)
+    return _coordinate_ascent(ratio, trials[np.nanargmax(r)])

@@ -143,18 +143,19 @@ class TestMinimalN:
     def test_low_alpha_returns_min(self):
         # alpha below nu (pi/L)^2: every mode except the mean is already
         # stable, one controller suffices
-        ratios = rank_scan(1.0, 4.0, 1.0, 20.0, range(1, 9))
+        (ratios,) = rank_scan(1.0, [4.0], 1.0, [20.0], range(1, 9))
         assert list(ratios) == list(range(1, 9))
         assert minimal_N(ratios) == 1
 
     def test_zero_gain_never_stabilizes(self):
-        ratios = rank_scan(1.0, 16.0, 1.0, 0.0, range(1, 4))
+        (ratios,) = rank_scan(1.0, [16.0], 1.0, [0.0], range(1, 4))
         assert set(ratios) == {1, 2, 3}
         assert all(r > 1e-4 for r in ratios.values())
         assert minimal_N(ratios) is None
 
     def test_moderate_alpha_needs_two(self):
-        assert minimal_N(rank_scan(1.0, 16.0, 1.0, 80.0, range(1, 9))) == 2
+        (ratios,) = rank_scan(1.0, [16.0], 1.0, [80.0], range(1, 9))
+        assert minimal_N(ratios) == 2
 
     def test_sweep_grid_alignment(self):
         g = sweep_grid(3, 2)

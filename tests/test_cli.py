@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from detctl.cli import (
     write_trajectory_csv,
 )
 from detctl.dynamics import TrajectoryRecord
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def base_config(**overrides):
@@ -217,6 +220,24 @@ class TestSweepCommand:
         direct = analysis.terminal_ratio(cfg, p)
         assert data["terminal_ratio"] == pytest.approx(direct, rel=1e-12)
         assert int(data["minimal_N"]) == 2
+
+
+    def test_remark21_preset_matches_reference(self, tmp_path):
+        # the batched sweep against the stored reference table, read only
+        out = tmp_path / "out"
+        assert main(["sweep", str(ROOT / "presets" / "sweep-remark21.json"),
+                     "--out-dir", str(out)]) == 0
+        got = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
+        ref = np.loadtxt(ROOT / "bench" / "reference" / "sweep-remark21.csv",
+                         delimiter=",", skiprows=1)
+        assert got.shape == ref.shape
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        finite = ~np.isinf(ref)
+        assert np.all(got[~finite] == ref[~finite])
+        assert np.all(np.abs(got[finite] - ref[finite]) <= 1e-12 * np.abs(ref[finite]))
+        summary = json.loads((out / "summary.json").read_text())
+        want = {format(alpha, "g"): None if n < 0 else int(n) for alpha, n in ref[:, [0, 5]]}
+        assert summary["minimal_N"] == want
 
 
 class TestVerifyCommand:

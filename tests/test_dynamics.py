@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from detctl.fields import (
 from detctl.dynamics import (
     RECORD_CHUNK,
     SERIES,
+    Batch,
     BlowupError,
     ClosedLoopParams,
     ICSpec,
@@ -42,8 +45,9 @@ def rhs(u, p):
     st = Stepper(u.grid, p, dt=1.0)
     cubed, _ = st.cube(c)
     n = p.alpha * c - cubed
-    if st.ctl is not None:
-        n = n - p.mu * st.ctl.A @ (st.ctl.O @ c).real
+    (ctl,) = st.ctls
+    if ctl is not None:
+        n = n - p.mu * ctl.A @ (ctl.O @ c).real
     return samples_of(u.grid, -p.nu * u.grid.wavenumbers ** 2 * c + n)
 
 
@@ -144,7 +148,7 @@ class TestStep:
     def test_stability_limit_enforced(self):
         p = ClosedLoopParams(nu=1.0, alpha=100.0, L=1.0)
         u = constant_field(neumann(), 5.0)
-        assert stability_limit(p, 5.0) == 0.5 / (100.0 + 75.0)
+        assert stability_limit(p.alpha, p.mu, 5.0) == 0.5 / (100.0 + 75.0)
         with pytest.raises(BlowupError, match="stability"):
             step(u, p, 0.02)
 
@@ -239,6 +243,55 @@ class TestSimulate:
             if k:
                 c, _ = st.advance(c)
             assert abs(l2 - np.sqrt(l2_sq_of_coeffs(g, c))) <= 1e-13 * l2
+
+    def test_member_that_trips_the_guard_leaves_the_batch(self):
+        # one member trips the guard at its first step and one mid-run, in
+        # the recorder's second chunk; each takes its single run's error, and
+        # the others go on as their single runs
+        g = neumann(M=32)
+        n_steps = 300
+        fourier = InterpolantSpec(FOURIER, 2, 1.0)
+        members = [
+            (0.0015, ClosedLoopParams(nu=1.0, alpha=100.0, L=1.0),
+             ICSpec("single-mode", k=1, amplitude=1e-4)),
+            (0.001, ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0, spec=fourier),
+             ICSpec("random-band", seed=5, kmax=3, amplitude=1.0)),
+            (0.01, ClosedLoopParams(nu=1.0, alpha=100.0, L=1.0),
+             ICSpec("single-mode", k=1, amplitude=0.1)),
+            (0.0015, ClosedLoopParams(nu=0.5, alpha=4.0, L=1.0),
+             ICSpec("random-band", seed=6, kmax=3, amplitude=1.0)),
+        ]
+        members = [(SimConfig(grid=g, dt=dt, T=n_steps * dt, ic=ic), p) for dt, p, ic in members]
+        solo = []
+        for cfg, p in members:
+            try:
+                solo.append(simulate(cfg, p))
+            except BlowupError as err:
+                solo.append(err)
+        assert [isinstance(r, BlowupError) for r in solo] == [True, False, True, False]
+        assert solo[2].time == 0.01 and RECORD_CHUNK < len(solo[0].record) < n_steps
+        # the first three leave one member, which goes on alone
+        for batch in (members, members[:3]):
+            outcomes = Batch(batch)
+            for (cfg, p), want in zip(batch, solo):
+                got = outcomes.outcome(cfg, p)
+                assert type(got) is type(want)
+                if isinstance(want, BlowupError):
+                    assert (got.time, got.reason) == (want.time, want.reason)
+                    got, want = got.record, want.record
+                assert np.array_equal(got.times, want.times)
+                for name in SERIES:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+    def test_batch_rejects_foreign_runs(self):
+        p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0)
+        ic = ICSpec("constant", value=0.1)
+        cfg = SimConfig(grid=neumann(M=32), dt=1e-3, T=1e-2, ic=ic)
+        with pytest.raises(ValueError, match="grid length"):
+            Batch([(SimConfig(grid=Grid1D(2.0, 32), dt=1e-3, T=1e-2, ic=ic), p)])
+        with pytest.raises(ValueError, match="not a member"):
+            simulate(cfg, p, Batch([(replace(cfg, T=2e-2), p)]))
 
     def test_final_time_whole_steps(self):
         ic = ICSpec("constant", value=0.1)

@@ -2,7 +2,10 @@
 weights, point evaluation), of the stepper's padded transforms against the
 padded scipy transforms, of its fused step against the unfused ETD
 composition, of the closed-loop control operator against the field-level
-interpolant maps, and of the recorder's independence from its stride."""
+interpolant maps, of the recorder's independence from its stride, and of a
+batch's members against their single runs."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from detctl.dynamics import (
     DENSE_MAX_ENTRIES,
     RECORD_CHUNK,
     SERIES,
+    Batch,
     ClosedLoopParams,
     ICSpec,
     SimConfig,
@@ -33,6 +37,7 @@ from detctl.fields import (
 )
 from detctl.interpolants import (
     DELTA,
+    FOURIER,
     KINDS,
     NODAL,
     VOLUME,
@@ -163,7 +168,7 @@ def test_even_periodic_nyquist_column_is_a_conjugate_pair_on_the_padded_grid():
 def unfused_step(stepper, c):
     """ETD1 or ETDRK2 composed term by term from the ETD weights, the padded
     scipy cube and the control operator, and max|u| before the step."""
-    p, ctl = stepper.p, stepper.ctl
+    (p,), (ctl,) = stepper.params, stepper.ctls
 
     def nonlin(c):
         w, cubed = padded_reference(stepper, c)
@@ -173,10 +178,10 @@ def unfused_step(stepper, c):
         return out, np.max(np.abs(w))
 
     n0, max_abs = nonlin(c)
-    pred = stepper.decay * c + stepper.w1 * n0
+    pred = stepper.decay[0] * c + stepper.w1[0] * n0
     if stepper.scheme == "etd1":
         return pred, max_abs
-    return pred + stepper.w2 * (nonlin(pred)[0] - n0), max_abs
+    return pred + stepper.w2[0] * (nonlin(pred)[0] - n0), max_abs
 
 
 # grid sizes that keep the stepper's operators dense, and past the crossover
@@ -310,3 +315,59 @@ def test_state_independent_of_record_stride(kind, seed, n_steps):
     assert steps[-1] == n_steps
     for name in SERIES:
         assert np.array_equal(getattr(every, name)[steps], getattr(strided, name)), name
+
+
+@st.composite
+def batches(draw, dense):
+    """Members on one grid of either boundary condition, on the given side of
+    the dense/scipy crossover, with mixed families (the open loop included),
+    ranks, dt, alpha and gains, one scheme, one step count and one stride."""
+    bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
+    lo, hi = (DENSE_M if dense else SCIPY_M)[bc]
+    # M a multiple of every rank, and at least 8 kmax
+    grid = Grid1D(L, 12 * draw(st.integers(max(-(-lo // 12), 2), hi // 12)), bc)
+    kinds = (DELTA, None) if bc == PERIODIC else (VOLUME, NODAL, FOURIER, None)
+    n_steps = draw(st.integers(4, 24))
+    every = draw(st.integers(2, 5))
+    scheme = draw(st.sampled_from(("etd1", "etdrk2")))
+    members = []
+    for _ in range(draw(st.integers(2, 5))):
+        kind = draw(st.sampled_from(kinds))
+        spec = None if kind is None else InterpolantSpec(kind, draw(st.integers(1, 4)), L)
+        p = ClosedLoopParams(nu=draw(st.sampled_from((0.5, 1.0))), alpha=draw(st.floats(0.5, 10.0)),
+                             L=L, mu=draw(st.floats(0.5, 20.0)), spec=spec)
+        dt = draw(st.sampled_from((1e-4, 5e-4, 1e-3)))
+        ic = ICSpec("random-band", seed=draw(st.integers(0, 1000)), kmax=3, amplitude=1.0)
+        members.append((SimConfig(grid, dt, n_steps * dt, ic, every, scheme), p))
+    return members
+
+
+def outcomes(members):
+    batch = Batch(members)
+    return [batch.outcome(cfg, p) for cfg, p in members]
+
+
+@pytest.mark.parametrize("dense", (True, False))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batch_members_match_single_runs(dense, data):
+    members = data.draw(batches(dense))
+    grid = members[0][0].grid
+    padded, parts = (4 * grid.M, 2) if grid.bc == PERIODIC else (2 * grid.M, 1)
+    assert (padded * parts * grid.w.shape[0] <= DENSE_MAX_ENTRIES) == dense
+    batch = outcomes(members)
+    for (cfg, p), got in zip(members, batch):
+        want = simulate(cfg, p)
+        assert np.array_equal(got.times, want.times)
+        for name in SERIES:
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+    # a given batch is deterministic, and its records do not depend on the stride
+    again = outcomes(members)
+    every = outcomes([(replace(cfg, record_every=1), p) for cfg, p in members])
+    steps = np.rint(batch[0].times / members[0][0].dt).astype(int)
+    for got, rerun, full in zip(batch, again, every):
+        for name in ("times", "energy_residual") + SERIES:
+            assert np.array_equal(getattr(got, name), getattr(rerun, name)), name
+        for name in SERIES:
+            assert np.array_equal(getattr(full, name)[steps], getattr(got, name)), name
