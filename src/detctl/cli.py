@@ -13,12 +13,15 @@ or the integration blew up), 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import math
 import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +36,7 @@ from .dynamics import (
     simulate,
 )
 from .fields import NEUMANN, PERIODIC, Grid1D
-from .interpolants import KINDS, InterpolantSpec
+from .interpolants import KINDS, InterpolantSpec, control_operator
 
 OUT_DIR_ENV = "DETCTL_OUT_DIR"
 CSV_COLUMNS = ("t", "l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "energy_residual")
@@ -45,218 +48,195 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
+#
+# Each section is a table ``key -> (check, default)``.  A check is a function
+# ``(value, path) -> value`` that raises ConfigError, a nested table, or a
+# ``_Tagged`` section whose tag picks the table of its other keys.  A null
+# value means the key is absent, and an absent key takes its default, which
+# is checked like a given value (a None default stays None).
 
-def _require_mapping(obj, path: str) -> dict:
+_REQUIRED = object()  # the default of a key that must be given
+_ROOT = "config"  # the document's path; its sections are named bare
+
+
+class _Tagged(NamedTuple):
+    tag: str
+    tables: dict
+
+
+def _finite(val) -> bool:
+    """A JSON number that is a finite float; booleans are not numbers."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
+def _real(bound: str | None = None):
+    """Check: a finite number, optionally "positive" or "nonnegative"."""
+    def check(val, path):
+        if not _finite(val):
+            raise ConfigError(f"{path}: expected a number, got {val!r}")
+        if bound == "positive" and val <= 0 or bound == "nonnegative" and val < 0:
+            raise ConfigError(f"{path}: must be {bound}, got {val}")
+        return float(val)
+    return check
+
+
+def _integer_from(minimum: int):
+    def check(val, path):
+        if isinstance(val, bool) or not isinstance(val, int):
+            raise ConfigError(f"{path}: expected an integer, got {val!r}")
+        if val < minimum:
+            raise ConfigError(f"{path}: must be >= {minimum}, got {val}")
+        return val
+    return check
+
+
+def _one_of(*choices: str):
+    def check(val, path):
+        if val not in choices:
+            raise ConfigError(f"{path}: expected one of {' | '.join(choices)}, got {val!r}")
+        return val
+    return check
+
+
+def _holds(ok, expected: str):
+    """Check: ``ok(value)`` is true."""
+    def check(val, path):
+        if not ok(val):
+            raise ConfigError(f"{path}: expected {expected}")
+        return val
+    return check
+
+
+def _alphas(val, path):
+    if not isinstance(val, list) or not val:
+        raise ConfigError(f"{path}: expected a nonempty list of positive numbers")
+    for i, a in enumerate(val):
+        if not (_finite(a) and a > 0):
+            raise ConfigError(f"{path}[{i}]: expected a positive number, got {a!r}")
+    return [float(a) for a in val]
+
+
+_POSITIVE = _real("positive")
+_NONNEGATIVE = _real("nonnegative")
+_POINTS = _holds(lambda v: isinstance(v, list) and all(map(_finite, v)), "a list of numbers")
+_NAME = _holds(lambda v: isinstance(v, str) and v != "", "a nonempty string")
+
+_IC = _Tagged("kind", {
+    "single-mode": {"k": (_integer_from(0), _REQUIRED), "amplitude": (_real(), _REQUIRED)},
+    "random-band": {"seed": (_integer_from(0), _REQUIRED), "kmax": (_integer_from(0), _REQUIRED),
+                    "amplitude": (_POSITIVE, _REQUIRED)},
+    "constant": {"value": (_real(), _REQUIRED)},
+})
+
+_SIMULATE = {
+    "grid": ({"L": (_POSITIVE, _REQUIRED), "M": (_integer_from(8), _REQUIRED),
+              "bc": (_one_of(NEUMANN, PERIODIC), NEUMANN)}, _REQUIRED),
+    "params": ({"nu": (_POSITIVE, _REQUIRED), "alpha": (_POSITIVE, _REQUIRED),
+                "mu": (_NONNEGATIVE, 0.0)}, _REQUIRED),
+    "control": ({"kind": (_one_of(*KINDS), _REQUIRED), "N": (_integer_from(1), _REQUIRED),
+                 "include_mean": (_holds(lambda v: isinstance(v, bool), "a boolean"), True),
+                 "obs_points": (_POINTS, None), "act_points": (_POINTS, None)}, None),
+    "sim": ({"dt": (_POSITIVE, _REQUIRED), "T": (_POSITIVE, _REQUIRED), "ic": (_IC, _REQUIRED),
+             "record_every": (_integer_from(1), 1),
+             "scheme": (_one_of("etd1", "etdrk2"), "etd1")}, _REQUIRED),
+    "experiment": ({"name": (_NAME, _REQUIRED), "fit_t0": (_NONNEGATIVE, None),
+                    "slack": (_NONNEGATIVE, 0.05), "absorbing_margin": (_NONNEGATIVE, 0.05)},
+                   _REQUIRED),
+}
+
+_N_RANGE = _holds(lambda v: isinstance(v, list) and len(v) == 2
+                  and all(isinstance(n, int) and not isinstance(n, bool) for n in v)
+                  and 1 <= v[0] <= v[1], "[lo, hi] with 1 <= lo <= hi")
+
+_SWEEP = {
+    "sweep": ({
+        "alphas": (_alphas, _REQUIRED), "nu": (_POSITIVE, _REQUIRED), "L": (_POSITIVE, _REQUIRED),
+        "mu_rule": (_Tagged("type", {"proportional": {"factor": (_NONNEGATIVE, _REQUIRED)},
+                                     "constant": {"value": (_NONNEGATIVE, _REQUIRED)}}),
+                    _REQUIRED),
+        "N_range": (_N_RANGE, _REQUIRED),
+        "kind": (_one_of("volume", "nodal", "fourier"), "volume"),
+        "ic": ({"seed": (_integer_from(0), 0), "kmax": (_integer_from(0), 2),
+                "amplitude": (_POSITIVE, 1.0)}, {}),
+        "ratio_threshold": (_POSITIVE, 1e-4),
+    }, _REQUIRED),
+    "experiment": ({"name": (_NAME, _REQUIRED)}, _REQUIRED),
+}
+
+
+def _walk(obj, path: str, table) -> dict:
+    """The checked values of ``obj``'s keys under ``table``, defaults filled in."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    return obj
-
-
-def _check_keys(obj: dict, path: str, required: tuple[str, ...],
-                optional: tuple[str, ...] = ()) -> None:
-    unknown = sorted(set(obj) - set(required) - set(optional))
+    if isinstance(table, _Tagged):
+        pick = _one_of(*table.tables)
+        tag = pick(obj.get(table.tag), f"{path}.{table.tag}")
+        table = {table.tag: (pick, _REQUIRED), **table.tables[tag]}
+    unknown = sorted(set(obj) - set(table))
     if unknown:
         raise ConfigError(f"{path}: unknown keys {unknown}")
-    missing = [k for k in required if k not in obj]
+    missing = [key for key, (_, default) in table.items()
+               if default is _REQUIRED and key not in obj]
     if missing:
         raise ConfigError(f"{path}: missing keys {missing}")
+    out = {}
+    for key, (check, default) in table.items():
+        sub = key if path == _ROOT else f"{path}.{key}"
+        val = default if obj.get(key) is None else obj[key]
+        if val is _REQUIRED:
+            raise ConfigError(f"{sub}: missing value")
+        if val is not None:
+            val = _walk(val, sub, check) if isinstance(check, (dict, _Tagged)) else check(val, sub)
+        out[key] = val
+    return out
 
 
-def _number(obj: dict, path: str, key: str, *, positive=False, nonnegative=False,
-            default=None):
-    if key not in obj or obj[key] is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: missing value")
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
-    if positive and not val > 0:
-        raise ConfigError(f"{path}.{key}: must be positive, got {val}")
-    if nonnegative and val < 0:
-        raise ConfigError(f"{path}.{key}: must be nonnegative, got {val}")
-    return float(val)
-
-
-def _integer(obj: dict, path: str, key: str, *, minimum=None, default=None):
-    if key not in obj or obj[key] is None:
-        if default is not None:
-            return default
-        raise ConfigError(f"{path}.{key}: missing value")
-    val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {val}")
-    return val
-
-
-def _parse_ic(obj, path: str) -> ICSpec:
-    obj = _require_mapping(obj, path)
-    kind = obj.get("kind")
+@contextlib.contextmanager
+def _reported_at(section: str):
+    """Report a ValueError (or overflow) raised while building ``section`` at its path."""
     try:
-        if kind == "single-mode":
-            _check_keys(obj, path, ("kind", "k", "amplitude"))
-            return ICSpec("single-mode", k=_integer(obj, path, "k", minimum=0),
-                          amplitude=_number(obj, path, "amplitude"))
-        if kind == "random-band":
-            _check_keys(obj, path, ("kind", "seed", "kmax", "amplitude"))
-            return ICSpec("random-band", seed=_integer(obj, path, "seed", minimum=0),
-                          kmax=_integer(obj, path, "kmax", minimum=0),
-                          amplitude=_number(obj, path, "amplitude", positive=True))
-        if kind == "constant":
-            _check_keys(obj, path, ("kind", "value"))
-            return ICSpec("constant", value=_number(obj, path, "value"))
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from None
-    raise ConfigError(f"{path}.kind: expected single-mode | random-band | constant, got {kind!r}")
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, OverflowError) as err:
+        raise ConfigError(f"{section}: {err}") from None
 
 
 def parse_simulate_config(doc: dict) -> tuple[Grid1D, ClosedLoopParams, SimConfig, dict]:
-    doc = _require_mapping(doc, "config")
-    _check_keys(doc, "config", ("grid", "params", "sim", "experiment"), ("control",))
-
-    gsec = _require_mapping(doc["grid"], "grid")
-    _check_keys(gsec, "grid", ("L", "M"), ("bc",))
-    bc = gsec.get("bc", NEUMANN)
-    if bc not in (NEUMANN, PERIODIC):
-        raise ConfigError(f"grid.bc: expected 'neumann' or 'periodic', got {bc!r}")
-    try:
-        grid = Grid1D(_number(gsec, "grid", "L", positive=True),
-                      _integer(gsec, "grid", "M", minimum=8), bc)
-    except ValueError as err:
-        raise ConfigError(f"grid: {err}") from None
-
-    psec = _require_mapping(doc["params"], "params")
-    _check_keys(psec, "params", ("nu", "alpha"), ("mu",))
-    nu = _number(psec, "params", "nu", positive=True)
-    alpha = _number(psec, "params", "alpha", positive=True)
-    mu = _number(psec, "params", "mu", nonnegative=True, default=0.0)
-
+    c = _walk(doc, _ROOT, _SIMULATE)
+    g, ctl, s = c["grid"], c["control"], c["sim"]
+    with _reported_at("grid"):
+        grid = Grid1D(g["L"], g["M"], g["bc"])
     spec = None
-    if doc.get("control") is not None:
-        csec = _require_mapping(doc["control"], "control")
-        _check_keys(csec, "control", ("kind", "N"),
-                    ("include_mean", "obs_points", "act_points"))
-        kind = csec.get("kind")
-        if kind not in KINDS:
-            raise ConfigError(f"control.kind: expected one of {KINDS}, got {kind!r}")
-        include_mean = csec.get("include_mean", True)
-        if not isinstance(include_mean, bool):
-            raise ConfigError("control.include_mean: expected a boolean")
-        for key in ("obs_points", "act_points"):
-            pts = csec.get(key)
-            if pts is not None and not (isinstance(pts, list)
-                                        and all(isinstance(x, (int, float)) for x in pts)):
-                raise ConfigError(f"control.{key}: expected a list of numbers")
-        try:
-            spec = InterpolantSpec(
-                kind, _integer(csec, "control", "N", minimum=1), grid.L,
-                obs_points=tuple(csec["obs_points"]) if csec.get("obs_points") else None,
-                act_points=tuple(csec["act_points"]) if csec.get("act_points") else None,
-                include_mean=include_mean,
-            )
-        except ValueError as err:
-            raise ConfigError(f"control: {err}") from None
-
-    try:
-        params = ClosedLoopParams(nu=nu, alpha=alpha, L=grid.L, mu=mu, spec=spec)
-    except ValueError as err:
-        raise ConfigError(f"params: {err}") from None
-
-    ssec = _require_mapping(doc["sim"], "sim")
-    _check_keys(ssec, "sim", ("dt", "T", "ic"), ("record_every", "scheme"))
-    scheme = ssec.get("scheme", "etd1")
-    if scheme not in ("etd1", "etdrk2"):
-        raise ConfigError(f"sim.scheme: expected 'etd1' or 'etdrk2', got {scheme!r}")
-    try:
-        cfg = SimConfig(
-            grid=grid,
-            dt=_number(ssec, "sim", "dt", positive=True),
-            T=_number(ssec, "sim", "T", positive=True),
-            ic=_parse_ic(ssec["ic"], "sim.ic"),
-            record_every=_integer(ssec, "sim", "record_every", minimum=1, default=1),
-            scheme=scheme,
-        )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        raise ConfigError(f"sim: {err}") from None
-
-    esec = _require_mapping(doc["experiment"], "experiment")
-    _check_keys(esec, "experiment", ("name",), ("fit_t0", "slack", "absorbing_margin"))
-    name = esec.get("name")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("experiment.name: expected a nonempty string")
-    experiment = {
-        "name": name,
-        "fit_t0": None if esec.get("fit_t0") is None
-        else _number(esec, "experiment", "fit_t0", nonnegative=True),
-        "slack": _number(esec, "experiment", "slack", nonnegative=True, default=0.05),
-        "absorbing_margin": _number(esec, "experiment", "absorbing_margin",
-                                    nonnegative=True, default=0.05),
-    }
-    return grid, params, cfg, experiment
+    if ctl is not None:
+        with _reported_at("control"):
+            spec = InterpolantSpec(ctl["kind"], ctl["N"], grid.L,
+                                   obs_points=ctl["obs_points"] or None,
+                                   act_points=ctl["act_points"] or None,
+                                   include_mean=ctl["include_mean"])
+            control_operator(spec, grid)  # the family's grid-dependent rules
+    with _reported_at("params"):
+        params = ClosedLoopParams(L=grid.L, spec=spec, **c["params"])
+    with _reported_at("sim.ic"):
+        ic = ICSpec(**s["ic"])
+        ic.realize(grid)  # the initial condition's grid-dependent rules
+    with _reported_at("sim"):
+        cfg = SimConfig(grid, s["dt"], s["T"], ic, s["record_every"], s["scheme"])
+    return grid, params, cfg, c["experiment"]
 
 
 def parse_sweep_config(doc: dict) -> dict:
-    doc = _require_mapping(doc, "config")
-    _check_keys(doc, "config", ("sweep", "experiment"))
-    ssec = _require_mapping(doc["sweep"], "sweep")
-    _check_keys(ssec, "sweep", ("alphas", "nu", "L", "mu_rule", "N_range"),
-                ("kind", "ic", "ratio_threshold"))
-    alphas = ssec.get("alphas")
-    if not isinstance(alphas, list) or not alphas:
-        raise ConfigError("sweep.alphas: expected a nonempty list of positive numbers")
-    for i, a in enumerate(alphas):
-        if isinstance(a, bool) or not isinstance(a, (int, float)) or a <= 0:
-            raise ConfigError(f"sweep.alphas[{i}]: expected a positive number, got {a!r}")
-    nu = _number(ssec, "sweep", "nu", positive=True)
-    L = _number(ssec, "sweep", "L", positive=True)
-
-    rule = _require_mapping(ssec["mu_rule"], "sweep.mu_rule")
-    rtype = rule.get("type")
-    if rtype == "proportional":
-        _check_keys(rule, "sweep.mu_rule", ("type", "factor"))
-        factor = _number(rule, "sweep.mu_rule", "factor", nonnegative=True)
-        mu_of = lambda a: factor * a
-    elif rtype == "constant":
-        _check_keys(rule, "sweep.mu_rule", ("type", "value"))
-        value = _number(rule, "sweep.mu_rule", "value", nonnegative=True)
-        mu_of = lambda a: value
-    else:
-        raise ConfigError(f"sweep.mu_rule.type: expected 'proportional' or 'constant', got {rtype!r}")
-
-    nrange = ssec.get("N_range")
-    if (not isinstance(nrange, list) or len(nrange) != 2
-            or not all(isinstance(n, int) and not isinstance(n, bool) for n in nrange)
-            or nrange[0] < 1 or nrange[1] < nrange[0]):
-        raise ConfigError("sweep.N_range: expected [lo, hi] with 1 <= lo <= hi")
-
-    kind = ssec.get("kind", "volume")
-    if kind not in ("volume", "nodal", "fourier"):
-        raise ConfigError(f"sweep.kind: expected volume | nodal | fourier, got {kind!r}")
-
-    ic = ssec.get("ic", {"seed": 0, "kmax": 2, "amplitude": 1.0})
-    ic = _require_mapping(ic, "sweep.ic")
-    _check_keys(ic, "sweep.ic", (), ("seed", "kmax", "amplitude"))
-    ic_seed = _integer(ic, "sweep.ic", "seed", minimum=0, default=0)
-    ic_kmax = _integer(ic, "sweep.ic", "kmax", minimum=0, default=2)
-    ic_amplitude = _number(ic, "sweep.ic", "amplitude", positive=True, default=1.0)
-
-    esec = _require_mapping(doc["experiment"], "experiment")
-    _check_keys(esec, "experiment", ("name",), ())
-    name = esec.get("name")
-    if not isinstance(name, str) or not name:
-        raise ConfigError("experiment.name: expected a nonempty string")
-
+    c = _walk(doc, _ROOT, _SWEEP)
+    sw, ic, rule = c["sweep"], c["sweep"]["ic"], c["sweep"]["mu_rule"]
+    mu_of = ((lambda a: rule["factor"] * a) if rule["type"] == "proportional"
+             else lambda a: rule["value"])
     return {
-        "name": name, "alphas": [float(a) for a in alphas], "nu": nu, "L": L,
-        "mu_of": mu_of, "N_range": tuple(nrange), "kind": kind,
-        "ic_seed": ic_seed, "ic_kmax": ic_kmax, "ic_amplitude": ic_amplitude,
-        "ratio_threshold": _number(ssec, "sweep", "ratio_threshold",
-                                   positive=True, default=1e-4),
+        "name": c["experiment"]["name"], "alphas": sw["alphas"], "nu": sw["nu"], "L": sw["L"],
+        "mu_of": mu_of, "N_range": tuple(sw["N_range"]), "kind": sw["kind"],
+        "ic_seed": ic["seed"], "ic_kmax": ic["kmax"], "ic_amplitude": ic["amplitude"],
+        "ratio_threshold": sw["ratio_threshold"],
     }
 
 
@@ -378,7 +358,7 @@ def build_summary(name: str, traj: TrajectoryRecord, p: ClosedLoopParams,
     return {
         "experiment": name,
         "version": __version__,
-        "condition_report": report.to_dict(),
+        "condition_report": dataclasses.asdict(report),
         "decay_fit": fit_out,
         "bound_checks": checks,
         "absorbing": absorbing,
@@ -417,10 +397,21 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"{path}: invalid JSON ({err})") from None
 
 
+def _write_manifest(out: Path, doc: dict, seed, started: str, outputs: dict, **extra) -> None:
+    """``manifest.json``: the config echo, version, seed, timestamps and output names."""
+    finished = datetime.now(timezone.utc).isoformat()
+    write_json(out / "manifest.json", {
+        "config": doc, "version": __version__, "seed": seed,
+        "timestamps": {"started": started, "finished": finished}, "outputs": outputs, **extra,
+    })
+
+
 def cmd_simulate(config_path: str, out_dir: str | None) -> int:
     doc = _load_json(config_path)
-    if "config" in doc:  # a manifest: replay its embedded config
-        doc = _require_mapping(doc["config"], "manifest.config")
+    if isinstance(doc, dict) and "config" in doc:  # a manifest: replay its embedded config
+        doc = doc["config"]
+        if not isinstance(doc, dict):
+            raise ConfigError("manifest.config: expected an object")
     grid, p, cfg, experiment = parse_simulate_config(doc)
     out = _resolve_out_dir(out_dir)
     started = datetime.now(timezone.utc).isoformat()
@@ -435,16 +426,9 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
     summary = build_summary(experiment["name"], traj, p, experiment, blowup)
     write_trajectory_csv(out / "trajectory.csv", traj)
     write_json(out / "summary.json", summary)
-    manifest = {
-        "config": doc,
-        "version": __version__,
-        "seed": cfg.ic.seed,
-        "timestamps": {"started": started,
-                       "finished": datetime.now(timezone.utc).isoformat()},
-        "condition_report": summary["condition_report"],
-        "outputs": {"trajectory_csv": "trajectory.csv", "summary_json": "summary.json"},
-    }
-    write_json(out / "manifest.json", manifest)
+    _write_manifest(out, doc, cfg.ic.seed, started,
+                    {"trajectory_csv": "trajectory.csv", "summary_json": "summary.json"},
+                    condition_report=summary["condition_report"])
 
     failed = bool(summary["failed_checks"]) or blowup is not None
     print(f"[simulate] {experiment['name']}: wrote {out}/trajectory.csv, summary.json, manifest.json")
@@ -473,16 +457,17 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
     minimal: dict[float, int | None] = {}
     rows = []
     mus = [sw["mu_of"](alpha) for alpha in sw["alphas"]]
+    predicted = {alpha: math.sqrt(alpha * sw["L"] ** 2 / sw["nu"]) / math.pi
+                 for alpha in sw["alphas"]}
     scans = analysis.rank_scan(
         sw["nu"], sw["alphas"], sw["L"], mus, range(lo, hi + 1), kind=sw["kind"],
         ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"], ic_amplitude=sw["ic_amplitude"],
     )
     for alpha, mu, terminal in zip(sw["alphas"], mus, scans):
         minimal[alpha] = next((N for N, ratio in terminal.items() if ratio <= threshold), None)
-        predicted = math.sqrt(alpha * sw["L"] ** 2 / sw["nu"]) / math.pi
         for N, ratio in terminal.items():
             rows.append((alpha, N, mu, ratio, int(ratio <= threshold),
-                         -1 if minimal[alpha] is None else minimal[alpha], predicted))
+                         -1 if minimal[alpha] is None else minimal[alpha], predicted[alpha]))
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha,N,mu,terminal_ratio,stabilized,minimal_N,predicted_N_ref\n")
@@ -501,23 +486,15 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
         "version": __version__,
         "alphas": alphas,
         "minimal_N": {format(a, "g"): minimal[a] for a in alphas},
-        "predicted_N_ref": {format(a, "g"): math.sqrt(a * sw["L"] ** 2 / sw["nu"]) / math.pi
-                            for a in alphas},
+        "predicted_N_ref": {format(a, "g"): predicted[a] for a in alphas},
         "consecutive_minimal_N_ratios": ratios,
         "ratio_threshold": threshold,
         "cells": [{"alpha": r[0], "N": r[1], "mu": r[2], "terminal_ratio": r[3],
                    "stabilized": bool(r[4])} for r in rows],
     }
     write_json(out / "summary.json", summary)
-    manifest = {
-        "config": doc,
-        "version": __version__,
-        "seed": sw["ic_seed"],
-        "timestamps": {"started": started,
-                       "finished": datetime.now(timezone.utc).isoformat()},
-        "outputs": {"sweep_csv": "sweep.csv", "summary_json": "summary.json"},
-    }
-    write_json(out / "manifest.json", manifest)
+    _write_manifest(out, doc, sw["ic_seed"], started,
+                    {"sweep_csv": "sweep.csv", "summary_json": "summary.json"})
 
     print(f"[sweep] {sw['name']}: wrote {out}/sweep.csv, summary.json, manifest.json")
     for alpha in alphas:
@@ -544,31 +521,28 @@ def main(argv=None) -> int:
         description="Finite-rank feedback stabilization experiments for the "
                     "1D Chafee-Infante equation.",
     )
-    parser.add_argument("--out-dir", dest="out_dir_global", default=None,
-                        help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out-dir", default=None,
+                     help=f"output directory (default ${OUT_DIR_ENV} or ./runs)")
 
-    ps = sub.add_parser("simulate", help="run one configured simulation")
+    ps = sub.add_parser("simulate", parents=[out], help="run one configured simulation")
     ps.add_argument("config", help="JSON config (or a manifest to replay)")
-    ps.add_argument("--out-dir", default=None)
 
-    pw = sub.add_parser("sweep", help="run a controller-rank sweep")
+    pw = sub.add_parser("sweep", parents=[out], help="run a controller-rank sweep")
     pw.add_argument("config", help="JSON sweep config")
-    pw.add_argument("--out-dir", default=None)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    pv = sub.add_parser("verify", parents=[out], help="run a verification suite")
     pv.add_argument("suite", choices=verify.SUITES)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--out-dir", default=None)
 
     args = parser.parse_args(argv)
-    out_dir = args.out_dir if args.out_dir is not None else args.out_dir_global
     try:
         if args.command == "simulate":
-            return cmd_simulate(args.config, out_dir)
+            return cmd_simulate(args.config, args.out_dir)
         if args.command == "sweep":
-            return cmd_sweep(args.config, out_dir)
-        return cmd_verify(args.suite, args.seed, out_dir)
+            return cmd_sweep(args.config, args.out_dir)
+        return cmd_verify(args.suite, args.seed, args.out_dir)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

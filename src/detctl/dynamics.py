@@ -717,14 +717,6 @@ class TheoremCheck:
     predicted_rate: float | None = None
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "applies": self.applies,
-            "satisfied": self.satisfied,
-            "predicted_rate": self.predicted_rate,
-            "details": dict(self.details),
-        }
-
 
 @dataclass(frozen=True)
 class ConditionReport:
@@ -749,19 +741,6 @@ class ConditionReport:
     thm41: TheoremCheck
     thm51: TheoremCheck
     thm71: TheoremCheck
-
-    def to_dict(self) -> dict:
-        return {
-            "open_loop": self.open_loop,
-            "kind": self.kind,
-            "h": self.h,
-            "c": self.c,
-            "thm21_proof": self.thm21_proof.to_dict(),
-            "thm21_printed": self.thm21_printed.to_dict(),
-            "thm41": self.thm41.to_dict(),
-            "thm51": self.thm51.to_dict(),
-            "thm71": self.thm71.to_dict(),
-        }
 
 
 def check_conditions(p: ClosedLoopParams) -> ConditionReport:

@@ -90,6 +90,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="N_range"):
             parse_sweep_config(doc)
 
+    def test_rank_too_large_for_a_float_names_control(self):
+        doc = base_config()
+        doc["control"] = {"kind": "delta", "N": 10 ** 400}
+        with pytest.raises(ConfigError, match="^control: "):
+            parse_simulate_config(doc)
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         doc = base_config()
         doc["params"]["mu"] = -2.0
@@ -108,6 +114,73 @@ class TestValidation:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
+
+
+def set_key(doc, path, value):
+    *parents, key = path.split(".")
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+
+
+# configs that pass every per-key check but break a rule of the grid; the
+# T, amplitude and value cases are non-finite numbers
+GRID_DEPENDENT = {
+    "random-band kmax above M/8": ("sim.ic", {"sim.ic.kmax": 5}),
+    "single-mode k >= M": ("sim.ic", {"sim.ic": {"kind": "single-mode", "k": 32,
+                                                 "amplitude": 1.0}}),
+    "infinite T": ("sim.T", {"sim.T": float("inf")}),
+    "NaN amplitude": ("sim.ic.amplitude", {"sim.ic": {"kind": "single-mode", "k": 2,
+                                                      "amplitude": float("nan")}}),
+    "infinite value": ("sim.ic.value", {"sim.ic": {"kind": "constant", "value": float("inf")}}),
+    "volume on a periodic grid": ("control", {"grid.bc": "periodic", "control.kind": "volume"}),
+    "delta on a Neumann grid": ("control", {"control.kind": "delta"}),
+    "M not a multiple of N": ("control", {"control.kind": "volume", "control.N": 3}),
+    "two delta points in one grid cell": ("control", {
+        "grid.bc": "periodic",
+        "control": {"kind": "delta", "N": 2, "act_points": [0.49, 0.51]}}),
+}
+
+
+@pytest.mark.parametrize("case", GRID_DEPENDENT)
+def test_grid_dependent_config_error_exits_2(tmp_path, capsys, case):
+    path, changes = GRID_DEPENDENT[case]
+    doc = base_config()
+    for key, value in changes.items():
+        set_key(doc, key, value)
+    code = main(["simulate", write_config(tmp_path, doc), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def leaves(doc, prefix=""):
+    for key, val in doc.items():
+        if isinstance(val, dict):
+            yield from leaves(val, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", val
+
+
+def load_preset(name):
+    return json.loads((ROOT / "presets" / f"{name}.json").read_text())
+
+
+# every leaf of three presets, with a value of the wrong JSON type and with NaN
+BAD_LEAVES = [(name, path, bad) for name in ("thm51", "thm71", "sweep-remark21")
+              for path, val in leaves(load_preset(name))
+              for bad in (1 if isinstance(val, str) else "x", float("nan"))]
+
+
+@pytest.mark.parametrize("preset,path,bad", BAD_LEAVES)
+def test_bad_leaf_error_starts_with_its_path_once(preset, path, bad):
+    doc = load_preset(preset)
+    set_key(doc, path, bad)
+    parse = parse_sweep_config if "sweep" in doc else parse_simulate_config
+    with pytest.raises(ConfigError) as exc:
+        parse(doc)
+    msg = str(exc.value)
+    assert msg.startswith(f"{path}: ")
+    assert f"{path}:" not in msg[len(path) + 1:]
 
 
 class TestSimulateCommand:
