@@ -18,8 +18,9 @@ recorded series ``RECORD_CHUNK`` records at a time.
 One engine steps a batch of runs: a :class:`Batch` steps its members that
 share a grid, a step count, a record stride and a scheme as one (B, n) state,
 a member that trips the stability guard leaves its group, and
-:func:`simulate` reads one member's outcome (a run on its own is a batch of
-one).
+:func:`simulate` reads one member's outcome.  A run on its own is a batch of
+one, a (1, n) state on the same path; the guard compares the batch's largest
+squared sample with a cap on max u^2 precomputed from each member's dt.
 
 Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
@@ -35,7 +36,6 @@ predict for the squared L2 norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -82,8 +82,8 @@ CONSTANT = "constant"
 class ICSpec:
     """Named initial-condition presets.
 
-    - single-mode(k, amplitude): amplitude * cos(k pi x / L) (Neumann) or
-      amplitude * cos(2 pi k x / L) (periodic)
+    - single-mode(k, amplitude): amplitude * cos(k pi x / L) (Neumann, k < M) or
+      amplitude * cos(2 pi k x / L) (periodic, k <= M/2, where it is not aliased)
     - random-band(seed, kmax, amplitude): seeded cosine/Fourier sum with the
       1/(k+1) amplitude law, rescaled to L2 norm ``amplitude``
     - constant(value)
@@ -117,6 +117,8 @@ class ICSpec:
         if self.kind == SINGLE_MODE:
             if grid.bc == fields.NEUMANN:
                 return fields.cosine_mode(grid, self.k, self.amplitude)
+            if self.k > grid.M // 2:
+                raise ValueError(f"single-mode k={self.k} exceeds M/2={grid.M // 2}: aliased")
             return fields.field_from_function(
                 grid, lambda x: self.amplitude * np.cos(2 * np.pi * self.k * x / grid.L)
             )
@@ -265,13 +267,13 @@ def _padded_transforms(grid: Grid1D, fine: Grid1D) -> tuple[np.ndarray, np.ndarr
     return S, T
 
 
-def _applier(M: np.ndarray, single: bool):
+def _applier(M: np.ndarray):
     """x -> M @ x for every member, as one bound call: ``M`` is one (n, m)
-    map that all members share or a (B, n, m) stack, and the state is one
-    member's (m,) vector (``single``) or the batch's (B, m) rows."""
+    map that all members share or a (B, n, m) stack, and the state is the
+    batch's (B, m) rows (or one member's (m,) vector for a shared map)."""
     if M.ndim == 3:
         return partial(_stacked_matvec, M)
-    return M.__matmul__ if single else M.T.__rmatmul__
+    return M.T.__rmatmul__
 
 
 def _stacked_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -286,13 +288,14 @@ class Stepper:
     """Precomputed one-step map of B members that share a grid and a scheme.
 
     ``p`` and ``dt`` are one member's, or sequences with one entry per
-    member; one member steps a state of shape (n,), a batch one of shape
-    (B, n).  The state is the real view x = c.view(float64): the cosine
-    coefficients on Neumann grids, the rfft coefficients with real and
-    imaginary parts interleaved on periodic ones.  ``ctls`` holds each
-    member's (O, A, q) triple on this grid, or None in the open loop.
-    Everything in a step but the cube is linear, so the diffusion, alpha u
-    and the rank-N feedback are folded into the ETD stage maps once:
+    member; the state has shape (B, n), one row per member (a run on its own
+    is B = 1), and a state of shape (n,) steps as its single row.  The state
+    is the real view x = c.view(float64): the cosine coefficients on Neumann
+    grids, the rfft coefficients with real and imaginary parts interleaved
+    on periodic ones.  ``ctls`` holds each member's (O, A, q) triple on this
+    grid, or None in the open loop.  Everything in a step but the cube is
+    linear, so the diffusion, alpha u and the rank-N feedback are folded
+    into the ETD stage maps once:
 
         ETD1:    w = S x,  y = P x - Q w^3
         ETDRK2:  v = S y,  y + W2L (y - x) - W2T (v^3 - w^3)
@@ -306,26 +309,27 @@ class Stepper:
     exp(z), dt phi1(z) and dt phi2(z), z = -nu k^2 dt, one row per member.
 
     The maps are built as arrays and kept as their bound products
-    (``_P``, ``_Q``, ``_W2L``, ``_W2T``, ``_synth``, ``_analyze``).  S and T
-    are built once and applied to the whole batch as one product.  A map
-    that every member shares is one 2-D matrix (at B=1 every map is), so a
-    single run makes one matrix-vector product per map.  Q and W2T of
-    members with different nu or dt are (B, n) weights on the shared T
-    product, and P and W2L of members with different parameters or dt are
-    their (B, n) diagonals plus the rank-N feedback as (B, n, N) and
-    (B, N, n) stacks, zero-padded to one rank and applied with
-    ``np.matmul``: as fast as (B, n, n) stacks at M=64 and a tenth of their
-    memory.  Up to ``DENSE_MAX_ENTRIES`` S, T and the shared maps are dense
-    matrices; above it S and T are scipy's transforms along the last axis
-    and every P and W2L is a diagonal plus rank-N factors.  BLAS rounds a
-    product of several rows differently from one row, so a member of a
-    batch may differ from its single run in the last bits; a given batch is
-    deterministic.
+    (``_P``, ``_Q``, ``_W2L``, ``_W2T``, ``_synth``, ``_analyze``), each one
+    call on the whole batch.  Up to ``DENSE_MAX_ENTRIES`` S and T are dense
+    matrices, and when every member has the same parameters and dt (a
+    single run always does) P, Q, W2L and W2T are too.  Otherwise Q and W2T
+    are (B, n) weights on the T product, and P and W2L are (B, n) diagonals
+    plus the rank-N feedback as (B, n, N) and (B, N, n) stacks, zero-padded
+    to one rank and applied with ``np.matmul``: as fast as (B, n, n) stacks
+    at M=64 and a tenth of their memory.  Above ``DENSE_MAX_ENTRIES`` S and
+    T are scipy's transforms along the last axis and every P and W2L is a
+    diagonal plus rank-N factors (one row of them for shared members).  BLAS
+    rounds a product of several rows differently from one row, so a member
+    of a batch may differ from its single run in the last bits; a given
+    batch is deterministic.
 
-    ``advance`` guards every member before the step: if a member's dt
-    exceeds its ``stability_limit`` (a NaN state included) it raises
-    ``BlowupError`` with ``failed`` naming that member's row.  ``cube`` and
-    ``fine_samples`` expose the unfused transforms.
+    ``advance`` guards every member before the step.  dt <= stability_limit
+    reads max u^2 <= (0.5 / dt - alpha - mu) / 3, so the guard compares the
+    largest squared sample of the batch with the smallest such cap; only
+    when that fails does it compare each member's largest squared sample
+    with its own cap and raise ``BlowupError`` with ``failed`` naming the
+    rows past theirs (a NaN state included) and their ``stability_limit``.
+    ``cube`` and ``fine_samples`` expose the unfused transforms.
     """
 
     def __init__(self, grid: Grid1D, p, dt, scheme: str = "etd1"):
@@ -351,36 +355,36 @@ class Stepper:
         self.decay = np.exp(z)
         self.w1 = self.dt[:, None] * _phi1(z)
         self.w2 = self.dt[:, None] * _phi2(z)
+        self._alpha, self._mu = alpha, mu
+        self._caps = (0.5 / self.dt - alpha - mu) / 3.0   # on max u^2, per member
+        self._cap_min = float(self._caps.min())
 
-        single = len(self.params) == 1
-        # the guard's (dt, alpha, mu): Python floats for one member
-        self._guard = ((float(self.dt[0]), float(alpha[0]), float(mu[0])) if single
-                       else (self.dt, alpha, mu))
         members = list(zip(self.params, self.dt.tolist()))
-        shared_lin = len(set(members)) == 1
-        shared_weights = len({(q.nu, d) for q, d in members}) == 1
+        shared = len(set(members)) == 1
         decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
         stages = (w1, w2) if scheme == "etdrk2" else (w1,)  # weights of (P, Q) and (W2L, W2T)
         n = decay.shape[1]
         self._S, self._T = _padded_transforms(grid, self._fine) or (None, None)
         if self._S is not None:
-            self._synth, self._analyze = _applier(self._S, single), _applier(self._T, single)
+            self._synth, self._analyze = _applier(self._S), _applier(self._T)
         else:
             self._synth, self._analyze = self._scipy_synth, self._scipy_analyze
-        if self._S is not None and shared_lin:
+        if self._S is not None and shared:
             Lin = alpha[0] * np.eye(n)
             if self._real_ctl[0] is not None:
                 O, A = self._real_ctl[0]
                 Lin -= (mu[0] * A) @ O
             lin = [w[0][:, None] * Lin for w in stages]
             lin[0] += np.diag(decay[0])
-            lin_maps = [_applier(m, single) for m in lin]
+            lin_maps = [_applier(m) for m in lin]
+            weighted = [_applier(w[0][:, None] * self._T) for w in stages]
         else:
-            # each member's diagonal and its rank-N feedback U (V x), one
-            # row for all members when they share them
-            rows = 1 if shared_lin else len(members)
+            # each member's diagonal, its rank-N feedback U (V x) and its
+            # weights on the T product, one row for all members when they
+            # share them
+            rows = 1 if shared else len(members)
             diags = [(decay + alpha[:, None] * w1)[:rows], (alpha[:, None] * w2)[:rows]]
-            diags = [d[0] if shared_lin else d for d in diags[: len(stages)]]
+            diags = [d[0] if shared else d for d in diags[: len(stages)]]
             factors = self._real_ctl[:rows]
             ranks = [f[0].shape[0] for f in factors if f is not None]
             lin_maps = [d.__mul__ for d in diags]
@@ -393,16 +397,12 @@ class Stepper:
                         V[i, : O.shape[0]] = O
                         for k, w in enumerate(stages):
                             U[k, i, :, : O.shape[0]] = w[i][:, None] * (mu[i] * A)
-                if shared_lin:
+                if shared:
                     V, U = V[0], U[:, 0]
-                lin_maps = [partial(_diagonal_plus_low_rank, d, _applier(u, single),
-                                    _applier(V, single)) for d, u in zip(diags, U)]
-        if self._S is not None and shared_weights:
-            weighted = [_applier(w[0][:, None] * self._T, single) for w in stages]
-        else:
+                lin_maps = [partial(_diagonal_plus_low_rank, d, _applier(u), _applier(V))
+                            for d, u in zip(diags, U)]
             analyze = self._analyze
-            weighted = [lambda v, r=(w[0] if shared_weights else w): r * analyze(v)
-                        for w in stages]
+            weighted = [lambda v, r=(w[0] if shared else w): r * analyze(v) for w in stages]
         self._P, self._Q = lin_maps[0], weighted[0]
         self._W2L, self._W2T = (lin_maps[1], weighted[1]) if len(stages) == 2 else (None, None)
 
@@ -426,38 +426,30 @@ class Stepper:
         w = self._synth(c.view(np.float64))
         return self._analyze(w * w * w).view(c.dtype), float(np.max(np.abs(w)))
 
-    def advance(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One step of every member; returns (new state, max|u| on the padded
-        grid before the step, per member).
+    def advance(self, c: np.ndarray) -> np.ndarray:
+        """One step of every member; returns the new state.
 
         ``c`` is the state in the grid's coefficient layout or its real view
-        x, one row per member in a batch; the new state comes back in the
-        same dtype.
+        x, one row per member; the new state comes back in the same dtype
+        and shape.
         """
         x = c.view(np.float64)
         w = self._synth(x)
         w2 = w * w
-        dt, alpha, mu = self._guard
-        # a NaN state gives a NaN limit, which no comparison lets through
-        if x.ndim == 1:
-            max_abs = math.sqrt(w2.max())
-            limit = stability_limit(alpha, mu, max_abs)
-            tripped = not dt <= limit
-        else:
-            max_abs = np.sqrt(w2.max(axis=1))
-            limit = stability_limit(alpha, mu, max_abs)
-            tripped = not (dt <= limit).all()
-        if tripped:
-            limit = np.broadcast_to(limit, self.dt.shape)
+        # a NaN state fails both comparisons
+        if not w2.max() <= self._cap_min:
+            row_max2 = w2.reshape(len(self.dt), -1).max(axis=1)
+            limit = stability_limit(self._alpha, self._mu, np.sqrt(row_max2))  # for the message
             failed = {int(i): f"dt={self.dt[i]:.3g} exceeds the stability limit {limit[i]:.3g}"
-                      for i in np.flatnonzero(~(self.dt <= limit))}
-            raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
+                      for i in np.flatnonzero(~(row_max2 <= self._caps))}
+            if failed:
+                raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
         w3 = w2 * w
         y = self._P(x) - self._Q(w3)
         if self.scheme == "etdrk2":
             v = self._synth(y)
             y = y + self._W2L(y - x) - self._W2T(v * v * v - w3)
-        return y.view(c.dtype), max_abs
+        return y.view(c.dtype)
 
 
 SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
@@ -483,8 +475,7 @@ class _Recorder:
         self._p = st.params[member]
         self._w = np.repeat(grid.w, parts)
         self._wk2 = self._w * np.repeat(grid.wavenumbers, parts) ** 2
-        # one member's row: a matrix-vector product whatever the batch
-        self._synth = st._scipy_synth if st._S is None else st._S.__matmul__
+        self._synth = st._synth     # one row: a matrix-vector product whatever the batch
         self._dw = st._fine.dx
         rows = min(RECORD_CHUNK, n_rec)
         self._x = np.empty((rows, self._w.shape[0]))
@@ -589,29 +580,23 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
     recs = [_Recorder(st, m, len(rec_steps)) for m in live]
     adds = [(rec.add, cfg.dt) for rec, cfg in zip(recs, cfgs)]
     x = np.stack([coeffs_of(cfg.ic.realize(grid)).view(np.float64) for cfg in cfgs])
-    if len(live) == 1:
-        x = x[0]
     out: list = [None] * len(members)
     n = k = 0   # steps taken, records taken
     while k < len(rec_steps):
         stop = rec_steps[k]
         try:
             for n in range(n + 1, stop + 1):
-                x, _ = st.advance(x)
+                x = st.advance(x)
         except BlowupError as err:  # step n was not taken
             failed = {row: (n, reason) for row, reason in err.failed.items()}
             n -= 1
         else:
             if np.isfinite(x).all():
-                if x.ndim == 1:
-                    add, dt = adds[0]
-                    add(stop * dt, x)
-                else:
-                    for (add, dt), row in zip(adds, x):
-                        add(stop * dt, row)
+                for (add, dt), row in zip(adds, x):
+                    add(stop * dt, row)
                 k += 1
                 continue
-            finite = np.isfinite(x.reshape(len(live), -1)).all(axis=1)
+            finite = np.isfinite(x).all(axis=1)
             failed = {int(row): (stop, "non-finite state") for row in np.flatnonzero(~finite)}
         # the failed members leave with their records, and the rest go on
         for row, (step, reason) in failed.items():
@@ -620,10 +605,8 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
         keep = [row for row in range(len(live)) if row not in failed]
         if not keep:
             return out
-        x = x.reshape(len(live), -1)[keep]
+        x = x[keep]
         live, adds = [live[row] for row in keep], [adds[row] for row in keep]
-        if len(live) == 1:
-            x = x[0]
         st = Stepper(grid, [members[m][1] for m in live], [cfgs[m].dt for m in live], scheme)
     for m in live:
         out[m] = recs[m].result()

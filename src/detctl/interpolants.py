@@ -64,10 +64,11 @@ class InterpolantSpec:
     """Which controller family, its rank N, and its points.
 
     ``obs_points`` are where nodal/delta controllers measure; ``act_points``
-    are where delta controllers force.  Both default to cell midpoints and
-    every point must lie in its own cell.  ``include_mean`` extends the
-    fourier family's mode range k = 1..N by the k = 0 mean, without which
-    constants are invisible to the controller.
+    are where delta controllers force.  Both default to cell midpoints,
+    every point must lie in its own cell, and a family that reads no such
+    points rejects them.  ``include_mean`` extends the fourier family's mode
+    range k = 1..N by the k = 0 mean, without which constants are invisible
+    to the controller.
     """
 
     kind: str
@@ -91,6 +92,8 @@ class InterpolantSpec:
                 if wants[name]:
                     object.__setattr__(self, name, default_points(self.N, self.L))
                 continue
+            if not wants[name]:
+                raise ValueError(f"{name}: {self.kind} controllers read no such points")
             pts = tuple(float(p) for p in pts)
             if len(pts) != self.N:
                 raise ValueError(f"{name} must list exactly N={self.N} points")
@@ -288,8 +291,10 @@ def control_operator(spec: InterpolantSpec, grid: Grid1D) -> ControlOperator:
     actuate the cell indicators, so ``A @ O`` pairs exactly with any resolved
     field; fourier selects its modes and puts them back; delta observes point
     values and deposits single-cell sources (see :func:`actuate_delta`).
-    Delta feedback needs a periodic grid, every other family a Neumann grid.
+    Delta feedback needs a periodic grid, every other family a Neumann grid,
+    and the grid must resolve the rank (N <= M/4), as in :func:`observe`.
     """
+    _check_rank_resolved(spec, grid)
     if spec.kind == DELTA:
         if grid.bc != PERIODIC:
             raise ValueError("delta-nodal feedback requires a periodic grid")

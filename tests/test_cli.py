@@ -139,6 +139,16 @@ GRID_DEPENDENT = {
     "two delta points in one grid cell": ("control", {
         "grid.bc": "periodic",
         "control": {"kind": "delta", "N": 2, "act_points": [0.49, 0.51]}}),
+    "fourier rank above M/4": ("control", {"control.N": 9}),
+    "fourier rank above M": ("control", {"control.N": 40}),
+    "volume rank above M/4": ("control", {"control.kind": "volume", "control.N": 16}),
+    "obs_points for volume": ("control", {"control": {"kind": "volume", "N": 2,
+                                                      "obs_points": [0.25, 0.75]}}),
+    "act_points for nodal": ("control", {"control": {"kind": "nodal", "N": 2,
+                                                     "act_points": [0.25, 0.75]}}),
+    "periodic single-mode k above M/2": ("sim.ic", {
+        "grid.bc": "periodic", "control": None,
+        "sim.ic": {"kind": "single-mode", "k": 20, "amplitude": 1.0}}),
 }
 
 
@@ -321,3 +331,10 @@ class TestVerifyCommand:
         assert report["passed"] is True
         worst = report["properties"]["volume_defect_le_h_dphi"]["worst_ratio"]
         assert worst <= 1.0
+
+    @pytest.mark.parametrize("suite", ("energy", "oracle"))
+    def test_solver_against_oracle_suites_pass(self, tmp_path, capsys, suite):
+        code = main(["verify", suite, "--out-dir", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / f"verify_{suite}.json").read_text())
+        assert report["passed"] is True

@@ -53,7 +53,7 @@ def rhs(u, p):
 
 def step(u, p, dt):
     """Samples after one exponential-Euler step of the stepper."""
-    c, _ = Stepper(u.grid, p, dt).advance(coeffs_of(u))
+    c = Stepper(u.grid, p, dt).advance(coeffs_of(u))
     return samples_of(u.grid, c)
 
 
@@ -70,6 +70,15 @@ class TestParams:
         with pytest.raises(ValueError, match="length"):
             ClosedLoopParams(nu=1.0, alpha=1.0, L=2.0, mu=1.0,
                              spec=InterpolantSpec(VOLUME, 2, 1.0))
+
+    def test_periodic_single_mode_above_half_the_grid_is_aliased(self):
+        # on M=16, k=12 and k=20 sample as k=4; k=8 is the Nyquist mode (-1)^j
+        g = Grid1D(1.0, 16, PERIODIC)
+        for k in (9, 12, 20):
+            with pytest.raises(ValueError, match=f"k={k} exceeds M/2=8: aliased"):
+                ICSpec("single-mode", k=k, amplitude=1.0).realize(g)
+        nyquist = ICSpec("single-mode", k=8, amplitude=1.0).realize(g)
+        assert np.max(np.abs(nyquist.values - (-1.0) ** np.arange(16))) < 1e-14
 
     def test_open_loop_flag(self):
         assert open_loop().open_loop
@@ -140,7 +149,7 @@ class TestStep:
         st = Stepper(g, p, dt)
         c = coeffs_of(u)
         for _ in range(n):
-            c, _ = st.advance(c)
+            c = st.advance(c)
         lam = p.alpha - p.nu * (k * np.pi / p.L) ** 2
         ratio = np.sqrt(l2_sq_of_coeffs(g, c)) / l2_norm(u)
         assert abs(ratio - np.exp(lam * n * dt)) < 1e-4 * np.exp(lam * n * dt)
@@ -151,6 +160,33 @@ class TestStep:
         assert stability_limit(p.alpha, p.mu, 5.0) == 0.5 / (100.0 + 75.0)
         with pytest.raises(BlowupError, match="stability"):
             step(u, p, 0.02)
+
+    @pytest.mark.parametrize("past", (False, True))
+    @pytest.mark.parametrize("batch", (False, True))
+    def test_guard_threshold_is_each_members_stability_limit(self, batch, past):
+        # a constant state samples exactly on the padded grid, so max|u| = a.
+        # Member 0 sits just inside or just past its limit; in the batch,
+        # member 1 has the larger |u| but, at its smaller dt, the larger cap
+        # on max u^2, so the batch's largest sample exceeds the smallest cap
+        g = neumann(M=32)
+        p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0, mu=3.0,
+                             spec=InterpolantSpec(FOURIER, 2, 1.0))
+        amps = [2.0, 3.0][: 1 + batch]
+        dts = [stability_limit(p.alpha, p.mu, amps[0]) * (1 + (1e-9 if past else -1e-9)),
+               1e-3][: len(amps)]
+        x = np.zeros((len(amps), g.M))
+        x[:, 0] = amps
+        st = Stepper(g, [p] * len(amps), dts)
+        assert (max(amps) ** 2 > st._cap_min) == (batch or past)
+        if past:
+            with pytest.raises(BlowupError, match="stability") as exc:
+                st.advance(x)
+            assert list(exc.value.failed) == [0]
+            return
+        y = st.advance(x)
+        for row, dt in enumerate(dts):
+            alone = Stepper(g, p, dt).advance(x[row])
+            assert np.max(np.abs(y[row] - alone)) <= 1e-14 * np.max(np.abs(alone))
 
     def test_nan_state_rejected(self):
         # a NaN state gives a NaN limit, which no comparison with dt may let
@@ -241,7 +277,7 @@ class TestSimulate:
         c = coeffs_of(ic.realize(g))
         for k, l2 in enumerate(rec.l2):
             if k:
-                c, _ = st.advance(c)
+                c = st.advance(c)
             assert abs(l2 - np.sqrt(l2_sq_of_coeffs(g, c))) <= 1e-13 * l2
 
     def test_member_that_trips_the_guard_leaves_the_batch(self):

@@ -68,6 +68,13 @@ class TestSpecValidation:
         assert InterpolantSpec(FOURIER, 5, 1.0).rank == 6
         assert InterpolantSpec(FOURIER, 5, 1.0, include_mean=False).rank == 5
 
+    @pytest.mark.parametrize("kind,name", [(VOLUME, "obs_points"), (FOURIER, "obs_points"),
+                                           (VOLUME, "act_points"), (NODAL, "act_points"),
+                                           (FOURIER, "act_points")])
+    def test_points_the_family_never_reads_rejected(self, kind, name):
+        with pytest.raises(ValueError, match=f"^{name}: {kind} controllers read no such points"):
+            InterpolantSpec(kind, 2, 1.0, **{name: (0.25, 0.75)})
+
 
 class TestObserve:
     def test_constant_volume(self):
@@ -96,6 +103,18 @@ class TestObserve:
     def test_rank_not_resolved(self):
         with pytest.raises(ValueError, match="M/4"):
             observe(constant_field(grid(M=16), 1.0), vol(8))
+
+
+@pytest.mark.parametrize("kind,N", [(FOURIER, 70), (FOURIER, 17), (VOLUME, 32), (NODAL, 17),
+                                    (DELTA, 17)])
+def test_control_operator_rejects_an_unresolved_rank(kind, N):
+    # the rule observe and defect apply: fourier N=70 would otherwise keep
+    # only the grid's 64 modes of its 71 observations
+    g = grid(M=64, bc=PERIODIC if kind == DELTA else NEUMANN)
+    with pytest.raises(ValueError, match="exceeds M/4=16: not resolved"):
+        control_operator(InterpolantSpec(kind, N, L), g)
+    assert control_operator(InterpolantSpec(kind, 16, L), g).O.shape[0] == (
+        17 if kind == FOURIER else 16)
 
 
 class TestInterpolate:

@@ -193,7 +193,7 @@ SCIPY_M = {NEUMANN: (179, 288), PERIODIC: (126, 288)}
 def stepped_states(draw, kind, scheme, dense):
     """A stepper of one controller family (or the open loop, on either
     boundary condition) on a grid on the given side of the dense/scipy
-    crossover, and a random state with 1/(k+1)^2 decaying columns over its
+    crossover that resolves its rank, and a random state with 1/(k+1)^2 decaying columns over its
     whole layout, inside the stability limit."""
     if kind is None:
         bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
@@ -201,6 +201,7 @@ def stepped_states(draw, kind, scheme, dense):
         bc = PERIODIC if kind == DELTA else NEUMANN
     N = draw(st.integers(1, 4))
     lo, hi = (DENSE_M if dense else SCIPY_M)[bc]
+    lo = max(lo, 4 * N)     # the grid resolves the rank: N <= M/4
     if kind == VOLUME:  # cell-aligned means need M a multiple of N
         M = N * draw(st.integers(-(-lo // N), hi // N))
     else:
@@ -228,13 +229,14 @@ def test_fused_step_matches_unfused_composition(kind, scheme, dense, data):
     stepper, c = data.draw(stepped_states(kind, scheme, dense))
     assert (stepper._fine.M * c.view(np.float64).shape[0] <= DENSE_MAX_ENTRIES) == dense
     want, want_max = unfused_step(stepper, c)
-    got, max_abs = stepper.advance(c)
+    got = stepper.advance(c)
     assert got.dtype == c.dtype and got.shape == c.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert abs(max_abs - want_max) <= 1e-13 * want_max
-    # the real view is the same state
-    x, _ = stepper.advance(c.view(np.float64))
+    assert abs(stepper.cube(c)[1] - want_max) <= 1e-13 * want_max
+    # the real view is the same state, and so is a batch of that one row
+    x = stepper.advance(c.view(np.float64))
     assert np.array_equal(x, got.view(np.float64))
+    assert np.array_equal(stepper.advance(c[None]), got[None])
 
 
 @st.composite
