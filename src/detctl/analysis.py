@@ -1,10 +1,12 @@
-"""Trajectory analysis: decay-rate fits, bound verification, mode counting,
-absorbing-ball values, and minimal-controller-rank sweeps."""
+"""Trajectory analysis: the closed-loop stability conditions, the rates and
+absorbing-ball radii they certify and the tolerances they are checked at
+(each stated here once), decay-rate fits, bound verification, mode counting,
+and minimal-controller-rank sweeps."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -16,14 +18,118 @@ from .dynamics import (
     ICSpec,
     SimConfig,
     TrajectoryRecord,
-    certified_c,
     simulate,
     stability_limit,
 )
 from .fields import Grid1D
-from .interpolants import VOLUME, InterpolantSpec
+from .interpolants import DELTA, FOURIER, NODAL, VOLUME, InterpolantSpec
 
 UNDERFLOW_FLOOR = 1e-280
+
+# relative tolerances of the certified checks: ||u(t)||^2 may exceed its decay
+# bound, and a fitted rate fall short of its rate, by DECAY_SLACK; past its
+# entry time the trajectory must lie in the ball (1 + ABSORBING_MARGIN) R0^2
+DECAY_SLACK = 0.05
+ABSORBING_MARGIN = 0.05
+
+# sweep cells: the smallest grid, and the step over the explicit stability limit
+SWEEP_M_MIN = 64
+SWEEP_SAFETY = 0.4
+
+
+# ---------------------------------------------------------------------------
+# closed-loop hypothesis checks
+
+def certified_c(spec: InterpolantSpec | None) -> float | None:
+    """Certified interpolation constant c with defect <= c h ||.||_H1.
+
+    Volume and nodal families carry c = 1; the fourier family with the mean
+    carries c = 1/pi.  Without the mean (constants invisible) and for the
+    delta family no finite constant exists.
+    """
+    if spec is None:
+        return None
+    if spec.kind in (VOLUME, NODAL):
+        return 1.0
+    if spec.kind == FOURIER and spec.include_mean:
+        return 1.0 / np.pi
+    return None
+
+
+@dataclass(frozen=True)
+class TheoremCheck:
+    applies: bool
+    satisfied: bool
+    predicted_rate: float | None = None
+    details: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class ConditionReport:
+    """Per-regime hypothesis verdicts and predicted squared-norm decay rates.
+
+    - thm21_proof: volume elements, the working conditions mu h >= nu and
+      nu > alpha h^2 / (4 pi^2); rate nu (2 pi N / L)^2 - alpha
+    - thm21_printed: the stated (dimensionally inconsistent) hypothesis
+      mu >= nu > (h / 2 pi)^2 max(alpha, mu), flagged separately
+    - thm41: existence/absorbing-ball condition nu >= mu c^2 h^2
+    - thm51: gain margin r = mu - 2 alpha - nu / L^2 > 0 plus thm41; rate r
+    - thm71: delta actuation, mu > 4 alpha and nu >= 2 mu h^2;
+      rate 2 (mu / 4 - alpha)
+    """
+
+    open_loop: bool
+    kind: str | None
+    h: float | None
+    c: float | None
+    thm21_proof: TheoremCheck
+    thm21_printed: TheoremCheck
+    thm41: TheoremCheck
+    thm51: TheoremCheck
+    thm71: TheoremCheck
+
+
+def check_conditions(p: ClosedLoopParams) -> ConditionReport:
+    """Evaluate every closed-loop stability hypothesis for these parameters."""
+    no = TheoremCheck(applies=False, satisfied=False)
+    if p.open_loop:
+        return ConditionReport(True, None, None, None, no, no, no, no, no)
+
+    spec = p.spec
+    h = spec.h
+    c = certified_c(spec)
+    nu, alpha, mu, L = p.nu, p.alpha, p.mu, p.L
+
+    if spec.kind == VOLUME:
+        rate21 = nu * (2 * np.pi * spec.N / L) ** 2 - alpha
+        nu_min = alpha * h ** 2 / (4 * np.pi ** 2)
+        thm21_proof = TheoremCheck(True, bool(mu * h >= nu > nu_min), rate21,
+                                   {"mu_h": mu * h, "nu": nu, "alpha_h2_over_4pi2": nu_min})
+        threshold = (h / (2 * np.pi)) ** 2 * max(alpha, mu)
+        thm21_printed = TheoremCheck(True, bool(mu >= nu > threshold), rate21,
+                                     {"threshold": threshold})
+    else:
+        thm21_proof = thm21_printed = no
+
+    if c is not None:
+        mu_c2_h2 = mu * c ** 2 * h ** 2
+        thm41 = TheoremCheck(True, bool(nu >= mu_c2_h2), None,
+                             {"mu_c2_h2": mu_c2_h2, "R0_sq": absorbing_bounds(p)[0]})
+        r = mu - (2 * alpha + nu / L ** 2)
+        thm51 = TheoremCheck(True, bool(r > 0 and thm41.satisfied), float(r), {"r": float(r)})
+    else:
+        thm41 = thm51 = no
+
+    if spec.kind == DELTA:
+        four_alpha, two_mu_h2 = 4 * alpha, 2 * mu * h ** 2
+        thm71 = TheoremCheck(True, bool(mu > four_alpha and nu >= two_mu_h2),
+                             float(2 * (mu / 4 - alpha)),
+                             {"four_alpha": four_alpha, "two_mu_h2": two_mu_h2})
+    else:
+        thm71 = no
+
+    return ConditionReport(False, spec.kind, h, c,
+                           thm21_proof, thm21_printed, thm41, thm51, thm71)
 
 
 @dataclass(frozen=True)
@@ -53,12 +159,10 @@ def unstable_mode_count(p: ClosedLoopParams) -> int:
     The exponent is increasing in k, so counting stops at the first stable
     mode; k = 0 always grows at rate alpha > 0.
     """
-    count = 0
     k = 0
     while linear_growth_rate(k, p) < 0.0:
-        count += 1
         k += 1
-    return count
+    return k
 
 
 def fit_decay_rate(traj: TrajectoryRecord, t0: float) -> DecayFit:
@@ -116,7 +220,8 @@ def absorbing_bounds(p: ClosedLoopParams) -> tuple[float, float]:
     return float(r0_sq), float(r1_sq)
 
 
-def absorbing_entry_time(p: ClosedLoopParams, u0_l2_sq: float, margin: float = 0.05) -> float:
+def absorbing_entry_time(p: ClosedLoopParams, u0_l2_sq: float,
+                         margin: float = ABSORBING_MARGIN) -> float:
     """Time at which the a-priori envelope enters (1 + margin) R0^2.
 
     The envelope K0(t) = R0^2 + (||u(0)||^2 - R0^2) e^{-nu t / L^2} dominates
@@ -133,11 +238,11 @@ def absorbing_entry_time(p: ClosedLoopParams, u0_l2_sq: float, margin: float = 0
 # ---------------------------------------------------------------------------
 # minimal stabilizing controller rank
 
-def sweep_grid(N: int, kmax: int, L: float = 1.0, m_min: int = 64) -> Grid1D:
+def sweep_grid(N: int, kmax: int, L: float = 1.0) -> Grid1D:
     """Smallest Neumann grid that is a multiple of 4N, resolves the IC band,
-    and has at least m_min cells."""
+    and has at least ``SWEEP_M_MIN`` cells."""
     base = 4 * N
-    target = max(m_min, 8 * kmax, base)
+    target = max(SWEEP_M_MIN, 8 * kmax, base)
     M = base * math.ceil(target / base)
     return Grid1D(L, M)
 
@@ -145,14 +250,14 @@ def sweep_grid(N: int, kmax: int, L: float = 1.0, m_min: int = 64) -> Grid1D:
 def sweep_cell_config(
     nu: float, alpha: float, L: float, mu: float, N: int,
     *, kind: str = VOLUME, ic_seed: int = 0, ic_kmax: int = 2,
-    ic_amplitude: float = 1.0, safety: float = 0.4,
+    ic_amplitude: float = 1.0,
 ) -> tuple[SimConfig, ClosedLoopParams]:
     """Deterministic run setup for one (alpha, N) stabilization cell.
 
     Fixed random band initial state, final time 20/alpha, and a step size
-    from the explicit-part bound at the saturated amplitude
-    max(2 sqrt(alpha), 2 max|u0|), so cells that merely saturate (instead of
-    decaying) still integrate cleanly to T.
+    of ``SWEEP_SAFETY`` times the explicit-part bound at the saturated
+    amplitude max(2 sqrt(alpha), 2 max|u0|), so cells that merely saturate
+    (instead of decaying) still integrate cleanly to T.
     """
     spec = InterpolantSpec(kind, N, L)
     p = ClosedLoopParams(nu=nu, alpha=alpha, L=L, mu=mu, spec=spec)
@@ -161,7 +266,7 @@ def sweep_cell_config(
     u0 = ic.realize(grid)
     u_cap = max(2.0 * math.sqrt(alpha), 2.0 * float(np.max(np.abs(u0.values))))
     T = 20.0 / alpha
-    dt = safety * stability_limit(alpha, mu, u_cap)
+    dt = SWEEP_SAFETY * stability_limit(alpha, mu, u_cap)
     n_steps = max(int(math.ceil(T / dt)), 10)
     cfg = SimConfig(grid=grid, dt=T / n_steps, T=T, ic=ic, record_every=n_steps)
     return cfg, p

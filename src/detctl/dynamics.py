@@ -29,21 +29,20 @@ and control pairing follow from the observations alone, so nothing here
 branches on the family.  Piecewise-constant controllers act through their
 resolved-band projection, whose pairing against any resolved field equals the
 exact continuum pairing; delta controllers act as mass-preserving single-cell
-sources on periodic grids.  ``check_conditions`` reports, per stability
-regime, whether the closed-loop hypotheses hold and the decay exponent they
-predict for the squared L2 norm.
+sources on periodic grids.  The module holds only the integrator: the
+stability hypotheses and the rates they certify are in :mod:`detctl.analysis`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from . import fields, interpolants
 from .fields import Field, Grid1D, coeffs_of, coeffs_of_samples, samples_of
-from .interpolants import DELTA, FOURIER, NODAL, VOLUME, InterpolantSpec
+from .interpolants import InterpolantSpec
 
 
 @dataclass(frozen=True)
@@ -672,102 +671,3 @@ def energy_residual_series(times, l2, h1x, l4p4, pairing, p: ClosedLoopParams) -
     res = 0.5 * d + p.nu * np.asarray(h1x) ** 2 - p.alpha * e + np.asarray(l4p4)
     res = res + p.mu * np.asarray(pairing)
     return np.abs(res)
-
-
-# ---------------------------------------------------------------------------
-# closed-loop hypothesis checks
-
-def certified_c(spec: InterpolantSpec | None) -> float | None:
-    """Certified interpolation constant c with defect <= c h ||.||_H1.
-
-    Volume and nodal families carry c = 1; the fourier family with the mean
-    carries c = 1/pi.  Without the mean (constants invisible) and for the
-    delta family no finite constant exists.
-    """
-    if spec is None:
-        return None
-    if spec.kind in (VOLUME, NODAL):
-        return 1.0
-    if spec.kind == FOURIER and spec.include_mean:
-        return 1.0 / np.pi
-    return None
-
-
-@dataclass(frozen=True)
-class TheoremCheck:
-    applies: bool
-    satisfied: bool
-    predicted_rate: float | None = None
-    details: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Per-regime hypothesis verdicts and predicted squared-norm decay rates.
-
-    - thm21_proof: volume elements, the working conditions mu h >= nu and
-      nu > alpha h^2 / (4 pi^2); rate nu (2 pi N / L)^2 - alpha
-    - thm21_printed: the stated (dimensionally inconsistent) hypothesis
-      mu >= nu > (h / 2 pi)^2 max(alpha, mu), flagged separately
-    - thm41: existence/absorbing-ball condition nu >= mu c^2 h^2
-    - thm51: gain margin r = mu - 2 alpha - nu / L^2 > 0 plus thm41; rate r
-    - thm71: delta actuation, mu > 4 alpha and nu >= 2 mu h^2;
-      rate 2 (mu / 4 - alpha)
-    """
-
-    open_loop: bool
-    kind: str | None
-    h: float | None
-    c: float | None
-    thm21_proof: TheoremCheck
-    thm21_printed: TheoremCheck
-    thm41: TheoremCheck
-    thm51: TheoremCheck
-    thm71: TheoremCheck
-
-
-def check_conditions(p: ClosedLoopParams) -> ConditionReport:
-    """Evaluate every closed-loop stability hypothesis for these parameters."""
-    no = TheoremCheck(applies=False, satisfied=False)
-    if p.open_loop:
-        return ConditionReport(True, None, None, None, no, no, no, no, no)
-
-    spec = p.spec
-    h = spec.h
-    c = certified_c(spec)
-    nu, alpha, mu, L = p.nu, p.alpha, p.mu, p.L
-
-    if spec.kind == VOLUME:
-        proof_ok = (mu * h >= nu) and (nu > alpha * h ** 2 / (4 * np.pi ** 2))
-        rate21 = nu * (2 * np.pi * spec.N / L) ** 2 - alpha
-        thm21_proof = TheoremCheck(
-            True, bool(proof_ok), rate21,
-            {"mu_h": mu * h, "nu": nu, "alpha_h2_over_4pi2": alpha * h ** 2 / (4 * np.pi ** 2)},
-        )
-        printed_ok = (mu >= nu) and (nu > (h / (2 * np.pi)) ** 2 * max(alpha, mu))
-        thm21_printed = TheoremCheck(
-            True, bool(printed_ok), rate21,
-            {"threshold": (h / (2 * np.pi)) ** 2 * max(alpha, mu)},
-        )
-    else:
-        thm21_proof = thm21_printed = no
-
-    if c is not None:
-        cond36 = nu >= mu * c ** 2 * h ** 2
-        r0_sq = (alpha + nu / L ** 2) ** 2 * L ** 3 / nu
-        thm41 = TheoremCheck(True, bool(cond36), None,
-                             {"mu_c2_h2": mu * c ** 2 * h ** 2, "R0_sq": r0_sq})
-        r = mu - (2 * alpha + nu / L ** 2)
-        thm51 = TheoremCheck(True, bool(r > 0 and cond36), float(r), {"r": float(r)})
-    else:
-        thm41 = thm51 = no
-
-    if spec.kind == DELTA:
-        ok = (mu > 4 * alpha) and (nu >= 2 * mu * h ** 2)
-        thm71 = TheoremCheck(True, bool(ok), float(2 * (mu / 4 - alpha)),
-                             {"four_alpha": 4 * alpha, "two_mu_h2": 2 * mu * h ** 2})
-    else:
-        thm71 = no
-
-    return ConditionReport(False, spec.kind, h, c,
-                           thm21_proof, thm21_printed, thm41, thm51, thm71)

@@ -154,14 +154,13 @@ def cosine_mode(grid: Grid1D, k: int, amplitude: float = 1.0) -> Field:
     return Field(grid, samples_of(grid, c))
 
 
-def random_cosine_coeffs(rng: np.random.Generator, kmax: int, scale: float = 1.0) -> np.ndarray:
-    """Seeded coefficients a_k ~ U[-1, 1] * scale / (k + 1), k = 0..kmax."""
+def random_cosine_coeffs(rng: np.random.Generator, kmax: int) -> np.ndarray:
+    """Seeded coefficients a_k ~ U[-1, 1] / (k + 1), k = 0..kmax."""
     k = np.arange(kmax + 1)
-    return rng.uniform(-1.0, 1.0, kmax + 1) * scale / (k + 1.0)
+    return rng.uniform(-1.0, 1.0, kmax + 1) / (k + 1.0)
 
 
-def random_band(grid: Grid1D, kmax: int, seed: int, l2: float | None = None,
-                scale: float = 1.0) -> Field:
+def random_band(grid: Grid1D, kmax: int, seed: int, l2: float | None = None) -> Field:
     """Random band-limited field with the 1/(k+1) amplitude law.
 
     Neumann grids draw cosine coefficients; periodic grids draw both cosine
@@ -174,13 +173,13 @@ def random_band(grid: Grid1D, kmax: int, seed: int, l2: float | None = None,
     rng = np.random.default_rng(seed)
     if grid.bc == NEUMANN:
         c = np.zeros(grid.M)
-        c[: kmax + 1] = random_cosine_coeffs(rng, kmax, scale)
+        c[: kmax + 1] = random_cosine_coeffs(rng, kmax)
         f = Field(grid, samples_of(grid, c))
     else:
         c = np.zeros(grid.M // 2 + 1, dtype=complex)
-        c[0] = rng.uniform(-1.0, 1.0) * scale
+        c[0] = rng.uniform(-1.0, 1.0)
         for m in range(1, kmax + 1):
-            a, b = rng.uniform(-1.0, 1.0, 2) * scale / (m + 1.0)
+            a, b = rng.uniform(-1.0, 1.0, 2) / (m + 1.0)
             # a*cos + b*sin carried by the positive-frequency coefficient
             c[m] = 0.5 * (a - 1j * b)
         f = Field(grid, samples_of(grid, c))

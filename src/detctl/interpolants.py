@@ -66,9 +66,9 @@ class InterpolantSpec:
     ``obs_points`` are where nodal/delta controllers measure; ``act_points``
     are where delta controllers force.  Both default to cell midpoints,
     every point must lie in its own cell, and a family that reads no such
-    points rejects them.  ``include_mean`` extends the fourier family's mode
-    range k = 1..N by the k = 0 mean, without which constants are invisible
-    to the controller.
+    points rejects them.  ``include_mean`` (fourier only, default true) adds
+    the k = 0 mean to the fourier modes k = 1..N; without it constants are
+    invisible to the controller.
     """
 
     kind: str
@@ -76,7 +76,7 @@ class InterpolantSpec:
     L: float
     obs_points: tuple[float, ...] | None = None
     act_points: tuple[float, ...] | None = None
-    include_mean: bool = True
+    include_mean: bool | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -104,6 +104,10 @@ class InterpolantSpec:
                         f"{name}[{k}]={p} lies outside its cell [{k * h}, {(k + 1) * h}]"
                     )
             object.__setattr__(self, name, pts)
+        if self.kind == FOURIER and self.include_mean is None:
+            object.__setattr__(self, "include_mean", True)
+        elif self.kind != FOURIER and self.include_mean is not None:
+            raise ValueError(f"include_mean: {self.kind} controllers read no such flag")
 
     @property
     def h(self) -> float:

@@ -31,7 +31,6 @@ class TrialEnsemble:
     seed: int
     n_trials: int
     kmax: int
-    scale: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -42,7 +41,7 @@ class TrialEnsemble:
     def coefficient_trials(self):
         rng = np.random.default_rng(self.seed)
         for _ in range(self.n_trials):
-            yield random_cosine_coeffs(rng, self.kmax, self.scale)
+            yield random_cosine_coeffs(rng, self.kmax)
 
 
 def analytic_linear_mode(k: int, A: float, t: float, p: ClosedLoopParams,

@@ -5,6 +5,7 @@ from detctl.analysis import (
     NoFitError,
     absorbing_bounds,
     absorbing_entry_time,
+    check_conditions,
     fit_decay_rate,
     linear_growth_rate,
     rank_scan,
@@ -126,6 +127,10 @@ class TestAbsorbing:
         gain = 100.0 * (1 / np.pi ** 2) * 0.25 / 2.0
         expected = ((4.0 + 1.0) * 1.0 + r0_sq) * (1.0 + 2.0 * (4.0 + gain))
         assert r1_sq == pytest.approx(expected)
+
+    def test_condition_report_and_bounds_share_r0(self):
+        p = params(nu=0.7, alpha=3.0, L=1.3, mu=10.0, spec=InterpolantSpec(FOURIER, 2, 1.3))
+        assert check_conditions(p).thm41.details["R0_sq"] == absorbing_bounds(p)[0]
 
     def test_entry_time(self):
         p = params(nu=1.0, alpha=4.0, L=1.0)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from detctl import analysis
+from detctl import analysis, verify
 from detctl.cli import (
     CSV_BLOCK_ROWS,
     CSV_COLUMNS,
@@ -12,6 +12,7 @@ from detctl.cli import (
     main,
     parse_simulate_config,
     parse_sweep_config,
+    write_json,
     write_trajectory_csv,
 )
 from detctl.dynamics import TrajectoryRecord
@@ -115,6 +116,19 @@ class TestValidation:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    def test_unknown_suite_raises(self):
+        with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
+            verify.run_suite("nonsense")
+
+    @pytest.mark.parametrize("key", ["slack", "absorbing_margin"])
+    def test_tolerance_keys_rejected(self, tmp_path, capsys, key):
+        # the certified tolerances are fixed in detctl.analysis
+        doc = base_config()
+        doc["experiment"][key] = 0.5
+        code = main(["simulate", write_config(tmp_path, doc), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: experiment: unknown keys ['{key}']")
+
 
 def set_key(doc, path, value):
     *parents, key = path.split(".")
@@ -146,6 +160,8 @@ GRID_DEPENDENT = {
                                                       "obs_points": [0.25, 0.75]}}),
     "act_points for nodal": ("control", {"control": {"kind": "nodal", "N": 2,
                                                      "act_points": [0.25, 0.75]}}),
+    "include_mean for volume": ("control", {"control": {"kind": "volume", "N": 2,
+                                                        "include_mean": True}}),
     "periodic single-mode k above M/2": ("sim.ic", {
         "grid.bc": "periodic", "control": None,
         "sim.ic": {"kind": "single-mode", "k": 20, "amplitude": 1.0}}),
@@ -286,6 +302,20 @@ def test_trajectory_csv_bytes_match_savetxt(tmp_path):
                                  traj.gamma2, traj.ih_l2, traj.energy_residual])
         np.savetxt(fh, table, fmt="%.17g", delimiter=",", newline="\n")
     assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_json_is_strict_for_numpy_non_finite(tmp_path):
+    def reject(name):
+        raise ValueError(f"bare {name} in JSON")
+
+    doc = {"f64": np.float64(np.inf), "f32": np.float32(np.nan), "arr": np.array([np.nan, 1.5]),
+           "zero_d": np.array(-np.inf), "grid": np.array([[1, 2], [3, 4]]), "neg": -np.inf,
+           "int": np.int64(3), "flag": np.bool_(True), "plain": [float("nan")]}
+    write_json(tmp_path / "x.json", doc)
+    got = json.loads((tmp_path / "x.json").read_text(), parse_constant=reject)
+    assert got == {"f64": "inf", "f32": "nan", "arr": ["nan", 1.5], "zero_d": "-inf",
+                   "grid": [[1, 2], [3, 4]], "neg": "-inf", "int": 3, "flag": True,
+                   "plain": ["nan"]}
 
 
 class TestSweepCommand:

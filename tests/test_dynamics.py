@@ -23,10 +23,10 @@ from detctl.dynamics import (
     ICSpec,
     SimConfig,
     Stepper,
-    check_conditions,
     simulate,
     stability_limit,
 )
+from detctl.analysis import check_conditions
 from detctl.interpolants import DELTA, FOURIER, VOLUME, InterpolantSpec
 
 

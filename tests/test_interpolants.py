@@ -68,6 +68,13 @@ class TestSpecValidation:
         assert InterpolantSpec(FOURIER, 5, 1.0).rank == 6
         assert InterpolantSpec(FOURIER, 5, 1.0, include_mean=False).rank == 5
 
+    @pytest.mark.parametrize("kind", [VOLUME, NODAL, DELTA])
+    @pytest.mark.parametrize("include_mean", [True, False])
+    def test_include_mean_outside_fourier_rejected(self, kind, include_mean):
+        with pytest.raises(ValueError, match=f"^include_mean: {kind} controllers read no such"):
+            InterpolantSpec(kind, 2, 1.0, include_mean=include_mean)
+        assert InterpolantSpec(kind, 2, 1.0).include_mean is None
+
     @pytest.mark.parametrize("kind,name", [(VOLUME, "obs_points"), (FOURIER, "obs_points"),
                                            (VOLUME, "act_points"), (NODAL, "act_points"),
                                            (FOURIER, "act_points")])

@@ -260,8 +260,9 @@ def controlled_fields(draw):
         per_cell = M // N
         act_points = tuple(grid.dx * (k * per_cell + draw(st.integers(1, per_cell - 1)))
                            for k in range(N))
+    include_mean = draw(st.booleans()) if kind == FOURIER else None
     spec = InterpolantSpec(kind, N, L, obs_points=obs_points, act_points=act_points,
-                           include_mean=draw(st.booleans()))
+                           include_mean=include_mean)
     kmax = draw(st.integers(0, grid.M // 4 - 1))
     amps = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * kmax + 2, max_size=2 * kmax + 2))
     if grid.bc == NEUMANN:
