@@ -22,4 +22,4 @@ from .dynamics import (  # noqa: F401
     simulate,
 )
 from .fields import Field, Grid1D  # noqa: F401
-from .interpolants import InterpolantSpec, Observations, observe  # noqa: F401
+from .interpolants import InterpolantSpec, observe  # noqa: F401

@@ -165,6 +165,13 @@ def unstable_mode_count(p: ClosedLoopParams) -> int:
     return k
 
 
+def reference_rank(nu: float, alpha: float, L: float) -> float:
+    """sqrt(alpha L^2 / nu) / pi, the continuous boundary of the unstable
+    modes (mode k grows exactly when k lies below it): Remark 2.1's
+    reference for the minimal controller rank."""
+    return math.sqrt(alpha * L ** 2 / nu) / math.pi
+
+
 def fit_decay_rate(traj: TrajectoryRecord, t0: float) -> DecayFit:
     """Least-squares slope of log ||u||^2 on [t0, end of valid window]."""
     t = np.asarray(traj.times)

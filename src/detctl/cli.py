@@ -36,7 +36,7 @@ from .dynamics import (
     simulate,
 )
 from .fields import NEUMANN, PERIODIC, Grid1D
-from .interpolants import KINDS, InterpolantSpec, control_operator
+from .interpolants import KINDS, InterpolantSpec, check_grid
 
 OUT_DIR_ENV = "DETCTL_OUT_DIR"
 CSV_COLUMNS = ("t", "l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "energy_residual")
@@ -115,6 +115,8 @@ def _alphas(val, path):
     for i, a in enumerate(val):
         if not (_finite(a) and a > 0):
             raise ConfigError(f"{path}[{i}]: expected a positive number, got {a!r}")
+        if a in val[:i]:
+            raise ConfigError(f"{path}[{i}]: {a!r} repeats an earlier entry")
     return [float(a) for a in val]
 
 
@@ -214,7 +216,7 @@ def parse_simulate_config(doc: dict) -> tuple[Grid1D, ClosedLoopParams, SimConfi
                                    obs_points=ctl["obs_points"] or None,
                                    act_points=ctl["act_points"] or None,
                                    include_mean=ctl["include_mean"])
-            control_operator(spec, grid)  # the family's grid-dependent rules
+            check_grid(spec, grid)
     with _reported_at("params"):
         params = ClosedLoopParams(L=grid.L, spec=spec, **c["params"])
     with _reported_at("sim.ic"):
@@ -444,7 +446,7 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
     minimal: dict[float, int | None] = {}
     rows = []
     mus = [sw["mu_of"](alpha) for alpha in sw["alphas"]]
-    predicted = {alpha: math.sqrt(alpha * sw["L"] ** 2 / sw["nu"]) / math.pi
+    predicted = {alpha: analysis.reference_rank(sw["nu"], alpha, sw["L"])
                  for alpha in sw["alphas"]}
     scans = analysis.rank_scan(
         sw["nu"], sw["alphas"], sw["L"], mus, range(lo, hi + 1), kind=sw["kind"],

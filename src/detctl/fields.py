@@ -221,20 +221,6 @@ def h1x_norm(f: Field) -> float:
     return float(np.sqrt(max(h1x_sq_of_coeffs(f.grid, coeffs_of(f)), 0.0)))
 
 
-def h1_norm(f: Field) -> float:
-    """Weighted H1 norm: ||f||_H1^2 = ||f||^2 / L^2 + ||f_x||^2."""
-    c = coeffs_of(f)
-    l2_sq = l2_sq_of_coeffs(f.grid, c)
-    return float(np.sqrt(l2_sq / f.grid.L ** 2 + h1x_sq_of_coeffs(f.grid, c)))
-
-
-def inner(f: Field, g_: Field) -> float:
-    """L2 inner product of two fields on the same grid."""
-    if f.grid != g_.grid:
-        raise ValueError("fields live on different grids")
-    return inner_of_coeffs(f.grid, coeffs_of(f), coeffs_of(g_))
-
-
 def point_eval_matrix(grid: Grid1D, x: np.ndarray) -> np.ndarray:
     """E with u(x) = (E @ c).real for the coefficients c of u on ``grid``.
 

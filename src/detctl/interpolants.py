@@ -19,8 +19,9 @@ suites carry no quadrature error.
 The closed loop sees a family only through :func:`control_operator`, one
 triple (O, A, q) on grid coefficients c: observations ``(O @ c).real``, the
 interpolant's coefficients ``A @ obs``, and its squared norm ``q @ obs**2``.
-It is also the one place that fixes which boundary condition each family
-needs.  The coefficient layout comes from the grid: point observation is
+:func:`check_grid` is the one place that states which grids a family runs
+on; the operator and every field-level map below call it.  The coefficient
+layout comes from the grid: point observation is
 ``fields.point_eval_matrix``, and the fourier weights, the indicator
 projection and the deficits and pairings use the grid's Parseval weights
 ``Grid1D.w``.  The field-level maps below are kept as the operator's
@@ -121,21 +122,40 @@ class InterpolantSpec:
         return self.N
 
 
-@dataclass(frozen=True)
-class Observations:
-    """The measurement vector: cell averages, point values, or mode amplitudes."""
+# ---------------------------------------------------------------------------
+# the rules tying a family to a grid
 
-    values: np.ndarray
+def check_grid(spec: InterpolantSpec, grid: Grid1D) -> None:
+    """Raise ValueError unless ``grid`` can carry ``spec``'s family.
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("observations must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("observations must be finite")
-        vv = v.copy()
-        vv.setflags(write=False)
-        object.__setattr__(self, "values", vv)
+    Every rule that ties a family to a grid is stated here once: the grid
+    has the spec's length and resolves its rank (N <= M/4); delta needs a
+    periodic grid and every other family a Neumann grid; volume cells are
+    whole grid cells (M a multiple of N); and delta actuation points fall
+    in distinct grid cells (:func:`delta_cell_indices`).
+    """
+    if abs(grid.L - spec.L) > 1e-14 * spec.L:
+        raise ValueError(f"grid length {grid.L} does not match spec length {spec.L}")
+    if spec.N > grid.M // 4:
+        raise ValueError(
+            f"controller rank N={spec.N} exceeds M/4={grid.M // 4}: not resolved by the grid"
+        )
+    bc, name = (PERIODIC, "periodic") if spec.kind == DELTA else (NEUMANN, "Neumann")
+    if grid.bc != bc:
+        raise ValueError(f"{spec.kind!r} controllers require a {name} grid")
+    if spec.kind == VOLUME and grid.M % spec.N != 0:
+        raise ValueError(f"M={grid.M} must be a multiple of N={spec.N} for cell-aligned averages")
+    if spec.kind == DELTA:
+        delta_cell_indices(spec, grid)
+
+
+def delta_cell_indices(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
+    """Grid cell (nearest sample) holding each actuation point; must be distinct."""
+    pts = np.asarray(spec.act_points)
+    idx = np.rint(pts / grid.dx).astype(int) % grid.M
+    if len(np.unique(idx)) != len(idx):
+        raise ValueError("two actuation points fall in the same grid cell")
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +172,12 @@ def cell_average_matrix(spec: InterpolantSpec, n_modes: int) -> np.ndarray:
 
 
 def cell_mean_matrix(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
-    """Coefficient-space form of the per-cell sample mean used by observe.
+    """Coefficient-space form of volume observation, the per-cell sample mean.
 
     The midpoint rule over a cell's M/N samples of cos(m pi x / L) is the
     exact cell average times (theta/2) / sin(theta/2), theta = m pi / M.
     """
-    _require_neumann(spec, grid)
-    if grid.M % spec.N != 0:
-        raise ValueError(f"M={grid.M} must be a multiple of N={spec.N} for cell-aligned averages")
+    check_grid(spec, grid)
     return cell_average_matrix(spec, grid.M) / np.sinc(np.arange(grid.M) / (2 * grid.M))
 
 
@@ -173,24 +191,10 @@ def fourier_mode_slice(spec: InterpolantSpec) -> slice:
     return slice(0 if spec.include_mean else 1, spec.N + 1)
 
 
-def _require_neumann(spec: InterpolantSpec, grid: Grid1D) -> None:
-    if grid.bc != NEUMANN:
-        raise ValueError(f"{spec.kind!r} interpolants require a Neumann grid")
-    if abs(grid.L - spec.L) > 1e-14 * spec.L:
-        raise ValueError(f"grid length {grid.L} does not match spec length {spec.L}")
-
-
-def _check_rank_resolved(spec: InterpolantSpec, grid: Grid1D) -> None:
-    if spec.N > grid.M // 4:
-        raise ValueError(
-            f"controller rank N={spec.N} exceeds M/4={grid.M // 4}: not resolved by the grid"
-        )
-
-
 # ---------------------------------------------------------------------------
 # observation / reconstruction / actuation
 
-def observe(f: Field, spec: InterpolantSpec) -> Observations:
+def observe(f: Field, spec: InterpolantSpec) -> np.ndarray:
     """Measure a field: cell averages, point values, or mode amplitudes.
 
     Volume averages are per-cell means of the samples (midpoint quadrature,
@@ -198,25 +202,16 @@ def observe(f: Field, spec: InterpolantSpec) -> Observations:
     profiles, so observe and interpolate compose idempotently); nodal and
     delta kinds evaluate the spectral representation at their points.
     """
-    grid = f.grid
-    _check_rank_resolved(spec, grid)
+    check_grid(spec, f.grid)
     if spec.kind == VOLUME:
-        _require_neumann(spec, grid)
-        if grid.M % spec.N != 0:
-            raise ValueError(
-                f"M={grid.M} must be a multiple of N={spec.N} for cell-aligned averages"
-            )
-        return Observations(f.values.reshape(spec.N, -1).mean(axis=1))
-    if spec.kind in (NODAL, DELTA):
-        if abs(grid.L - spec.L) > 1e-14 * spec.L:
-            raise ValueError(f"grid length {grid.L} does not match spec length {spec.L}")
-        return Observations(eval_field(f, np.asarray(spec.obs_points)))
-    # fourier: the coefficient convention already matches (2/L) int f cos(k..)
-    _require_neumann(spec, grid)
-    return Observations(coeffs_of(f)[fourier_mode_slice(spec)])
+        return f.values.reshape(spec.N, -1).mean(axis=1)
+    if spec.kind == FOURIER:
+        # the coefficient convention already matches (2/L) int f cos(k..)
+        return coeffs_of(f)[fourier_mode_slice(spec)]
+    return eval_field(f, np.asarray(spec.obs_points))
 
 
-def interpolate(obs: Observations, spec: InterpolantSpec, grid: Grid1D) -> Field:
+def interpolate(obs: np.ndarray, spec: InterpolantSpec, grid: Grid1D) -> Field:
     """Realize the interpolant I_h on the grid.
 
     Piecewise-constant families require M to be a multiple of N so that every
@@ -226,21 +221,19 @@ def interpolate(obs: Observations, spec: InterpolantSpec, grid: Grid1D) -> Field
     """
     if spec.kind == DELTA:
         raise ValueError("delta controllers do not define an L2 interpolant")
-    if obs.values.shape != (spec.rank,):
-        raise ValueError(f"expected {spec.rank} observations, got {obs.values.shape}")
+    check_grid(spec, grid)
+    if obs.shape != (spec.rank,):
+        raise ValueError(f"expected {spec.rank} observations, got {obs.shape}")
     if spec.kind == FOURIER:
-        _require_neumann(spec, grid)
         c = np.zeros(grid.M)
-        c[fourier_mode_slice(spec)] = obs.values
+        c[fourier_mode_slice(spec)] = obs
         return Field(grid, samples_of(grid, c))
-    _require_neumann(spec, grid)
     if grid.M % spec.N != 0:
         raise ValueError(f"M={grid.M} must be a multiple of N={spec.N} for exact indicators")
-    reps = grid.M // spec.N
-    return Field(grid, np.repeat(obs.values, reps))
+    return Field(grid, np.repeat(obs, grid.M // spec.N))
 
 
-def actuate_delta(obs: Observations, spec: InterpolantSpec, grid: Grid1D) -> Field:
+def actuate_delta(obs: np.ndarray, spec: InterpolantSpec, grid: Grid1D) -> Field:
     """Grid realization of h * sum_k obs_k delta(x - x_k) on a periodic grid.
 
     Each point source is deposited in the single grid cell containing its
@@ -250,23 +243,12 @@ def actuate_delta(obs: Observations, spec: InterpolantSpec, grid: Grid1D) -> Fie
     """
     if spec.kind != DELTA:
         raise ValueError("actuate_delta requires a delta-kind spec")
-    if grid.bc != PERIODIC:
-        raise ValueError("delta actuation requires a periodic grid")
-    if obs.values.shape != (spec.N,):
-        raise ValueError(f"expected {spec.N} observations, got {obs.values.shape}")
-    idx = delta_cell_indices(spec, grid)
+    check_grid(spec, grid)
+    if obs.shape != (spec.N,):
+        raise ValueError(f"expected {spec.N} observations, got {obs.shape}")
     out = np.zeros(grid.M)
-    out[idx] = obs.values * (spec.h / grid.dx)
+    out[delta_cell_indices(spec, grid)] = obs * (spec.h / grid.dx)
     return Field(grid, out)
-
-
-def delta_cell_indices(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
-    """Grid cell (nearest sample) holding each actuation point; must be distinct."""
-    pts = np.asarray(spec.act_points)
-    idx = np.rint(pts / grid.dx).astype(int) % grid.M
-    if len(np.unique(idx)) != len(idx):
-        raise ValueError("two actuation points fall in the same grid cell")
-    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +277,16 @@ def control_operator(spec: InterpolantSpec, grid: Grid1D) -> ControlOperator:
     actuate the cell indicators, so ``A @ O`` pairs exactly with any resolved
     field; fourier selects its modes and puts them back; delta observes point
     values and deposits single-cell sources (see :func:`actuate_delta`).
-    Delta feedback needs a periodic grid, every other family a Neumann grid,
-    and the grid must resolve the rank (N <= M/4), as in :func:`observe`.
+    Which grids a family runs on is :func:`check_grid`'s, the one place
+    that states it.
     """
-    _check_rank_resolved(spec, grid)
+    check_grid(spec, grid)
     if spec.kind == DELTA:
-        if grid.bc != PERIODIC:
-            raise ValueError("delta-nodal feedback requires a periodic grid")
         O = point_eval_matrix(grid, spec.obs_points)
         # A holds the rfft coefficients of unit sources at the actuated grid points
         x_act = grid.points()[delta_cell_indices(spec, grid)]
         A = np.exp(-1j * np.outer(grid.wavenumbers, x_act)) * (spec.h / (grid.dx * grid.M))
         return ControlOperator(O, A, np.full(spec.N, spec.h ** 2 / grid.dx))
-    if grid.bc != NEUMANN:
-        raise ValueError(f"{spec.kind!r} feedback requires a Neumann grid")
     if spec.kind == FOURIER:
         sl = fourier_mode_slice(spec)
         O = np.eye(grid.M)[sl]
@@ -334,15 +312,14 @@ def defect(f: Field, spec: InterpolantSpec) -> float:
     if spec.kind == DELTA:
         raise ValueError("delta controllers do not define an interpolation deficit")
     grid = f.grid
-    _require_neumann(spec, grid)
-    _check_rank_resolved(spec, grid)
+    check_grid(spec, grid)
     c = coeffs_of(f)
     l2_sq = l2_sq_of_coeffs(grid, c)
     if spec.kind == FOURIER:
         sl = fourier_mode_slice(spec)
         d_sq = l2_sq - grid.w[sl] @ c[sl] ** 2
     else:
-        v = observe(f, spec).values
+        v = observe(f, spec)
         fbar = cell_average_matrix(spec, grid.M) @ c
         d_sq = l2_sq - 2.0 * spec.h * np.sum(v * fbar) + spec.h * np.sum(v ** 2)
     return float(np.sqrt(max(d_sq, 0.0)))
@@ -355,14 +332,12 @@ def pairing(f: Field, spec: InterpolantSpec) -> float:
     h * sum_k f(xbar_k) f(x_k).
     """
     grid = f.grid
+    check_grid(spec, grid)
     c = coeffs_of(f)
     if spec.kind in (VOLUME, NODAL):
-        _require_neumann(spec, grid)
-        v = observe(f, spec).values
         fbar = cell_average_matrix(spec, grid.M) @ c
-        return float(spec.h * np.sum(v * fbar))
+        return float(spec.h * np.sum(observe(f, spec) * fbar))
     if spec.kind == FOURIER:
-        _require_neumann(spec, grid)
         sl = fourier_mode_slice(spec)
         return float(grid.w[sl] @ c[sl] ** 2)
     f_obs = eval_field(f, np.asarray(spec.obs_points))

@@ -9,6 +9,7 @@ from detctl.analysis import (
     fit_decay_rate,
     linear_growth_rate,
     rank_scan,
+    reference_rank,
     sweep_grid,
     unstable_mode_count,
     verify_decay_bound,
@@ -51,6 +52,8 @@ class TestGrowthRates:
                    L=rng.uniform(0.3, 8.0))
         brute = sum(1 for k in range(1001) if linear_growth_rate(k, p) < 0)
         assert unstable_mode_count(p) == brute
+        # the reference rank is the count's continuous boundary
+        assert brute == np.ceil(reference_rank(p.nu, p.alpha, p.L))
 
 
 class TestFit:

@@ -83,6 +83,17 @@ class TestValidation:
         with pytest.raises(ConfigError, match="alphas"):
             parse_sweep_config(doc)
 
+    @pytest.mark.parametrize("alphas,i", [([4, 4], 1), ([1.0, 4, 2.0, 4.0], 3)])
+    def test_repeated_alpha_exits_2(self, tmp_path, capsys, alphas, i):
+        # a repeat would write its cells twice and give a spurious ratio of 1
+        doc = {"sweep": {"alphas": alphas, "nu": 1.0, "L": 1.0,
+                         "mu_rule": {"type": "proportional", "factor": 5.0},
+                         "N_range": [1, 2]},
+               "experiment": {"name": "s"}}
+        code = main(["sweep", write_config(tmp_path, doc), "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: sweep.alphas[{i}]: ")
+
     def test_bad_n_range(self):
         doc = {"sweep": {"alphas": [4.0], "nu": 1.0, "L": 1.0,
                          "mu_rule": {"type": "constant", "value": 1.0},

@@ -11,9 +11,7 @@ from detctl.fields import (
     cosine_mode,
     eval_field,
     field_from_function,
-    h1_norm,
     h1x_norm,
-    inner,
     l2_norm,
     random_band,
     samples_of,
@@ -119,7 +117,6 @@ class TestNorms:
         L, c = 2.0, 0.7
         f = constant_field(Grid1D(L, 32), c)
         assert abs(l2_norm(f) - abs(c) * np.sqrt(L)) < 1e-13
-        assert abs(h1_norm(f) ** 2 - c ** 2 / L) < 1e-13
 
     def test_mode_l2(self):
         L = 3.0
@@ -150,19 +147,6 @@ class TestNorms:
         quad = np.sum(f.values ** 2) * g.dx
         assert abs(modal - quad) <= 1e-10 * modal
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_h1_dominates_scaled_l2(self, seed):
-        g = neumann(L=2.5, M=64)
-        f = random_band(g, kmax=6, seed=seed)
-        assert h1_norm(f) >= l2_norm(f) / g.L - 1e-12
-
-    def test_h1_decomposition(self):
-        g = neumann(M=64)
-        f = random_band(g, kmax=8, seed=9)
-        lhs = h1_norm(f) ** 2
-        rhs = l2_norm(f) ** 2 / g.L ** 2 + h1x_norm(f) ** 2
-        assert abs(lhs - rhs) < 1e-12 * max(lhs, 1.0)
-
     def test_l2_rescale(self):
         f = random_band(neumann(), kmax=5, seed=10, l2=1.0)
         assert abs(l2_norm(f) - 1.0) < 1e-12
@@ -186,16 +170,3 @@ class TestEval:
         x = np.array([0.21, 0.5, 0.93])
         exact = np.cos(2 * np.pi * x) - 0.3 * np.sin(4 * np.pi * x)
         assert np.max(np.abs(eval_field(f, x) - exact)) < 1e-12
-
-
-class TestInner:
-    def test_inner_consistent_with_quadrature(self):
-        g = neumann(M=128)
-        f1 = random_band(g, kmax=10, seed=12)
-        f2 = random_band(g, kmax=10, seed=13)
-        quad = np.sum(f1.values * f2.values) * g.dx
-        assert abs(inner(f1, f2) - quad) < 1e-12 * max(abs(quad), 1.0)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(ValueError):
-            inner(constant_field(neumann(M=16), 1.0), constant_field(neumann(M=32), 1.0))

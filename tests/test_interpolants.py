@@ -21,7 +21,6 @@ from detctl.interpolants import (
     NODAL,
     VOLUME,
     InterpolantSpec,
-    Observations,
     actuate_delta,
     cell_average_matrix,
     cell_mean_matrix,
@@ -86,26 +85,26 @@ class TestSpecValidation:
 class TestObserve:
     def test_constant_volume(self):
         obs = observe(constant_field(grid(), 2.5), vol(4))
-        assert np.max(np.abs(obs.values - 2.5)) < 1e-12
+        assert np.max(np.abs(obs - 2.5)) < 1e-12
 
     def test_linear_function_averages(self):
         # cell averages of x on [0, 1] with N=2 are the cell midpoints
         f = field_from_function(grid(M=1024), lambda x: x)
         obs = observe(f, vol(2))
-        assert np.max(np.abs(obs.values - np.array([0.25, 0.75]))) < 1e-12
+        assert np.max(np.abs(obs - np.array([0.25, 0.75]))) < 1e-12
 
     def test_fourier_orthogonality(self):
         f = field_from_function(grid(), lambda x: np.cos(2 * np.pi * x / L))
         obs = observe(f, InterpolantSpec(FOURIER, 5, L))
         expected = np.zeros(6)
         expected[2] = 1.0
-        assert np.max(np.abs(obs.values - expected)) < 1e-10
+        assert np.max(np.abs(obs - expected)) < 1e-10
 
     def test_nodal_points(self):
         f = cosine_mode(grid(), 3)
         pts = (0.1, 0.3, 0.65, 0.8)
         obs = observe(f, InterpolantSpec(NODAL, 4, L, obs_points=pts))
-        assert np.max(np.abs(obs.values - np.cos(3 * np.pi * np.array(pts)))) < 1e-12
+        assert np.max(np.abs(obs - np.cos(3 * np.pi * np.array(pts)))) < 1e-12
 
     def test_rank_not_resolved(self):
         with pytest.raises(ValueError, match="M/4"):
@@ -124,10 +123,43 @@ def test_control_operator_rejects_an_unresolved_rank(kind, N):
         17 if kind == FOURIER else 16)
 
 
+def band(M=64, bc=NEUMANN):
+    return random_band(grid(M=M, bc=bc), kmax=4, seed=5)
+
+
+# every map that takes a grid applies check_grid's rules: a grid of another
+# length, the other boundary condition, and a rank the grid does not resolve
+# (fourier N=20, nodal N=32 on M=64) are each rejected
+@pytest.mark.parametrize("call,match", [
+    pytest.param(lambda: control_operator(InterpolantSpec(NODAL, 4, L), grid(M=64, L_=2.0)),
+                 "does not match spec length", id="operator-nodal-length"),
+    pytest.param(lambda: control_operator(InterpolantSpec(FOURIER, 4, L), grid(M=64, L_=2.0)),
+                 "does not match spec length", id="operator-fourier-length"),
+    pytest.param(lambda: control_operator(InterpolantSpec(DELTA, 4, L),
+                                          grid(M=64, L_=2.0, bc=PERIODIC)),
+                 "does not match spec length", id="operator-delta-length"),
+    pytest.param(lambda: observe(band(bc=PERIODIC), InterpolantSpec(NODAL, 4, L)),
+                 "require a Neumann grid", id="observe-nodal-periodic"),
+    pytest.param(lambda: observe(band(), InterpolantSpec(DELTA, 4, L)),
+                 "require a periodic grid", id="observe-delta-neumann"),
+    pytest.param(lambda: pairing(band(), InterpolantSpec(DELTA, 4, L)),
+                 "require a periodic grid", id="pairing-delta-neumann"),
+    pytest.param(lambda: pairing(band(), InterpolantSpec(FOURIER, 20, L)),
+                 "exceeds M/4=16", id="pairing-fourier-rank"),
+    pytest.param(lambda: interpolate(np.zeros(21), InterpolantSpec(FOURIER, 20, L), grid(M=64)),
+                 "exceeds M/4=16", id="interpolate-fourier-rank"),
+    pytest.param(lambda: interpolate(np.zeros(32), InterpolantSpec(NODAL, 32, L), grid(M=64)),
+                 "exceeds M/4=16", id="interpolate-nodal-rank"),
+])
+def test_every_map_applies_the_grid_rules(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestInterpolate:
     def test_constant_volume_reproduced(self):
         g = grid(M=64)
-        f = interpolate(Observations(np.full(4, 1.7)), vol(4), g)
+        f = interpolate(np.full(4, 1.7), vol(4), g)
         assert np.max(np.abs(f.values - 1.7)) < 1e-14
 
     def test_fourier_reproduces_low_mode(self):
@@ -146,21 +178,21 @@ class TestInterpolate:
         for M in (64, 256, 1024):
             g = grid(M=M)
             obs = observe(cosine_mode(g, 1), vol(4))
-            errs.append(abs(obs.values[0] - analytic))
+            errs.append(abs(obs[0] - analytic))
         assert errs[-1] < 4e-7
         assert errs[0] / errs[1] > 12 and errs[1] / errs[2] > 12
         g = grid(M=64)
         obs = observe(cosine_mode(g, 1), vol(4))
         pc = interpolate(obs, vol(4), g)
-        assert np.max(np.abs(pc.values[:16] - obs.values[0])) < 1e-13
+        assert np.max(np.abs(pc.values[:16] - obs[0])) < 1e-13
 
     def test_m_not_multiple_rejected(self):
         with pytest.raises(ValueError, match="multiple"):
-            interpolate(Observations(np.zeros(5)), vol(5), grid(M=64))
+            interpolate(np.zeros(5), vol(5), grid(M=64))
 
     def test_delta_has_no_interpolant(self):
         with pytest.raises(ValueError, match="delta"):
-            interpolate(Observations(np.zeros(4)), InterpolantSpec(DELTA, 4, L), grid())
+            interpolate(np.zeros(4), InterpolantSpec(DELTA, 4, L), grid())
 
 
 class TestGeometryMatrices:
@@ -224,13 +256,13 @@ class TestGammaSq:
 class TestActuateDelta:
     def test_zero_observations(self):
         g = grid(M=64, bc=PERIODIC)
-        out = actuate_delta(Observations(np.zeros(4)), InterpolantSpec(DELTA, 4, L), g)
+        out = actuate_delta(np.zeros(4), InterpolantSpec(DELTA, 4, L), g)
         assert np.all(out.values == 0.0)
 
     def test_unit_mass_scaling(self):
         g = grid(M=64, bc=PERIODIC)
         spec = InterpolantSpec(DELTA, 1, L)  # midpoint 0.5 sits on grid point 32
-        out = actuate_delta(Observations(np.array([1.0])), spec, g)
+        out = actuate_delta(np.array([1.0]), spec, g)
         assert out.values[32] == 64.0
         assert np.count_nonzero(out.values) == 1
         assert abs(np.sum(out.values) * g.dx - 1.0) < 1e-14
@@ -242,11 +274,11 @@ class TestActuateDelta:
         acts = tuple(k * h + rng.uniform(0.05, 0.95) * h for k in range(8))
         spec = InterpolantSpec(DELTA, 8, L, act_points=acts)
         phi = random_band(g, kmax=12, seed=4)
-        obs = Observations(rng.uniform(-1, 1, 8))
+        obs = rng.uniform(-1, 1, 8)
         out = actuate_delta(obs, spec, g)
         discrete = np.sum(out.values * phi.values) * g.dx
-        exact = h * np.sum(obs.values * eval_field(phi, np.asarray(acts)))
-        assert abs(discrete - exact) <= 4.0 * g.dx * h1x_norm(phi) * np.sqrt(obs.values @ obs.values)
+        exact = h * np.sum(obs * eval_field(phi, np.asarray(acts)))
+        assert abs(discrete - exact) <= 4.0 * g.dx * h1x_norm(phi) * np.sqrt(obs @ obs)
 
     def test_colliding_points_rejected(self):
         # x=0.115 (cell 1) and x=0.135 (cell 2) share the grid cell around 0.125
@@ -262,7 +294,7 @@ class TestActuateDelta:
 
     def test_requires_periodic(self):
         with pytest.raises(ValueError, match="periodic"):
-            actuate_delta(Observations(np.zeros(4)), InterpolantSpec(DELTA, 4, L), grid(M=64))
+            actuate_delta(np.zeros(4), InterpolantSpec(DELTA, 4, L), grid(M=64))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +429,7 @@ class TestInterpolantNorm:
         g = grid(M=128)
         f = random_band(g, kmax=10, seed=12)
         spec = vol(4)
-        v = observe(f, spec).values
+        v = observe(f, spec)
         P = 1 << 16
         xf = (np.arange(P) + 0.5) * L / P
         pc = v[np.minimum((xf / spec.h).astype(int), spec.N - 1)]
@@ -408,7 +440,7 @@ class TestInterpolantNorm:
         g = grid(M=128)
         f = random_band(g, kmax=10, seed=13)
         spec = InterpolantSpec(NODAL, 4, L)
-        v = observe(f, spec).values
+        v = observe(f, spec)
         # independent dense-quadrature oracle of <I_h f, f>
         P = 1 << 16
         xf = (np.arange(P) + 0.5) * L / P

@@ -42,7 +42,6 @@ from detctl.interpolants import (
     NODAL,
     VOLUME,
     InterpolantSpec,
-    Observations,
     actuate_delta,
     control_operator,
     interpolate,
@@ -294,9 +293,9 @@ def test_operator_norm_weight_matches_realized_interpolant(case):
     ctl = control_operator(spec, f.grid)
     v = (ctl.O @ coeffs_of(f)).real
     if spec.kind == DELTA:
-        realized = actuate_delta(Observations(v), spec, f.grid)
+        realized = actuate_delta(v, spec, f.grid)
     else:
-        realized = interpolate(Observations(v), spec, f.grid)
+        realized = interpolate(v, spec, f.grid)
     want = l2_norm(realized)
     assert abs(np.sqrt(ctl.q @ v ** 2) - want) <= 1e-12 * max(want, 1e-300)
 
