@@ -11,9 +11,11 @@ feedback) into precomputed stage operators once, so a step is the cube plus
 a few matrix-vector products.  On small grids every operator, the transforms
 to and from the padded grid included, is one dense real matrix; above
 ``DENSE_MAX_ENTRIES`` the transforms are scipy's and the linear part a
-diagonal plus the rank-N factors.  The recorder keeps each record's state,
-padded-grid samples and observation products and reduces them to the
-recorded series ``RECORD_CHUNK`` records at a time.
+diagonal plus the rank-N factors.  A step returns the padded-grid samples of
+its new state with it, so the next step's guard and cube and the recorder
+read them and no state is synthesized twice.  One recorder per group keeps
+each record's state rows, squared samples and observation products and
+reduces them to the recorded series ``RECORD_CHUNK`` records at a time.
 
 One engine steps a batch of runs: a :class:`Batch` steps its members that
 share a grid, a step count, a record stride and a scheme as one (B, n) state,
@@ -322,8 +324,12 @@ class Stepper:
     of a batch may differ from its single run in the last bits; a given
     batch is deterministic.
 
-    ``advance`` guards every member before the step.  dt <= stability_limit
-    reads max u^2 <= (0.5 / dt - alpha - mu) / 3, so the guard compares the
+    ``advance`` takes the state with its ``samples`` (w = S x, w^2 and the
+    largest w^2) and returns the new state with its own: the synthesis of a
+    step's first stage is the last product of the step before, so a step
+    still makes one S product per stage.  It guards every member before the
+    step on the samples it is given.  dt <= stability_limit reads
+    max u^2 <= (0.5 / dt - alpha - mu) / 3, so the guard compares the
     largest squared sample of the batch with the smallest such cap; only
     when that fails does it compare each member's largest squared sample
     with its own cap and raise ``BlowupError`` with ``failed`` naming the
@@ -425,18 +431,25 @@ class Stepper:
         w = self._synth(c.view(np.float64))
         return self._analyze(w * w * w).view(c.dtype), float(np.max(np.abs(w)))
 
-    def advance(self, c: np.ndarray) -> np.ndarray:
-        """One step of every member; returns the new state.
+    def samples(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
+        """The samples of state ``c`` that a step carries: w = S x on the
+        padded grid, w^2 and the largest w^2."""
+        w = self._synth(c.view(np.float64))
+        w2 = w * w
+        return w, w2, w2.max()
+
+    def advance(self, c: np.ndarray, s: tuple) -> tuple[np.ndarray, tuple]:
+        """One step of every member; returns the new state and its samples.
 
         ``c`` is the state in the grid's coefficient layout or its real view
-        x, one row per member; the new state comes back in the same dtype
-        and shape.
+        x, one row per member, and ``s`` its ``samples``; the new state comes
+        back in the same dtype and shape, with its own ``samples``, which the
+        next step and the recorder read.
         """
         x = c.view(np.float64)
-        w = self._synth(x)
-        w2 = w * w
+        w, w2, top = s
         # a NaN state fails both comparisons
-        if not w2.max() <= self._cap_min:
+        if not top <= self._cap_min:
             row_max2 = w2.reshape(len(self.dt), -1).max(axis=1)
             limit = stability_limit(self._alpha, self._mu, np.sqrt(row_max2))  # for the message
             failed = {int(i): f"dt={self.dt[i]:.3g} exceeds the stability limit {limit[i]:.3g}"
@@ -448,87 +461,110 @@ class Stepper:
         if self.scheme == "etdrk2":
             v = self._synth(y)
             y = y + self._W2L(y - x) - self._W2T(v * v * v - w3)
-        return y.view(c.dtype)
+        # ``samples`` of y, inline: a call per step costs ~1% of a batch step
+        w = self._synth(y)
+        w2 = w * w
+        return y.view(c.dtype), (w, w2, w2.max())
 
 
 SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
 
 
 class _Recorder:
-    """The recorded series of one member, reduced ``RECORD_CHUNK`` records at a time.
+    """The recorded series of a group's members, reduced ``RECORD_CHUNK`` records at a time.
 
-    Each record keeps the state row x, its samples on the padded grid and
-    H @ x, where H stacks the real observation matrix O_r over
-    G = A_r^T diag(w): the observations are v = O_r x and the control
-    pairing sum(w Re((A v) conj(c))) is v . (G x).  Every matrix product is
-    one vector per record, because BLAS rounds a row differently depending
-    on how many rows share the call and the series must not depend on the
-    record stride or the batch; the norms, the L4 term and the observation
+    Each record keeps, for every live member, the state row x, the squared
+    samples w^2 its step left on the padded grid and H x, where H stacks the
+    real observation matrix O_r over G = A_r^T diag(w): the observations are
+    v = O_r x and the control pairing sum(w Re((A v) conj(c))) is v . (G x).
+    H is one matrix when the members share a controller and otherwise a
+    (B, 2r, n) stack, zero-padded to one rank r; its product is one call on
+    the live rows per record.  The norms, the L4 term and the observation
     series are elementwise products and row sums over the chunk, which numpy
-    rounds row by row.
+    rounds row by row, so a record depends on neither the stride nor the
+    chunk; a batch's records differ from its members' single runs in the
+    last bits, as its states do (see ``Stepper``).
     """
 
-    def __init__(self, st: Stepper, member: int, n_rec: int):
+    def __init__(self, st: Stepper, steps: list[int]):
         grid = st.grid
         parts = 2 if grid.bc == fields.PERIODIC else 1
-        self._p = st.params[member]
+        B = len(st.params)
+        self._params, self._dt, self._steps = st.params, st.dt, steps
         self._w = np.repeat(grid.w, parts)
         self._wk2 = self._w * np.repeat(grid.wavenumbers, parts) ** 2
-        self._synth = st._synth     # one row: a matrix-vector product whatever the batch
+        self._L2 = np.array([q.L ** 2 for q in st.params])
         self._dw = st._fine.dx
-        rows = min(RECORD_CHUNK, n_rec)
-        self._x = np.empty((rows, self._w.shape[0]))
-        self._u = np.empty((rows, st._fine.M))
-        if st.ctls[member] is None:
-            self._H = None
-        else:
-            O, A = st._real_ctl[member]
-            self._H = np.vstack([O, A.T * self._w])
-            self._hx = np.empty((rows, self._H.shape[0]))
-            self._q = st.ctls[member].q
-        self.times = np.empty(n_rec)
-        self.series = {name: np.zeros(n_rec) for name in SERIES}
+        rows = min(RECORD_CHUNK, len(steps))
+        self._x = np.empty((rows, B, self._w.shape[0]))
+        self._u2 = np.empty((rows, B, st._fine.M))
+        self._H = None
+        if any(f is not None for f in st._real_ctl):
+            # zero-padded to the largest rank r, and one matrix for shared rows
+            r = max(f[0].shape[0] for f in st._real_ctl if f is not None)
+            H, q = np.zeros((B, 2 * r, self._w.shape[0])), np.zeros((B, r))
+            for i, f in enumerate(st._real_ctl):
+                if f is not None:
+                    k = f[0].shape[0]
+                    H[i, :k], H[i, r : r + k], q[i, :k] = f[0], f[1].T * self._w, st.ctls[i].q
+            shared = len({id(f) for f in st._real_ctl}) == 1
+            self._H, self._q = (H[0], q[0]) if shared else (H, q)
+            self._observe = _applier(self._H)
+            self._hx = np.empty((rows, B, 2 * r))
+        self._series = {name: np.zeros((B, len(steps))) for name in SERIES}
+        self.live = np.arange(B)     # the member in each row of the state
         self.count = 0      # records taken
-        self._done = 0      # records reduced into ``series``
+        self._done = 0      # records reduced into ``_series``
 
-    def add(self, t: float, x: np.ndarray) -> None:
+    def add(self, x: np.ndarray, s: tuple) -> None:
+        """Record state ``x`` of the live members, with its ``Stepper.samples``."""
         i = self.count - self._done
-        self.times[self.count] = t
         self._x[i] = x
-        self._u[i] = self._synth(x)
+        self._u2[i] = s[1]
         if self._H is not None:
-            np.matmul(self._H, x, out=self._hx[i])
+            self._hx[i] = self._observe(x)
         self.count += 1
         if i + 1 == self._x.shape[0]:
             self.flush()
 
+    def keep(self, rows: list[int]) -> None:
+        """Go on with only the live members in ``rows``."""
+        self.flush()
+        self.live, b = self.live[rows], len(rows)
+        self._x, self._u2 = self._x[:, :b], self._u2[:, :b]
+        if self._H is not None:
+            self._hx = self._hx[:, :b]
+            if self._H.ndim == 3:
+                self._H, self._q = self._H[rows], self._q[rows]
+                self._observe = _applier(self._H)
+
     def flush(self) -> None:
         k = self.count - self._done
-        rows, s = slice(self._done, self.count), self.series
+        at, s = (self.live, slice(self._done, self.count)), self._series
         x2 = np.square(self._x[:k])
-        l2_sq = (x2 * self._w).sum(axis=1)
-        h1x_sq = (x2 * self._wk2).sum(axis=1)
-        s["l2"][rows] = np.sqrt(l2_sq)
-        s["h1x"][rows] = np.sqrt(h1x_sq)
-        s["h1"][rows] = np.sqrt(l2_sq / self._p.L ** 2 + h1x_sq)
-        u2 = np.square(self._u[:k], out=self._u[:k])
-        s["l4p4"][rows] = np.square(u2, out=u2).sum(axis=1) * self._dw
+        l2_sq = (x2 * self._w).sum(axis=-1)
+        h1x_sq = (x2 * self._wk2).sum(axis=-1)
+        s["l2"][at] = np.sqrt(l2_sq).T
+        s["h1x"][at] = np.sqrt(h1x_sq).T
+        s["h1"][at] = np.sqrt(l2_sq / self._L2[self.live] + h1x_sq).T
+        u2 = self._u2[:k]
+        s["l4p4"][at] = (np.square(u2, out=u2).sum(axis=-1) * self._dw).T
         if self._H is not None:
-            n_obs = self._H.shape[0] // 2
-            v, g = self._hx[:k, :n_obs], self._hx[:k, n_obs:]
+            n_obs = self._hx.shape[-1] // 2
+            v, g = self._hx[:k, :, :n_obs], self._hx[:k, :, n_obs:]
             v2 = v * v
-            s["gamma2"][rows] = v2.sum(axis=1)
-            s["ih_l2"][rows] = np.sqrt((v2 * self._q).sum(axis=1))
-            s["pairing"][rows] = (v * g).sum(axis=1)
+            s["gamma2"][at] = v2.sum(axis=-1).T
+            s["ih_l2"][at] = np.sqrt((v2 * self._q).sum(axis=-1)).T
+            s["pairing"][at] = (v * g).sum(axis=-1).T
         self._done = self.count
 
-    def result(self) -> TrajectoryRecord:
-        """The records taken so far, with their energy residual."""
+    def result(self, m: int) -> TrajectoryRecord:
+        """Member ``m``'s records so far, with their energy residual."""
         self.flush()
-        cut = {name: values[: self.count] for name, values in self.series.items()}
-        times = self.times[: self.count]
+        cut = {name: values[m, : self.count] for name, values in self._series.items()}
+        times = np.array(self._steps[: self.count]) * self._dt[m]
         res = energy_residual_series(
-            times, cut["l2"], cut["h1x"], cut["l4p4"], cut["pairing"], self._p
+            times, cut["l2"], cut["h1x"], cut["l4p4"], cut["pairing"], self._params[m]
         )
         return TrajectoryRecord(times=times, energy_residual=res, **cut)
 
@@ -538,8 +574,8 @@ class Batch:
 
     ``members`` are (SimConfig, ClosedLoopParams) pairs.  The members with
     the same grid, step count, record stride and scheme form one group,
-    stepped as one (B, n) state by one ``Stepper`` (their dt, initial state
-    and parameters may differ), each with its own recorder.  A group is
+    stepped as one (B, n) state by one ``Stepper`` and recorded by one
+    recorder (their dt, initial state and parameters may differ).  A group is
     integrated the first time :func:`simulate` asks for one of its members,
     and every member's outcome is kept for its own call.  A member that
     trips the stability guard, or whose recorded state is not finite, leaves
@@ -574,41 +610,43 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
     rec_steps = list(range(0, n_steps + 1, cfgs[0].record_every))
     if rec_steps[-1] != n_steps:
         rec_steps.append(n_steps)
-    live = list(range(len(members)))    # the member in each row of x
     st = Stepper(grid, [p for _, p in members], [cfg.dt for cfg in cfgs], scheme)
-    recs = [_Recorder(st, m, len(rec_steps)) for m in live]
-    adds = [(rec.add, cfg.dt) for rec, cfg in zip(recs, cfgs)]
+    rec = _Recorder(st, rec_steps)
     x = np.stack([coeffs_of(cfg.ic.realize(grid)).view(np.float64) for cfg in cfgs])
+    s = st.samples(x)
     out: list = [None] * len(members)
     n = k = 0   # steps taken, records taken
     while k < len(rec_steps):
         stop = rec_steps[k]
         try:
             for n in range(n + 1, stop + 1):
-                x = st.advance(x)
+                x, s = st.advance(x, s)
         except BlowupError as err:  # step n was not taken
             failed = {row: (n, reason) for row, reason in err.failed.items()}
             n -= 1
         else:
-            if np.isfinite(x).all():
-                for (add, dt), row in zip(adds, x):
-                    add(stop * dt, row)
+            # a state that is not finite has a largest w^2 that is not; only
+            # a finite state whose samples overflow needs the exact test
+            if s[2] < np.inf or np.isfinite(x).all():
+                rec.add(x, s)
                 k += 1
                 continue
             finite = np.isfinite(x).all(axis=1)
             failed = {int(row): (stop, "non-finite state") for row in np.flatnonzero(~finite)}
         # the failed members leave with their records, and the rest go on
         for row, (step, reason) in failed.items():
-            m = live[row]
-            out[m] = BlowupError(step * cfgs[m].dt, reason, recs[m].result())
-        keep = [row for row in range(len(live)) if row not in failed]
+            m = rec.live[row]
+            out[m] = BlowupError(step * cfgs[m].dt, reason, rec.result(m))
+        keep = [row for row in range(len(x)) if row not in failed]
         if not keep:
             return out
         x = x[keep]
-        live, adds = [live[row] for row in keep], [adds[row] for row in keep]
-        st = Stepper(grid, [members[m][1] for m in live], [cfgs[m].dt for m in live], scheme)
-    for m in live:
-        out[m] = recs[m].result()
+        rec.keep(keep)
+        st = Stepper(grid, [members[m][1] for m in rec.live], [cfgs[m].dt for m in rec.live],
+                     scheme)
+        s = st.samples(x)
+    for m in rec.live:
+        out[m] = rec.result(m)
     return out
 
 

@@ -14,6 +14,7 @@ from detctl.fields import (
     l2_sq_of_coeffs,
     samples_of,
 )
+from detctl import dynamics
 from detctl.dynamics import (
     RECORD_CHUNK,
     SERIES,
@@ -53,7 +54,8 @@ def rhs(u, p):
 
 def step(u, p, dt):
     """Samples after one exponential-Euler step of the stepper."""
-    c = Stepper(u.grid, p, dt).advance(coeffs_of(u))
+    st, c = Stepper(u.grid, p, dt), coeffs_of(u)
+    c, _ = st.advance(c, st.samples(c))
     return samples_of(u.grid, c)
 
 
@@ -148,8 +150,9 @@ class TestStep:
         u = cosine_mode(g, k, amplitude=1e-6)
         st = Stepper(g, p, dt)
         c = coeffs_of(u)
+        s = st.samples(c)
         for _ in range(n):
-            c = st.advance(c)
+            c, s = st.advance(c, s)
         lam = p.alpha - p.nu * (k * np.pi / p.L) ** 2
         ratio = np.sqrt(l2_sq_of_coeffs(g, c)) / l2_norm(u)
         assert abs(ratio - np.exp(lam * n * dt)) < 1e-4 * np.exp(lam * n * dt)
@@ -180,12 +183,13 @@ class TestStep:
         assert (max(amps) ** 2 > st._cap_min) == (batch or past)
         if past:
             with pytest.raises(BlowupError, match="stability") as exc:
-                st.advance(x)
+                st.advance(x, st.samples(x))
             assert list(exc.value.failed) == [0]
             return
-        y = st.advance(x)
+        y, _ = st.advance(x, st.samples(x))
         for row, dt in enumerate(dts):
-            alone = Stepper(g, p, dt).advance(x[row])
+            one = Stepper(g, p, dt)
+            alone, _ = one.advance(x[row], one.samples(x[row]))
             assert np.max(np.abs(y[row] - alone)) <= 1e-14 * np.max(np.abs(alone))
 
     def test_nan_state_rejected(self):
@@ -195,8 +199,9 @@ class TestStep:
         for M in (32, 256):
             c = np.zeros(M)
             c[3] = np.nan
+            st = Stepper(neumann(M=M), p, 1e-3)
             with pytest.raises(BlowupError, match="stability"):
-                Stepper(neumann(M=M), p, 1e-3).advance(c)
+                st.advance(c, st.samples(c))
 
     def test_convergence_order(self):
         # closed-loop smooth run: halving dt reduces the terminal error
@@ -275,9 +280,10 @@ class TestSimulate:
         # of the stepped state
         st = Stepper(g, p, dt)
         c = coeffs_of(ic.realize(g))
+        s = st.samples(c)
         for k, l2 in enumerate(rec.l2):
             if k:
-                c = st.advance(c)
+                c, s = st.advance(c, s)
             assert abs(l2 - np.sqrt(l2_sq_of_coeffs(g, c))) <= 1e-13 * l2
 
     def test_member_that_trips_the_guard_leaves_the_batch(self):
@@ -319,6 +325,63 @@ class TestSimulate:
                 for name in SERIES:
                     a, b = getattr(got, name), getattr(want, name)
                     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+    # (M, bc) on both sides of the dense/scipy crossover
+    @pytest.mark.parametrize("M, bc", [(32, NEUMANN), (32, PERIODIC), (256, NEUMANN)])
+    @pytest.mark.parametrize(
+        "dt, n_steps, amplitude, reason",
+        [
+            # a finite state whose squared samples overflow: its t=0 record
+            # is taken with l4p4 = inf, and the guard stops the first step
+            (1e-3, 10, 1e160, "stability limit 0"),
+            # a step that passes the guard and overflows in the cube
+            (1e-300, 2, 1e140, "non-finite state"),
+        ],
+        ids=["overflowing-samples", "overflowing-step"],
+    )
+    def test_non_finite_paths_alone_and_in_a_batch(self, M, bc, dt, n_steps, amplitude, reason):
+        # either way the run stops at t=dt with its t=0 record; a healthy
+        # member of its batch goes on as its single run
+        g = Grid1D(1.0, M, bc)
+        p = open_loop()
+        bad = (SimConfig(grid=g, dt=dt, T=n_steps * dt,
+                         ic=ICSpec("random-band", seed=1, kmax=3, amplitude=amplitude)), p)
+        healthy = (SimConfig(grid=g, dt=1e-3, T=n_steps * 1e-3,
+                             ic=ICSpec("random-band", seed=2, kmax=3, amplitude=1.0)), p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(BlowupError, match=reason) as exc:
+                simulate(*bad)
+            want = simulate(*healthy)
+            batch = Batch([bad, healthy])
+            got_bad, got = batch.outcome(*bad), batch.outcome(*healthy)
+        for err in (exc.value, got_bad):
+            assert err.time == dt and reason in err.reason
+            assert len(err.record) == 1 and err.record.times[0] == 0.0
+            if reason.startswith("stability"):
+                assert err.record.l4p4[0] == np.inf
+        assert np.array_equal(got.times, want.times) and len(got) == n_steps + 1
+        for name in SERIES:
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+    def test_one_synthesis_per_stage_and_none_per_record(self, monkeypatch):
+        # ETDRK2 synthesizes two stages a step, and a record reads the
+        # samples of the step that reached it: 2n + 1 calls for n steps, the
+        # first for the initial state.  M=256 takes scipy's transforms, whose
+        # synthesis is ``samples_of``
+        calls = []
+
+        def counted(grid, coeffs):
+            calls.append(grid)
+            return samples_of(grid, coeffs)
+
+        monkeypatch.setattr(dynamics, "samples_of", counted)
+        n = 7
+        cfg = SimConfig(grid=neumann(M=256), dt=1e-3, T=n * 1e-3,
+                        ic=ICSpec("random-band", seed=4, kmax=3, amplitude=1.0),
+                        record_every=1, scheme="etdrk2")
+        assert len(simulate(cfg, open_loop())) == n + 1
+        assert len(calls) == 2 * n + 1
 
     def test_batch_rejects_foreign_runs(self):
         p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0)

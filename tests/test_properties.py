@@ -228,14 +228,19 @@ def test_fused_step_matches_unfused_composition(kind, scheme, dense, data):
     stepper, c = data.draw(stepped_states(kind, scheme, dense))
     assert (stepper._fine.M * c.view(np.float64).shape[0] <= DENSE_MAX_ENTRIES) == dense
     want, want_max = unfused_step(stepper, c)
-    got = stepper.advance(c)
+    got, s = stepper.advance(c, stepper.samples(c))
     assert got.dtype == c.dtype and got.shape == c.shape
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert abs(stepper.cube(c)[1] - want_max) <= 1e-13 * want_max
+    # the carried samples are those of the new state
+    for have, fresh in zip(s, stepper.samples(got)):
+        assert np.array_equal(have, fresh)
     # the real view is the same state, and so is a batch of that one row
-    x = stepper.advance(c.view(np.float64))
+    x = c.view(np.float64)
+    x, _ = stepper.advance(x, stepper.samples(x))
     assert np.array_equal(x, got.view(np.float64))
-    assert np.array_equal(stepper.advance(c[None]), got[None])
+    row, _ = stepper.advance(c[None], stepper.samples(c[None]))
+    assert np.array_equal(row, got[None])
 
 
 @st.composite
