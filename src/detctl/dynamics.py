@@ -4,18 +4,21 @@ The stiff diffusion term is advanced exactly mode by mode; the reaction and
 control terms are integrated explicitly (exponential Euler by default, a
 two-stage exponential Runge-Kutta scheme optionally).  The cubic is always
 evaluated on a padded grid, so the resolved band never sees aliasing from
-the tripled bandwidth.  The stepper keeps the state as one real vector (the
-coefficients, real and imaginary parts interleaved on periodic grids) and
-folds everything linear in a step (diffusion, alpha u and the rank-N
-feedback) into precomputed stage operators once, so a step is the cube plus
-a few matrix-vector products.  On small grids every operator, the transforms
-to and from the padded grid included, is one dense real matrix; above
-``DENSE_MAX_ENTRIES`` the transforms are scipy's and the linear part a
-diagonal plus the rank-N factors.  A step returns the padded-grid samples of
-its new state with it, so the next step's guard and cube and the recorder
-read them and no state is synthesized twice.  One recorder per group keeps
-each record's state rows, squared samples and observation products and
-reduces them to the recorded series ``RECORD_CHUNK`` records at a time.
+the tripled bandwidth: 2M points on Neumann grids, and on periodic ones the
+smallest fast FFT size of at least 2M + 1 points, enough to keep both the
+cube's band and the L4 quadrature exact.  The stepper keeps the state
+as one real vector (the coefficients, real and imaginary parts interleaved
+on periodic grids) and folds everything linear in a step (diffusion,
+alpha u and the rank-N feedback) into precomputed stage operators once, so
+a step is the cube plus a few matrix-vector products.  On small grids every
+operator, the transforms to and from the padded grid included, is one dense
+real matrix; above ``DENSE_MAX_ENTRIES`` the transforms are scipy's and the
+linear part a diagonal plus the rank-N factors.  A step returns the
+padded-grid samples of its new state with it, so the next step's guard and
+cube and the recorder read them and no state is synthesized twice.  One
+recorder per group keeps each record's state rows, squared samples and
+observation products and reduces them to the recorded series
+``RECORD_CHUNK`` records at a time.
 
 One engine steps a batch of runs: a :class:`Batch` steps its members that
 share a grid, a step count, a record stride and a scheme as one (B, n) state,
@@ -41,6 +44,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from . import fields, interpolants
 from .fields import Field, Grid1D, coeffs_of, coeffs_of_samples, samples_of
@@ -219,13 +223,14 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 
 # Entries of the real synthesis matrix up to which the stepper's stage
-# operators are dense matrices (S is 2M x M Neumann, 4M x 2(M//2 + 1)
-# periodic, and the step's cost grows with its entries while scipy's barely
-# grows with M), so one entry count is the crossover for both boundary
-# conditions.  In the fused-step timing table in CHANGES.md dense is ahead on
-# both schemes up to 62k entries (Neumann M=176, periodic M=124), within 5% at
-# 67k (Neumann M=184, periodic M=128) and behind on ETDRK2 from 74k (Neumann
-# M=192, periodic M=140).
+# operators are dense matrices (S is 2M x M Neumann, N_f x 2(M//2 + 1)
+# periodic with N_f = next_fast_len(2M + 1), and the step's cost grows with
+# its entries while scipy's barely grows with M), so one entry count is the
+# crossover for both boundary conditions: Neumann M <= 178, periodic
+# M <= 175.  In the fused-step timing table in CHANGES.md dense is ahead on
+# both schemes up to 62k entries (Neumann M=176, periodic M=171), within 5% at
+# 67k (Neumann M=184; periodic M=176 to 180 hold 64k to 68k) and behind on
+# ETDRK2 from 74k (Neumann M=192, periodic M=190).
 DENSE_MAX_ENTRIES = 64_000
 
 # Records the recorder reduces together; its buffers hold this many state
@@ -301,10 +306,12 @@ class Stepper:
         ETD1:    w = S x,  y = P x - Q w^3
         ETDRK2:  v = S y,  y + W2L (y - x) - W2T (v^3 - w^3)
 
-    with S the synthesis on the padded grid ``_fine`` (2M Neumann, 4M
-    periodic points), where the cube is taken without aliasing, T the
-    analysis back to the band, Lin = alpha I - mu A_r O_r (``_real_ctl``
-    holds the real forms O_r, A_r of ``ctl.O``, ``ctl.A``),
+    with S the synthesis on the padded grid ``_fine`` (2M Neumann points;
+    periodic, N_f = next_fast_len(2M + 1) points: the cube's modes reach
+    3M/2, so an alias lands at |m| >= N_f - 3M/2 > M/2, outside the band,
+    and the trapezoid sum of u^4 is exact), where the cube is taken without
+    aliasing, T the analysis back to the band, Lin = alpha I - mu A_r O_r
+    (``_real_ctl`` holds the real forms O_r, A_r of ``ctl.O``, ``ctl.A``),
     P = diag(decay) + diag(w1) Lin, Q = diag(w1) T, W2L = diag(w2) Lin and
     W2T = diag(w2) T.  ``decay``, ``w1`` and ``w2`` are the ETD weights
     exp(z), dt phi1(z) and dt phi2(z), z = -nu k^2 dt, one row per member.
@@ -332,8 +339,9 @@ class Stepper:
     max u^2 <= (0.5 / dt - alpha - mu) / 3, so the guard compares the
     largest squared sample of the batch with the smallest such cap; only
     when that fails does it compare each member's largest squared sample
-    with its own cap and raise ``BlowupError`` with ``failed`` naming the
-    rows past theirs (a NaN state included) and their ``stability_limit``.
+    with its own cap, and only when some rows are past theirs (a NaN state
+    included) does it format their ``stability_limit`` and raise
+    ``BlowupError`` with ``failed`` naming them.
     ``cube`` and ``fine_samples`` expose the unfused transforms.
     """
 
@@ -345,7 +353,7 @@ class Stepper:
         if grid.bc == fields.NEUMANN:
             self._fine = Grid1D(grid.L, 2 * grid.M, fields.NEUMANN)
         else:
-            self._fine = Grid1D(grid.L, 4 * grid.M, fields.PERIODIC)
+            self._fine = Grid1D(grid.L, next_fast_len(2 * grid.M + 1, real=True), fields.PERIODIC)
         parts = 2 if grid.bc == fields.PERIODIC else 1
         ops = {}    # members with one spec share its control operator
         for q in self.params:
@@ -451,10 +459,11 @@ class Stepper:
         # a NaN state fails both comparisons
         if not top <= self._cap_min:
             row_max2 = w2.reshape(len(self.dt), -1).max(axis=1)
-            limit = stability_limit(self._alpha, self._mu, np.sqrt(row_max2))  # for the message
-            failed = {int(i): f"dt={self.dt[i]:.3g} exceeds the stability limit {limit[i]:.3g}"
-                      for i in np.flatnonzero(~(row_max2 <= self._caps))}
-            if failed:
+            past = ~(row_max2 <= self._caps)
+            if past.any():
+                limit = stability_limit(self._alpha, self._mu, np.sqrt(row_max2))
+                failed = {int(i): f"dt={self.dt[i]:.3g} exceeds the stability limit {limit[i]:.3g}"
+                          for i in np.flatnonzero(past)}
                 raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
         w3 = w2 * w
         y = self._P(x) - self._Q(w3)

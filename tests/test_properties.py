@@ -1,9 +1,10 @@
 """Property tests of the grid's coefficient layout (transforms, Parseval
 weights, point evaluation), of the stepper's padded transforms against the
-padded scipy transforms, of its fused step against the unfused ETD
-composition, of the closed-loop control operator against the field-level
-interpolant maps, of the recorder's independence from its stride, and of a
-batch's members against their single runs."""
+padded scipy transforms and its cube and L4 sum against an 8M-point
+reference, of its fused step against the unfused ETD composition, of the
+closed-loop control operator against the field-level interpolant maps, of
+the recorder's independence from its stride, and of a batch's members
+against their single runs."""
 
 from dataclasses import replace
 
@@ -119,10 +120,10 @@ def padded_reference(stepper, c):
 def padded_states(draw):
     """A stepper of either boundary condition and a random state over its
     whole coefficient layout.  M falls on both sides of the dense/scipy
-    crossover (Neumann M=178, periodic M=125), odd and even."""
+    crossover (Neumann M=178, periodic M=175), odd and even."""
     bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
     M = draw(st.one_of(st.integers(8, 120), st.integers(190, 288),
-                       st.sampled_from((125, 126, 178, 179))))
+                       st.sampled_from((175, 176, 178, 179))))
     grid = Grid1D(L, M, bc)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     c = rng.uniform(-1.0, 1.0, grid.w.shape)
@@ -146,9 +147,28 @@ def test_stepper_transforms_match_padded_scipy(case):
     assert abs(max_abs - np.max(np.abs(w_ref))) <= 1e-13 * np.max(np.abs(w_ref))
 
 
+@PROPERTY
+@given(padded_states())
+def test_padded_cube_and_l4_match_an_8m_point_reference(case):
+    # the reference grid is fixed at 8M points, so it does not trust the
+    # stepper's choice of padded grid: one that aliases fails here
+    stepper, c = case
+    grid = stepper.grid
+    ref = Grid1D(L, 8 * grid.M, grid.bc)
+    pad = np.zeros(ref.w.shape, dtype=c.dtype)
+    pad[: c.shape[0]] = c
+    w_ref = samples_of(ref, pad)
+    cubed_ref = coeffs_of(Field(ref, w_ref ** 3))[: c.shape[0]]
+    l4_ref = np.sum(w_ref ** 4) * ref.dx
+    cubed, _ = stepper.cube(c)
+    assert np.max(np.abs(cubed - cubed_ref)) <= 1e-13 * np.max(np.abs(cubed_ref))
+    w, dw = stepper.fine_samples(c)
+    assert abs(np.sum(w ** 4) * dw - l4_ref) <= 1e-13 * l4_ref
+
+
 def test_even_periodic_nyquist_column_is_a_conjugate_pair_on_the_padded_grid():
     # the padded irfft takes the coarse Nyquist column as an interior column of
-    # the 4M grid, so it is sampled at twice its coarse-grid amplitude; the
+    # the padded grid, so it is sampled at twice its coarse-grid amplitude; the
     # dense matrices (M=64 is below the crossover) must do the same
     grid = Grid1D(L, 64, PERIODIC)
     stepper = Stepper(grid, ClosedLoopParams(nu=1.0, alpha=1.0, L=L), 1e-3)
@@ -184,8 +204,8 @@ def unfused_step(stepper, c):
 
 
 # grid sizes that keep the stepper's operators dense, and past the crossover
-DENSE_M = {NEUMANN: (8, 178), PERIODIC: (8, 125)}
-SCIPY_M = {NEUMANN: (179, 288), PERIODIC: (126, 288)}
+DENSE_M = {NEUMANN: (8, 178), PERIODIC: (8, 175)}
+SCIPY_M = {NEUMANN: (179, 288), PERIODIC: (176, 288)}
 
 
 @st.composite
@@ -360,7 +380,8 @@ def outcomes(members):
 def test_batch_members_match_single_runs(dense, data):
     members = data.draw(batches(dense))
     grid = members[0][0].grid
-    padded, parts = (4 * grid.M, 2) if grid.bc == PERIODIC else (2 * grid.M, 1)
+    padded = Stepper(grid, members[0][1], members[0][0].dt)._fine.M
+    parts = 2 if grid.bc == PERIODIC else 1
     assert (padded * parts * grid.w.shape[0] <= DENSE_MAX_ENTRIES) == dense
     batch = outcomes(members)
     for (cfg, p), got in zip(members, batch):
