@@ -32,6 +32,9 @@ UNDERFLOW_FLOOR = 1e-280
 DECAY_SLACK = 0.05
 ABSORBING_MARGIN = 0.05
 
+# a sweep cell is stabilized when ||u(T)|| <= STABILIZED_RATIO ||u(0)||
+STABILIZED_RATIO = 1e-4
+
 # sweep cells: the smallest grid, and the step over the explicit stability limit
 SWEEP_M_MIN = 64
 SWEEP_SAFETY = 0.4
@@ -301,8 +304,8 @@ def rank_scan(
     band state of :func:`sweep_cell_config`, and all cells form one
     :class:`Batch`, which steps the cells that share a grid and a step
     schedule together (a cell that blows up gets an infinite ratio).  Every
-    rank is run: the stabilization criterion (a ratio at or below a
-    threshold such as 1e-4, far below any transient overshoot) is not
+    rank is run: the stabilization criterion (a ratio at or below
+    ``STABILIZED_RATIO``, far below any transient overshoot) is not
     assumed monotone in N, so the minimal stabilizing rank is the first one
     that meets it.
     """

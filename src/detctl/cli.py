@@ -160,7 +160,6 @@ _SWEEP = {
         "kind": (_one_of("volume", "nodal", "fourier"), "volume"),
         "ic": ({"seed": (_integer_from(0), 0), "kmax": (_integer_from(0), 2),
                 "amplitude": (_POSITIVE, 1.0)}, {}),
-        "ratio_threshold": (_POSITIVE, 1e-4),
     }, _REQUIRED),
     "experiment": ({"name": (_NAME, _REQUIRED)}, _REQUIRED),
 }
@@ -236,7 +235,6 @@ def parse_sweep_config(doc: dict) -> dict:
         "name": c["experiment"]["name"], "alphas": sw["alphas"], "nu": sw["nu"], "L": sw["L"],
         "mu_of": mu_of, "N_range": tuple(sw["N_range"]), "kind": sw["kind"],
         "ic_seed": ic["seed"], "ic_kmax": ic["kmax"], "ic_amplitude": ic["amplitude"],
-        "ratio_threshold": sw["ratio_threshold"],
     }
 
 
@@ -442,7 +440,7 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
     started = datetime.now(timezone.utc).isoformat()
 
     lo, hi = sw["N_range"]
-    threshold = sw["ratio_threshold"]
+    threshold = analysis.STABILIZED_RATIO
     minimal: dict[float, int | None] = {}
     rows = []
     mus = [sw["mu_of"](alpha) for alpha in sw["alphas"]]

@@ -31,9 +31,12 @@ Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
 ``A @ (O @ c).real`` and the recorded observation energy, interpolant norm
 and control pairing follow from the observations alone, so nothing here
-branches on the family.  Piecewise-constant controllers act through their
-resolved-band projection, whose pairing against any resolved field equals the
-exact continuum pairing; delta controllers act as mass-preserving single-cell
+branches on the family.  A group stacks its members' triples once,
+zero-padded to its largest rank; the open loop is zero rows, and a group
+with no feedback has rank 0, so nothing branches on the open loop either.
+Piecewise-constant controllers act through their resolved-band
+projection, whose pairing against any resolved field equals the exact
+continuum pairing; delta controllers act as mass-preserving single-cell
 sources on periodic grids.  The module holds only the integrator: the
 stability hypotheses and the rates they certify are in :mod:`detctl.analysis`.
 """
@@ -53,7 +56,7 @@ from .interpolants import InterpolantSpec
 
 @dataclass(frozen=True)
 class ClosedLoopParams:
-    """Equation and feedback parameters; ``spec=None`` means open loop."""
+    """Equation and feedback parameters; ``spec=None`` is the open loop and needs mu = 0."""
 
     nu: float
     alpha: float
@@ -70,12 +73,16 @@ class ClosedLoopParams:
             raise ValueError(f"domain length must be positive, got L={self.L}")
         if not self.mu >= 0:
             raise ValueError(f"feedback gain must be nonnegative, got mu={self.mu}")
+        if self.spec is None and self.mu > 0:
+            raise ValueError(
+                f"feedback gain mu={self.mu} needs a controller, or mu = 0 for the open loop")
         if self.spec is not None and abs(self.spec.L - self.L) > 1e-14 * self.L:
             raise ValueError(f"interpolant spec length {self.spec.L} differs from L={self.L}")
 
     @property
     def open_loop(self) -> bool:
-        return self.mu == 0.0 or self.spec is None
+        """No feedback acts: mu = 0, with or without a spec."""
+        return self.mu == 0.0
 
 
 SINGLE_MODE = "single-mode"
@@ -298,10 +305,14 @@ class Stepper:
     is B = 1), and a state of shape (n,) steps as its single row.  The state
     is the real view x = c.view(float64): the cosine coefficients on Neumann
     grids, the rfft coefficients with real and imaginary parts interleaved
-    on periodic ones.  ``ctls`` holds each member's (O, A, q) triple on this
-    grid, or None in the open loop.  Everything in a step but the cube is
-    linear, so the diffusion, alpha u and the rank-N feedback are folded
-    into the ETD stage maps once:
+    on periodic ones.  The group's feedback is one stack, built here and
+    read by every map and by the recorder: ``O_r`` (B, r, n), ``A_r``
+    (B, n, r) and ``q`` (B, r) hold each member's (O, A, q) triple on this
+    grid in real form (O_r x = (O c).real, A_r v = (A v).view(float64)),
+    zero-padded to the group's largest rank r.  An open-loop member's rows
+    are zero, and a group of open-loop members has r = 0.  Everything in a
+    step but the cube is linear, so the diffusion, alpha u and the rank-r
+    feedback are folded into the ETD stage maps once:
 
         ETD1:    w = S x,  y = P x - Q w^3
         ETDRK2:  v = S y,  y + W2L (y - x) - W2T (v^3 - w^3)
@@ -310,8 +321,7 @@ class Stepper:
     periodic, N_f = next_fast_len(2M + 1) points: the cube's modes reach
     3M/2, so an alias lands at |m| >= N_f - 3M/2 > M/2, outside the band,
     and the trapezoid sum of u^4 is exact), where the cube is taken without
-    aliasing, T the analysis back to the band, Lin = alpha I - mu A_r O_r
-    (``_real_ctl`` holds the real forms O_r, A_r of ``ctl.O``, ``ctl.A``),
+    aliasing, T the analysis back to the band, Lin = alpha I - mu A_r O_r,
     P = diag(decay) + diag(w1) Lin, Q = diag(w1) T, W2L = diag(w2) Lin and
     W2T = diag(w2) T.  ``decay``, ``w1`` and ``w2`` are the ETD weights
     exp(z), dt phi1(z) and dt phi2(z), z = -nu k^2 dt, one row per member.
@@ -319,17 +329,17 @@ class Stepper:
     The maps are built as arrays and kept as their bound products
     (``_P``, ``_Q``, ``_W2L``, ``_W2T``, ``_synth``, ``_analyze``), each one
     call on the whole batch.  Up to ``DENSE_MAX_ENTRIES`` S and T are dense
-    matrices, and when every member has the same parameters and dt (a
-    single run always does) P, Q, W2L and W2T are too.  Otherwise Q and W2T
-    are (B, n) weights on the T product, and P and W2L are (B, n) diagonals
-    plus the rank-N feedback as (B, n, N) and (B, N, n) stacks, zero-padded
-    to one rank and applied with ``np.matmul``: as fast as (B, n, n) stacks
-    at M=64 and a tenth of their memory.  Above ``DENSE_MAX_ENTRIES`` S and
-    T are scipy's transforms along the last axis and every P and W2L is a
-    diagonal plus rank-N factors (one row of them for shared members).  BLAS
-    rounds a product of several rows differently from one row, so a member
-    of a batch may differ from its single run in the last bits; a given
-    batch is deterministic.
+    matrices, and when every member has the same parameters and dt
+    (``shared``; a single run always does) P, Q, W2L and W2T are too, built
+    from row 0 of the stack.  Otherwise Q and W2T are (B, n) weights on the
+    T product, and P and W2L are (B, n) diagonals plus the feedback
+    U_k (V x) with V = O_r and U_k = w_k mu A_r, applied with ``np.matmul``:
+    as fast as (B, n, n) stacks at M=64 and a tenth of their memory.  Above
+    ``DENSE_MAX_ENTRIES`` S and T are scipy's transforms along the last axis
+    and every P and W2L is such a diagonal plus factors (row 0 of them for
+    shared members).  BLAS rounds a product of several rows differently
+    from one row, so a member of a batch may differ from its single run in
+    the last bits; a given batch is deterministic.
 
     ``advance`` takes the state with its ``samples`` (w = S x, w^2 and the
     largest w^2) and returns the new state with its own: the synthesis of a
@@ -342,7 +352,7 @@ class Stepper:
     with its own cap, and only when some rows are past theirs (a NaN state
     included) does it format their ``stability_limit`` and raise
     ``BlowupError`` with ``failed`` naming them.
-    ``cube`` and ``fine_samples`` expose the unfused transforms.
+    ``cube`` exposes the unfused transforms.
     """
 
     def __init__(self, grid: Grid1D, p, dt, scheme: str = "etd1"):
@@ -355,14 +365,20 @@ class Stepper:
         else:
             self._fine = Grid1D(grid.L, next_fast_len(2 * grid.M + 1, real=True), fields.PERIODIC)
         parts = 2 if grid.bc == fields.PERIODIC else 1
+        B, n = len(self.params), grid.w.shape[0] * parts
         ops = {}    # members with one spec share its control operator
-        for q in self.params:
-            if not q.open_loop and q.spec not in ops:
-                ctl = interpolants.control_operator(q.spec, grid)
-                ops[q.spec] = ctl, (_real_columns(ctl.O, parts), _real_rows(ctl.A, parts))
-        self.ctls = tuple(None if q.open_loop else ops[q.spec][0] for q in self.params)
-        self._real_ctl = tuple(None if q.open_loop else ops[q.spec][1] for q in self.params)
-        alpha, mu, nu = (np.array([getattr(q, name) for q in self.params])
+        for pm in self.params:
+            if not pm.open_loop and pm.spec not in ops:
+                ctl = interpolants.control_operator(pm.spec, grid)
+                ops[pm.spec] = _real_columns(ctl.O, parts), _real_rows(ctl.A, parts), ctl.q
+        r = max((O.shape[0] for O, _, _ in ops.values()), default=0)
+        self.O_r, self.A_r, self.q = np.zeros((B, r, n)), np.zeros((B, n, r)), np.zeros((B, r))
+        for i, pm in enumerate(self.params):
+            if not pm.open_loop:
+                O, A, q = ops[pm.spec]
+                k = O.shape[0]
+                self.O_r[i, :k], self.A_r[i, :, :k], self.q[i, :k] = O, A, q
+        alpha, mu, nu = (np.array([getattr(pm, name) for pm in self.params])
                          for name in ("alpha", "mu", "nu"))
         z = -nu[:, None] * grid.wavenumbers ** 2 * self.dt[:, None]
         self.decay = np.exp(z)
@@ -372,50 +388,34 @@ class Stepper:
         self._caps = (0.5 / self.dt - alpha - mu) / 3.0   # on max u^2, per member
         self._cap_min = float(self._caps.min())
 
-        members = list(zip(self.params, self.dt.tolist()))
-        shared = len(set(members)) == 1
+        self.shared = len(set(zip(self.params, self.dt.tolist()))) == 1
         decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
         stages = (w1, w2) if scheme == "etdrk2" else (w1,)  # weights of (P, Q) and (W2L, W2T)
-        n = decay.shape[1]
         self._S, self._T = _padded_transforms(grid, self._fine) or (None, None)
         if self._S is not None:
             self._synth, self._analyze = _applier(self._S), _applier(self._T)
         else:
             self._synth, self._analyze = self._scipy_synth, self._scipy_analyze
-        if self._S is not None and shared:
-            Lin = alpha[0] * np.eye(n)
-            if self._real_ctl[0] is not None:
-                O, A = self._real_ctl[0]
-                Lin -= (mu[0] * A) @ O
+        if self._S is not None and self.shared:
+            Lin = alpha[0] * np.eye(n) - (mu[0] * self.A_r[0]) @ self.O_r[0]
             lin = [w[0][:, None] * Lin for w in stages]
             lin[0] += np.diag(decay[0])
             lin_maps = [_applier(m) for m in lin]
             weighted = [_applier(w[0][:, None] * self._T) for w in stages]
         else:
-            # each member's diagonal, its rank-N feedback U (V x) and its
+            # each member's diagonal, its rank-r feedback U (V x) and its
             # weights on the T product, one row for all members when they
             # share them
-            rows = 1 if shared else len(members)
-            diags = [(decay + alpha[:, None] * w1)[:rows], (alpha[:, None] * w2)[:rows]]
-            diags = [d[0] if shared else d for d in diags[: len(stages)]]
-            factors = self._real_ctl[:rows]
-            ranks = [f[0].shape[0] for f in factors if f is not None]
-            lin_maps = [d.__mul__ for d in diags]
-            if ranks:
-                V = np.zeros((rows, max(ranks), n))
-                U = np.zeros((len(stages), rows, n, max(ranks)))
-                for i, f in enumerate(factors):
-                    if f is not None:
-                        O, A = f
-                        V[i, : O.shape[0]] = O
-                        for k, w in enumerate(stages):
-                            U[k, i, :, : O.shape[0]] = w[i][:, None] * (mu[i] * A)
-                if shared:
-                    V, U = V[0], U[:, 0]
-                lin_maps = [partial(_diagonal_plus_low_rank, d, _applier(u), _applier(V))
-                            for d, u in zip(diags, U)]
+            diags = [decay + alpha[:, None] * w1, alpha[:, None] * w2][: len(stages)]
+            U = [w[:, :, None] * (mu[:, None, None] * self.A_r) for w in stages]
+            V = self.O_r
+            if self.shared:
+                diags, U, V = [d[0] for d in diags], [u[0] for u in U], V[0]
+            lin_maps = [partial(_diagonal_plus_low_rank, d, _applier(u), _applier(V))
+                        for d, u in zip(diags, U)]
             analyze = self._analyze
-            weighted = [lambda v, r=(w[0] if shared else w): r * analyze(v) for w in stages]
+            weighted = [lambda v, wk=(w[0] if self.shared else w): wk * analyze(v)
+                        for w in stages]
         self._P, self._Q = lin_maps[0], weighted[0]
         self._W2L, self._W2T = (lin_maps[1], weighted[1]) if len(stages) == 2 else (None, None)
 
@@ -429,10 +429,6 @@ class Stepper:
     def _scipy_analyze(self, v: np.ndarray) -> np.ndarray:
         c = coeffs_of_samples(self._fine, v)[..., : self.grid.w.shape[0]]
         return np.ascontiguousarray(c).view(np.float64)
-
-    def fine_samples(self, c: np.ndarray) -> tuple[np.ndarray, float]:
-        """Samples on the dealiasing grid and its quadrature weight."""
-        return self._synth(c.view(np.float64)), self._fine.dx
 
     def cube(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased coefficients of u^3 and max|u| on the padded grid."""
@@ -486,13 +482,16 @@ class _Recorder:
     samples w^2 its step left on the padded grid and H x, where H stacks the
     real observation matrix O_r over G = A_r^T diag(w): the observations are
     v = O_r x and the control pairing sum(w Re((A v) conj(c))) is v . (G x).
-    H is one matrix when the members share a controller and otherwise a
-    (B, 2r, n) stack, zero-padded to one rank r; its product is one call on
-    the live rows per record.  The norms, the L4 term and the observation
-    series are elementwise products and row sums over the chunk, which numpy
-    rounds row by row, so a record depends on neither the stride nor the
-    chunk; a batch's records differ from its members' single runs in the
-    last bits, as its states do (see ``Stepper``).
+    H is built from the ``Stepper``'s zero-padded stack: one matrix when the
+    members share parameters and dt (its ``shared``) and otherwise a
+    (B, 2r, n) stack; its product is one call on the live rows per record.
+    An open-loop member's rows of H are zero, so it records zero
+    observations, and a rank-0 group records them as empty sums.  The
+    norms, the L4 term and the observation series are elementwise products
+    and row sums over the chunk, which numpy rounds row by row, so a record
+    depends on neither the stride nor the chunk; a batch's records differ
+    from its members' single runs in the last bits, as its states do (see
+    ``Stepper``).
     """
 
     def __init__(self, st: Stepper, steps: list[int]):
@@ -507,19 +506,10 @@ class _Recorder:
         rows = min(RECORD_CHUNK, len(steps))
         self._x = np.empty((rows, B, self._w.shape[0]))
         self._u2 = np.empty((rows, B, st._fine.M))
-        self._H = None
-        if any(f is not None for f in st._real_ctl):
-            # zero-padded to the largest rank r, and one matrix for shared rows
-            r = max(f[0].shape[0] for f in st._real_ctl if f is not None)
-            H, q = np.zeros((B, 2 * r, self._w.shape[0])), np.zeros((B, r))
-            for i, f in enumerate(st._real_ctl):
-                if f is not None:
-                    k = f[0].shape[0]
-                    H[i, :k], H[i, r : r + k], q[i, :k] = f[0], f[1].T * self._w, st.ctls[i].q
-            shared = len({id(f) for f in st._real_ctl}) == 1
-            self._H, self._q = (H[0], q[0]) if shared else (H, q)
-            self._observe = _applier(self._H)
-            self._hx = np.empty((rows, B, 2 * r))
+        H = np.concatenate([st.O_r, st.A_r.transpose(0, 2, 1) * self._w], axis=1)
+        self._H, self._q = (H[0], st.q[0]) if st.shared else (H, st.q)
+        self._observe = _applier(self._H)
+        self._hx = np.empty((rows, B, H.shape[1]))
         self._series = {name: np.zeros((B, len(steps))) for name in SERIES}
         self.live = np.arange(B)     # the member in each row of the state
         self.count = 0      # records taken
@@ -530,8 +520,7 @@ class _Recorder:
         i = self.count - self._done
         self._x[i] = x
         self._u2[i] = s[1]
-        if self._H is not None:
-            self._hx[i] = self._observe(x)
+        self._hx[i] = self._observe(x)
         self.count += 1
         if i + 1 == self._x.shape[0]:
             self.flush()
@@ -540,12 +529,10 @@ class _Recorder:
         """Go on with only the live members in ``rows``."""
         self.flush()
         self.live, b = self.live[rows], len(rows)
-        self._x, self._u2 = self._x[:, :b], self._u2[:, :b]
-        if self._H is not None:
-            self._hx = self._hx[:, :b]
-            if self._H.ndim == 3:
-                self._H, self._q = self._H[rows], self._q[rows]
-                self._observe = _applier(self._H)
+        self._x, self._u2, self._hx = self._x[:, :b], self._u2[:, :b], self._hx[:, :b]
+        if self._H.ndim == 3:
+            self._H, self._q = self._H[rows], self._q[rows]
+            self._observe = _applier(self._H)
 
     def flush(self) -> None:
         k = self.count - self._done
@@ -558,13 +545,12 @@ class _Recorder:
         s["h1"][at] = np.sqrt(l2_sq / self._L2[self.live] + h1x_sq).T
         u2 = self._u2[:k]
         s["l4p4"][at] = (np.square(u2, out=u2).sum(axis=-1) * self._dw).T
-        if self._H is not None:
-            n_obs = self._hx.shape[-1] // 2
-            v, g = self._hx[:k, :, :n_obs], self._hx[:k, :, n_obs:]
-            v2 = v * v
-            s["gamma2"][at] = v2.sum(axis=-1).T
-            s["ih_l2"][at] = np.sqrt((v2 * self._q).sum(axis=-1)).T
-            s["pairing"][at] = (v * g).sum(axis=-1).T
+        r = self._q.shape[-1]
+        v, g = self._hx[:k, :, :r], self._hx[:k, :, r:]
+        v2 = v * v
+        s["gamma2"][at] = v2.sum(axis=-1).T
+        s["ih_l2"][at] = np.sqrt((v2 * self._q).sum(axis=-1)).T
+        s["pairing"][at] = (v * g).sum(axis=-1).T
         self._done = self.count
 
     def result(self, m: int) -> TrajectoryRecord:

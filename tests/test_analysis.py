@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from detctl.analysis import (
+    STABILIZED_RATIO,
     NoFitError,
     absorbing_bounds,
     absorbing_entry_time,
@@ -143,8 +144,8 @@ class TestAbsorbing:
         assert absorbing_entry_time(p, 0.5 * r0_sq) == 0.0
 
 
-def minimal_N(ratios, threshold=1e-4):
-    return next((N for N, r in ratios.items() if r <= threshold), None)
+def minimal_N(ratios):
+    return next((N for N, r in ratios.items() if r <= STABILIZED_RATIO), None)
 
 
 class TestMinimalN:

@@ -57,6 +57,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="step_size"):
             parse_simulate_config(doc)
 
+    def test_gain_without_control_exits_2(self, tmp_path, capsys):
+        code = main(["simulate", write_config(tmp_path, base_config(control=None)),
+                     "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: params: feedback gain mu=10.0 needs")
+
     def test_unknown_top_level_section(self):
         doc = base_config()
         doc["extra"] = {}
@@ -141,6 +147,15 @@ class TestValidation:
         assert capsys.readouterr().err.startswith(f"error: experiment: unknown keys ['{key}']")
 
 
+def test_ratio_threshold_key_rejected(tmp_path, capsys):
+    # the sweep's verdict threshold is fixed in detctl.analysis
+    doc = load_preset("sweep-remark21")
+    doc["sweep"]["ratio_threshold"] = 0.5
+    code = main(["sweep", write_config(tmp_path, doc), "--out-dir", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: sweep: unknown keys ['ratio_threshold']")
+
+
 def set_key(doc, path, value):
     *parents, key = path.split(".")
     for name in parents:
@@ -174,7 +189,7 @@ GRID_DEPENDENT = {
     "include_mean for volume": ("control", {"control": {"kind": "volume", "N": 2,
                                                         "include_mean": True}}),
     "periodic single-mode k above M/2": ("sim.ic", {
-        "grid.bc": "periodic", "control": None,
+        "grid.bc": "periodic", "control": None, "params.mu": 0.0,
         "sim.ic": {"kind": "single-mode", "k": 20, "amplitude": 1.0}}),
 }
 

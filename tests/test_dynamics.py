@@ -28,7 +28,7 @@ from detctl.dynamics import (
     stability_limit,
 )
 from detctl.analysis import check_conditions
-from detctl.interpolants import DELTA, FOURIER, VOLUME, InterpolantSpec
+from detctl.interpolants import DELTA, FOURIER, VOLUME, InterpolantSpec, control_operator
 
 
 def neumann(M=64, L=1.0):
@@ -46,8 +46,8 @@ def rhs(u, p):
     st = Stepper(u.grid, p, dt=1.0)
     cubed, _ = st.cube(c)
     n = p.alpha * c - cubed
-    (ctl,) = st.ctls
-    if ctl is not None:
+    if not p.open_loop:
+        ctl = control_operator(p.spec, u.grid)
         n = n - p.mu * ctl.A @ (ctl.O @ c).real
     return samples_of(u.grid, -p.nu * u.grid.wavenumbers ** 2 * c + n)
 
@@ -63,6 +63,11 @@ class TestParams:
     def test_rejects_negative_gain(self):
         with pytest.raises(ValueError, match="gain"):
             ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0, mu=-1.0)
+
+    def test_gain_needs_a_controller(self):
+        # a gain with nothing to act through would run open loop unannounced
+        with pytest.raises(ValueError, match="mu=10.0 needs a controller"):
+            ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0, mu=10.0)
 
     def test_rejects_bad_nu(self):
         with pytest.raises(ValueError, match="diffusion"):
@@ -325,6 +330,41 @@ class TestSimulate:
                 for name in SERIES:
                     a, b = getattr(got, name), getattr(want, name)
                     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+    # M=64 is below the dense/scipy crossover, M=192 above it
+    @pytest.mark.parametrize("M, dense", [(64, True), (192, False)])
+    def test_open_loop_members_are_rank_0_rows(self, M, dense):
+        # an open-loop member is all-zero rows of its group's feedback stack,
+        # and a group of open-loop members has rank 0; the members differ in
+        # alpha or dt, so the batches take the factored stage maps, and each
+        # member goes on as its single run and observes nothing
+        g = neumann(M=M)
+        n_steps = 40
+        volume = InterpolantSpec(VOLUME, 4, 1.0)
+        open_, mu0, closed = (
+            (1e-4, open_loop(alpha=4.0)),
+            (2e-4, ClosedLoopParams(nu=1.0, alpha=3.0, L=1.0, mu=0.0, spec=volume)),
+            (1e-4, ClosedLoopParams(nu=1.0, alpha=5.0, L=1.0, mu=20.0,
+                                    spec=InterpolantSpec(FOURIER, 2, 1.0))),
+        )
+        pair = (2e-4, open_loop(alpha=2.0))
+        for batch in ([open_, mu0, closed], [open_, pair]):
+            members = [(SimConfig(grid=g, dt=dt, T=n_steps * dt, record_every=4, scheme="etdrk2",
+                                  ic=ICSpec("random-band", seed=i, kmax=3, amplitude=1.0)), p)
+                       for i, (dt, p) in enumerate(batch)]
+            st = Stepper(g, [p for _, p in members], [cfg.dt for cfg, _ in members])
+            assert (st._S is not None) == dense and not st.shared
+            assert st.O_r.shape[1] == (0 if batch[-1] is pair else 3)
+            outcomes = Batch(members)
+            for cfg, p in members:
+                got, want = outcomes.outcome(cfg, p), simulate(cfg, p)
+                assert np.array_equal(got.times, want.times)
+                for name in SERIES:
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+                if p.open_loop:
+                    for name in ("gamma2", "ih_l2", "pairing"):
+                        assert not getattr(got, name).any() and not getattr(want, name).any()
 
     # (M, bc) on both sides of the dense/scipy crossover
     @pytest.mark.parametrize("M, bc", [(32, NEUMANN), (32, PERIODIC), (256, NEUMANN)])

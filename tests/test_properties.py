@@ -138,7 +138,7 @@ def padded_states(draw):
 def test_stepper_transforms_match_padded_scipy(case):
     stepper, c = case
     w_ref, cubed_ref = padded_reference(stepper, c)
-    w, dw = stepper.fine_samples(c)
+    w, dw = stepper.samples(c)[0], stepper._fine.dx
     assert dw == L / stepper._fine.M
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
     cubed, max_abs = stepper.cube(c)
@@ -162,7 +162,7 @@ def test_padded_cube_and_l4_match_an_8m_point_reference(case):
     l4_ref = np.sum(w_ref ** 4) * ref.dx
     cubed, _ = stepper.cube(c)
     assert np.max(np.abs(cubed - cubed_ref)) <= 1e-13 * np.max(np.abs(cubed_ref))
-    w, dw = stepper.fine_samples(c)
+    w, dw = stepper.samples(c)[0], stepper._fine.dx
     assert abs(np.sum(w ** 4) * dw - l4_ref) <= 1e-13 * l4_ref
 
 
@@ -175,7 +175,7 @@ def test_even_periodic_nyquist_column_is_a_conjugate_pair_on_the_padded_grid():
     c = np.zeros(grid.w.shape, dtype=complex)
     c[-1] = 0.75
     w_ref, cubed_ref = padded_reference(stepper, c)
-    w, _ = stepper.fine_samples(c)
+    w = stepper.samples(c)[0]
     x = stepper._fine.points()
     assert np.max(np.abs(w - 1.5 * np.cos(np.pi * grid.M * x / L))) <= 1e-13
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
@@ -187,7 +187,8 @@ def test_even_periodic_nyquist_column_is_a_conjugate_pair_on_the_padded_grid():
 def unfused_step(stepper, c):
     """ETD1 or ETDRK2 composed term by term from the ETD weights, the padded
     scipy cube and the control operator, and max|u| before the step."""
-    (p,), (ctl,) = stepper.params, stepper.ctls
+    (p,) = stepper.params
+    ctl = None if p.open_loop else control_operator(p.spec, stepper.grid)
 
     def nonlin(c):
         w, cubed = padded_reference(stepper, c)
@@ -227,8 +228,9 @@ def stepped_states(draw, kind, scheme, dense):
         M = draw(st.integers(lo, hi))
     grid = Grid1D(L, M, bc)
     spec = None if kind is None else InterpolantSpec(kind, N, L)
-    p = ClosedLoopParams(nu=1.0, alpha=draw(st.floats(0.5, 10.0)), L=L,
-                         mu=draw(st.floats(0.5, 20.0)), spec=spec)
+    alpha, mu = draw(st.floats(0.5, 10.0)), draw(st.floats(0.5, 20.0))
+    # mu is drawn for the open loop too, so the draw order does not depend on the kind
+    p = ClosedLoopParams(nu=1.0, alpha=alpha, L=L, mu=mu if spec else 0.0, spec=spec)
     stepper = Stepper(grid, p, draw(st.sampled_from((1e-4, 1e-3))), scheme)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     decay = 1.0 / (1.0 + np.arange(grid.w.shape[0])) ** 2
@@ -361,8 +363,9 @@ def batches(draw, dense):
     for _ in range(draw(st.integers(2, 5))):
         kind = draw(st.sampled_from(kinds))
         spec = None if kind is None else InterpolantSpec(kind, draw(st.integers(1, 4)), L)
-        p = ClosedLoopParams(nu=draw(st.sampled_from((0.5, 1.0))), alpha=draw(st.floats(0.5, 10.0)),
-                             L=L, mu=draw(st.floats(0.5, 20.0)), spec=spec)
+        nu, alpha = draw(st.sampled_from((0.5, 1.0))), draw(st.floats(0.5, 10.0))
+        mu = draw(st.floats(0.5, 20.0))     # drawn for the open loop too, as above
+        p = ClosedLoopParams(nu=nu, alpha=alpha, L=L, mu=mu if spec else 0.0, spec=spec)
         dt = draw(st.sampled_from((1e-4, 5e-4, 1e-3)))
         ic = ICSpec("random-band", seed=draw(st.integers(0, 1000)), kmax=3, amplitude=1.0)
         members.append((SimConfig(grid, dt, n_steps * dt, ic, every, scheme), p))
