@@ -12,12 +12,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .dynamics import (
-    Batch,
     BlowupError,
     ClosedLoopParams,
     ICSpec,
     SimConfig,
     TrajectoryRecord,
+    integrate,
     simulate,
     stability_limit,
 )
@@ -230,9 +230,8 @@ def absorbing_bounds(p: ClosedLoopParams) -> tuple[float, float]:
     return float(r0_sq), float(r1_sq)
 
 
-def absorbing_entry_time(p: ClosedLoopParams, u0_l2_sq: float,
-                         margin: float = ABSORBING_MARGIN) -> float:
-    """Time at which the a-priori envelope enters (1 + margin) R0^2.
+def absorbing_entry_time(p: ClosedLoopParams, u0_l2_sq: float) -> float:
+    """Time at which the a-priori envelope enters (1 + ABSORBING_MARGIN) R0^2.
 
     The envelope K0(t) = R0^2 + (||u(0)||^2 - R0^2) e^{-nu t / L^2} dominates
     ||u(t)||^2 whenever the existence hypotheses hold, so past this time the
@@ -240,9 +239,9 @@ def absorbing_entry_time(p: ClosedLoopParams, u0_l2_sq: float,
     """
     r0_sq, _ = absorbing_bounds(p)
     excess = u0_l2_sq - r0_sq
-    if excess <= margin * r0_sq:
+    if excess <= ABSORBING_MARGIN * r0_sq:
         return 0.0
-    return float(p.L ** 2 / p.nu * math.log(excess / (margin * r0_sq)))
+    return float(p.L ** 2 / p.nu * math.log(excess / (ABSORBING_MARGIN * r0_sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +281,11 @@ def sweep_cell_config(
     return cfg, p
 
 
-def terminal_ratio(cfg: SimConfig, p: ClosedLoopParams, batch: Batch | None = None) -> float:
+def terminal_ratio(cfg: SimConfig, p: ClosedLoopParams, outcomes: dict | None = None) -> float:
     """||u(T)|| / ||u(0)||; infinite when the run blows up or trips the
-    adaptive step limit.  ``batch`` is as in :func:`simulate`."""
+    stability guard.  ``outcomes`` is as in :func:`simulate`."""
     try:
-        traj = simulate(cfg, p, batch)
+        traj = simulate(cfg, p, outcomes)
     except BlowupError:
         return float("inf")
     if traj.l2[0] == 0.0:
@@ -301,9 +300,10 @@ def rank_scan(
     """Terminal ratio of every rank N in ``Ns`` at every alpha (with its gain mu).
 
     Returns one {N: ratio} per alpha.  Each cell runs from the fixed random
-    band state of :func:`sweep_cell_config`, and all cells form one
-    :class:`Batch`, which steps the cells that share a grid and a step
-    schedule together (a cell that blows up gets an infinite ratio).  Every
+    band state of :func:`sweep_cell_config`, and all cells are integrated by
+    one :func:`integrate` call, which steps the cells that share a grid and a
+    step schedule together; each cell's ratio is then read from its outcome
+    (a cell that blows up gets an infinite ratio).  Every
     rank is run: the stabilization criterion (a ratio at or below
     ``STABILIZED_RATIO``, far below any transient overshoot) is not
     assumed monotone in N, so the minimal stabilizing rank is the first one
@@ -313,5 +313,6 @@ def rank_scan(
     cells = [[sweep_cell_config(nu, alpha, L, mu, N, kind=kind, ic_seed=ic_seed,
                                 ic_kmax=ic_kmax, ic_amplitude=ic_amplitude) for N in Ns]
              for alpha, mu in zip(alphas, mus)]
-    batch = Batch(member for row in cells for member in row)
-    return [{N: terminal_ratio(cfg, p, batch) for N, (cfg, p) in zip(Ns, row)} for row in cells]
+    outcomes = integrate(member for row in cells for member in row)
+    return [{N: terminal_ratio(cfg, p, outcomes) for N, (cfg, p) in zip(Ns, row)}
+            for row in cells]

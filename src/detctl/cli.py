@@ -521,9 +521,11 @@ def main(argv=None) -> int:
 
     pv = sub.add_parser("verify", parents=[out], help="run a verification suite")
     pv.add_argument("suite", choices=verify.SUITES)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--seed", type=int, default=0, help="random seed, an integer >= 0")
 
     args = parser.parse_args(argv)
+    if args.command == "verify" and args.seed < 0:
+        pv.error(f"argument --seed: must be >= 0, got {args.seed}")
     try:
         if args.command == "simulate":
             return cmd_simulate(args.config, args.out_dir)

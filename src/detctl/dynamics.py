@@ -20,12 +20,13 @@ recorder per group keeps each record's state rows, squared samples and
 observation products and reduces them to the recorded series
 ``RECORD_CHUNK`` records at a time.
 
-One engine steps a batch of runs: a :class:`Batch` steps its members that
+One engine steps a batch of runs: :func:`integrate` steps the runs that
 share a grid, a step count, a record stride and a scheme as one (B, n) state,
-a member that trips the stability guard leaves its group, and
-:func:`simulate` reads one member's outcome.  A run on its own is a batch of
-one, a (1, n) state on the same path; the guard compares the batch's largest
-squared sample with a cap on max u^2 precomputed from each member's dt.
+a member that trips the stability guard leaves its group, and it returns
+every member's outcome, from which :func:`simulate` reads one.  A run on its
+own is a batch of one, a (1, n) state on the same path; the guard compares
+the batch's largest squared sample with a cap on max u^2 precomputed from
+each member's dt.
 
 Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
@@ -564,38 +565,26 @@ class _Recorder:
         return TrajectoryRecord(times=times, energy_residual=res, **cut)
 
 
-class Batch:
-    """Runs that are integrated together.
+def integrate(members) -> dict[tuple, TrajectoryRecord | BlowupError]:
+    """Every member's record, or the ``BlowupError`` that ended it, keyed by member.
 
-    ``members`` are (SimConfig, ClosedLoopParams) pairs.  The members with
-    the same grid, step count, record stride and scheme form one group,
-    stepped as one (B, n) state by one ``Stepper`` and recorded by one
-    recorder (their dt, initial state and parameters may differ).  A group is
-    integrated the first time :func:`simulate` asks for one of its members,
-    and every member's outcome is kept for its own call.  A member that
-    trips the stability guard, or whose recorded state is not finite, leaves
-    its group with its failure time and partial record; the others go on.
+    ``members`` are (SimConfig, ClosedLoopParams) pairs; one listed twice is
+    integrated once.  The members with the same grid, step count, record
+    stride and scheme form one group, stepped as one (B, n) state by one
+    ``Stepper`` and recorded by one recorder (their dt, initial state and
+    parameters may differ).  A member that trips the stability guard, or
+    whose recorded state is not finite, leaves its group with its failure
+    time and partial record; the others go on.
     """
-
-    def __init__(self, members) -> None:
-        groups: dict[tuple, dict] = {}
-        self._group: dict[tuple, dict] = {}     # each member's group, in order
-        for cfg, p in members:
-            if abs(cfg.grid.L - p.L) > 1e-14 * p.L:
-                raise ValueError(f"grid length {cfg.grid.L} differs from params length {p.L}")
-            group = groups.setdefault((cfg.grid, cfg.n_steps, cfg.record_every, cfg.scheme), {})
-            group[cfg, p] = None
-            self._group[cfg, p] = group
-        self._outcome: dict[tuple, TrajectoryRecord | BlowupError] = {}
-
-    def outcome(self, cfg: SimConfig, p: ClosedLoopParams) -> TrajectoryRecord | BlowupError:
-        """The record of member (cfg, p), or the ``BlowupError`` that ended it."""
-        if (cfg, p) not in self._outcome:
-            if (cfg, p) not in self._group:
-                raise ValueError("(cfg, p) is not a member of this batch")
-            group = list(self._group[cfg, p])
-            self._outcome.update(zip(group, _integrate(group)))
-        return self._outcome[cfg, p]
+    groups: dict[tuple, dict] = {}
+    for cfg, p in members:
+        if abs(cfg.grid.L - p.L) > 1e-14 * p.L:
+            raise ValueError(f"grid length {cfg.grid.L} differs from params length {p.L}")
+        groups.setdefault((cfg.grid, cfg.n_steps, cfg.record_every, cfg.scheme), {})[cfg, p] = None
+    outcomes = {}
+    for group in groups.values():
+        outcomes.update(zip(group, _integrate(list(group))))
+    return outcomes
 
 
 def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
@@ -645,18 +634,23 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
     return out
 
 
-def simulate(cfg: SimConfig, p: ClosedLoopParams, batch: Batch | None = None) -> TrajectoryRecord:
+def simulate(cfg: SimConfig, p: ClosedLoopParams,
+             outcomes: dict | None = None) -> TrajectoryRecord:
     """Integrate to T and record norms, observation energy, and the energy residual.
 
-    With ``batch``, a :class:`Batch` that holds (cfg, p), the run is stepped
-    together with its group there; without it, it is a batch of its own.
-    Raises the run's ``BlowupError``.  The residual series is assembled
-    afterwards from the recorded quantities:
+    With ``outcomes``, the result of an :func:`integrate` call that held
+    (cfg, p), the run's outcome is read from there; without it, the run is
+    integrated on its own.  Raises the run's ``BlowupError``.  The residual
+    series is assembled afterwards from the recorded quantities:
     |d/dt ||u||^2 / 2 + nu ||u_x||^2 - alpha ||u||^2 + ||u||_L4^4 + mu <I_h u, u>|,
     with centered differencing inside the record and one-sided stencils at
     its ends.
     """
-    outcome = (Batch([(cfg, p)]) if batch is None else batch).outcome(cfg, p)
+    if outcomes is None:
+        outcomes = integrate([(cfg, p)])
+    elif (cfg, p) not in outcomes:
+        raise ValueError("(cfg, p) is not a member of these outcomes")
+    outcome = outcomes[cfg, p]
     if isinstance(outcome, BlowupError):
         raise outcome
     return outcome

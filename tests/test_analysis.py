@@ -11,11 +11,13 @@ from detctl.analysis import (
     linear_growth_rate,
     rank_scan,
     reference_rank,
+    sweep_cell_config,
     sweep_grid,
     unstable_mode_count,
     verify_decay_bound,
 )
-from detctl.dynamics import ClosedLoopParams, TrajectoryRecord
+from detctl import dynamics
+from detctl.dynamics import ClosedLoopParams, TrajectoryRecord, integrate, simulate
 from detctl.interpolants import FOURIER, InterpolantSpec
 
 
@@ -139,7 +141,7 @@ class TestAbsorbing:
     def test_entry_time(self):
         p = params(nu=1.0, alpha=4.0, L=1.0)
         r0_sq, _ = absorbing_bounds(p)
-        t = absorbing_entry_time(p, 4.0 * r0_sq, margin=0.05)
+        t = absorbing_entry_time(p, 4.0 * r0_sq)
         assert t == pytest.approx(np.log(3.0 / 0.05))
         assert absorbing_entry_time(p, 0.5 * r0_sq) == 0.0
 
@@ -165,6 +167,29 @@ class TestMinimalN:
     def test_moderate_alpha_needs_two(self):
         (ratios,) = rank_scan(1.0, [16.0], 1.0, [80.0], range(1, 9))
         assert minimal_N(ratios) == 2
+
+    def test_sweep_steps_its_cells_in_groups(self, monkeypatch):
+        # the preset's 24 cells: T = 20/alpha and dt ~ 1/alpha give every cell
+        # the same step count, so each grid is one group across the alphas
+        made = []
+        init = dynamics.Stepper.__init__
+
+        def counted(self, grid, p, dt, scheme="etd1"):
+            init(self, grid, p, dt, scheme)
+            made.append((grid.M, len(self.params)))
+
+        monkeypatch.setattr(dynamics.Stepper, "__init__", counted)
+        alphas = [4.0, 16.0, 64.0]
+        rows = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9))
+        assert [list(row) for row in rows] == [list(range(1, 9))] * 3
+        assert made == [(64, 12), (72, 6), (80, 3), (84, 3)]
+
+    def test_integrate_keeps_one_outcome_per_member(self):
+        cell = sweep_cell_config(1.0, 16.0, 1.0, 80.0, 2)
+        other = sweep_cell_config(1.0, 16.0, 1.0, 80.0, 4)
+        outcomes = integrate([cell, other, cell])
+        assert list(outcomes) == [cell, other]
+        assert np.array_equal(outcomes[cell].l2, simulate(*cell).l2)
 
     def test_sweep_grid_alignment(self):
         g = sweep_grid(3, 2)

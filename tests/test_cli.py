@@ -133,6 +133,15 @@ class TestValidation:
             main(["verify", "nonsense"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("suite", verify.SUITES)
+    def test_negative_seed_exits_2(self, tmp_path, capsys, suite):
+        # rejected before the suite runs: nothing is written
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", suite, "--seed", "-1", "--out-dir", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_suite_raises(self):
         with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
             verify.run_suite("nonsense")

@@ -18,12 +18,12 @@ from detctl import dynamics
 from detctl.dynamics import (
     RECORD_CHUNK,
     SERIES,
-    Batch,
     BlowupError,
     ClosedLoopParams,
     ICSpec,
     SimConfig,
     Stepper,
+    integrate,
     simulate,
     stability_limit,
 )
@@ -319,9 +319,9 @@ class TestSimulate:
         assert solo[2].time == 0.01 and RECORD_CHUNK < len(solo[0].record) < n_steps
         # the first three leave one member, which goes on alone
         for batch in (members, members[:3]):
-            outcomes = Batch(batch)
+            outcomes = integrate(batch)
             for (cfg, p), want in zip(batch, solo):
-                got = outcomes.outcome(cfg, p)
+                got = outcomes[cfg, p]
                 assert type(got) is type(want)
                 if isinstance(want, BlowupError):
                     assert (got.time, got.reason) == (want.time, want.reason)
@@ -355,9 +355,9 @@ class TestSimulate:
             st = Stepper(g, [p for _, p in members], [cfg.dt for cfg, _ in members])
             assert (st._S is not None) == dense and not st.shared
             assert st.O_r.shape[1] == (0 if batch[-1] is pair else 3)
-            outcomes = Batch(members)
+            outcomes = integrate(members)
             for cfg, p in members:
-                got, want = outcomes.outcome(cfg, p), simulate(cfg, p)
+                got, want = outcomes[cfg, p], simulate(cfg, p)
                 assert np.array_equal(got.times, want.times)
                 for name in SERIES:
                     a, b = getattr(got, name), getattr(want, name)
@@ -392,8 +392,8 @@ class TestSimulate:
             with pytest.raises(BlowupError, match=reason) as exc:
                 simulate(*bad)
             want = simulate(*healthy)
-            batch = Batch([bad, healthy])
-            got_bad, got = batch.outcome(*bad), batch.outcome(*healthy)
+            outcomes = integrate([bad, healthy])
+            got_bad, got = outcomes[bad], outcomes[healthy]
         for err in (exc.value, got_bad):
             assert err.time == dt and reason in err.reason
             assert len(err.record) == 1 and err.record.times[0] == 0.0
@@ -428,9 +428,9 @@ class TestSimulate:
         ic = ICSpec("constant", value=0.1)
         cfg = SimConfig(grid=neumann(M=32), dt=1e-3, T=1e-2, ic=ic)
         with pytest.raises(ValueError, match="grid length"):
-            Batch([(SimConfig(grid=Grid1D(2.0, 32), dt=1e-3, T=1e-2, ic=ic), p)])
+            integrate([(SimConfig(grid=Grid1D(2.0, 32), dt=1e-3, T=1e-2, ic=ic), p)])
         with pytest.raises(ValueError, match="not a member"):
-            simulate(cfg, p, Batch([(replace(cfg, T=2e-2), p)]))
+            simulate(cfg, p, integrate([(replace(cfg, T=2e-2), p)]))
 
     def test_final_time_whole_steps(self):
         ic = ICSpec("constant", value=0.1)

@@ -17,11 +17,11 @@ from detctl.dynamics import (
     DENSE_MAX_ENTRIES,
     RECORD_CHUNK,
     SERIES,
-    Batch,
     ClosedLoopParams,
     ICSpec,
     SimConfig,
     Stepper,
+    integrate,
     simulate,
 )
 from detctl.fields import (
@@ -373,8 +373,8 @@ def batches(draw, dense):
 
 
 def outcomes(members):
-    batch = Batch(members)
-    return [batch.outcome(cfg, p) for cfg, p in members]
+    got = integrate(members)
+    return [got[member] for member in members]
 
 
 @pytest.mark.parametrize("dense", (True, False))
