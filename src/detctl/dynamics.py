@@ -12,8 +12,9 @@ on periodic grids) and folds everything linear in a step (diffusion,
 alpha u and the rank-N feedback) into precomputed stage operators once, so
 a step is the cube plus a few matrix-vector products.  On small grids every
 operator, the transforms to and from the padded grid included, is one dense
-real matrix; above ``DENSE_MAX_ENTRIES`` the transforms are scipy's and the
-linear part a diagonal plus the rank-N factors.  A step returns the
+real matrix; above ``DENSE_MAX_ENTRIES`` the transforms are numpy FFTs (the
+Neumann DCT an M-point real FFT, see :mod:`detctl.fields`) and the linear
+part a diagonal plus the rank-N factors.  A step returns the
 padded-grid samples of its new state with it, so the next step's guard and
 cube and the recorder read them and no state is synthesized twice.  One
 recorder per group keeps each record's state rows, squared samples and
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from . import fields, interpolants
 from .fields import Field, Grid1D, coeffs_of, coeffs_of_samples, samples_of
@@ -233,13 +233,33 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 # Entries of the real synthesis matrix up to which the stepper's stage
 # operators are dense matrices (S is 2M x M Neumann, N_f x 2(M//2 + 1)
 # periodic with N_f = next_fast_len(2M + 1), and the step's cost grows with
-# its entries while scipy's barely grows with M), so one entry count is the
+# its entries while the FFTs' barely grows with M), so one entry count is the
 # crossover for both boundary conditions: Neumann M <= 178, periodic
 # M <= 175.  In the fused-step timing table in CHANGES.md dense is ahead on
 # both schemes up to 62k entries (Neumann M=176, periodic M=171), within 5% at
 # 67k (Neumann M=184; periodic M=176 to 180 hold 64k to 68k) and behind on
-# ETDRK2 from 74k (Neumann M=192, periodic M=190).
+# ETDRK2 from 74k (Neumann M=192, periodic M=190).  Against the numpy FFTs a
+# single run still crosses there: dense is ahead at Neumann M=176 on both
+# schemes and the two are within 20% either way at M=184 (CHANGES.md).
 DENSE_MAX_ENTRIES = 64_000
+
+
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n (n >= 1): an FFT size with no prime
+    factor above 5, on which the real FFTs above the crossover are fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p = p5
+        while p < best:
+            q = p
+            while q < n:
+                q *= 2
+            best = min(best, q)
+            p *= 3
+        p5 *= 5
+    return best
+
 
 # Records the recorder reduces together; its buffers hold this many state
 # rows, padded-grid sample rows and observation rows.
@@ -336,9 +356,10 @@ class Stepper:
     T product, and P and W2L are (B, n) diagonals plus the feedback
     U_k (V x) with V = O_r and U_k = w_k mu A_r, applied with ``np.matmul``:
     as fast as (B, n, n) stacks at M=64 and a tenth of their memory.  Above
-    ``DENSE_MAX_ENTRIES`` S and T are scipy's transforms along the last axis
-    and every P and W2L is such a diagonal plus factors (row 0 of them for
-    shared members).  BLAS rounds a product of several rows differently
+    ``DENSE_MAX_ENTRIES`` S and T are the numpy FFT transforms of
+    :mod:`detctl.fields` on the padded grid along the last axis, handed and
+    returning only the band's columns, and every P and W2L is such a
+    diagonal plus factors (row 0 of them for shared members).  BLAS rounds a product of several rows differently
     from one row, so a member of a batch may differ from its single run in
     the last bits; a given batch is deterministic.
 
@@ -364,7 +385,7 @@ class Stepper:
         if grid.bc == fields.NEUMANN:
             self._fine = Grid1D(grid.L, 2 * grid.M, fields.NEUMANN)
         else:
-            self._fine = Grid1D(grid.L, next_fast_len(2 * grid.M + 1, real=True), fields.PERIODIC)
+            self._fine = Grid1D(grid.L, next_fast_len(2 * grid.M + 1), fields.PERIODIC)
         parts = 2 if grid.bc == fields.PERIODIC else 1
         B, n = len(self.params), grid.w.shape[0] * parts
         ops = {}    # members with one spec share its control operator
@@ -396,7 +417,7 @@ class Stepper:
         if self._S is not None:
             self._synth, self._analyze = _applier(self._S), _applier(self._T)
         else:
-            self._synth, self._analyze = self._scipy_synth, self._scipy_analyze
+            self._synth, self._analyze = self._fft_synth, self._fft_analyze
         if self._S is not None and self.shared:
             Lin = alpha[0] * np.eye(n) - (mu[0] * self.A_r[0]) @ self.O_r[0]
             lin = [w[0][:, None] * Lin for w in stages]
@@ -420,16 +441,12 @@ class Stepper:
         self._P, self._Q = lin_maps[0], weighted[0]
         self._W2L, self._W2T = (lin_maps[1], weighted[1]) if len(stages) == 2 else (None, None)
 
-    def _scipy_synth(self, x: np.ndarray) -> np.ndarray:
-        n = self.grid.w.shape[0]
+    def _fft_synth(self, x: np.ndarray) -> np.ndarray:
         dtype = np.complex128 if self.grid.bc == fields.PERIODIC else np.float64
-        pad = np.zeros(x.shape[:-1] + self._fine.w.shape, dtype)
-        pad[..., :n] = x.view(dtype)
-        return samples_of(self._fine, pad)
+        return samples_of(self._fine, x.view(dtype))
 
-    def _scipy_analyze(self, v: np.ndarray) -> np.ndarray:
-        c = coeffs_of_samples(self._fine, v)[..., : self.grid.w.shape[0]]
-        return np.ascontiguousarray(c).view(np.float64)
+    def _fft_analyze(self, v: np.ndarray) -> np.ndarray:
+        return coeffs_of_samples(self._fine, v, self.grid.w.shape[0]).view(np.float64)
 
     def cube(self, c: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased coefficients of u^3 and max|u| on the padded grid."""
@@ -644,7 +661,8 @@ def simulate(cfg: SimConfig, p: ClosedLoopParams,
     series is assembled afterwards from the recorded quantities:
     |d/dt ||u||^2 / 2 + nu ||u_x||^2 - alpha ||u||^2 + ||u||_L4^4 + mu <I_h u, u>|,
     with centered differencing inside the record and one-sided stencils at
-    its ends.
+    its ends; a record of one row (a run stopped at its first step) has no
+    derivative, and its residual is nan.
     """
     if outcomes is None:
         outcomes = integrate([(cfg, p)])
@@ -660,14 +678,12 @@ def _ddt(times: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Derivative by polynomial stencils over the actual record times.
 
     Three-point centered inside and four-point one-sided at the ends (two
-    points when there are fewer than four records), so an off-stride last
-    record keeps the accuracy; on uniform spacing these are the classical
-    weights.
+    points when there are fewer than four records, and at least two), so an
+    off-stride last record keeps the accuracy; on uniform spacing these are
+    the classical weights.
     """
     n = len(y)
     out = np.zeros(n)
-    if n < 2:
-        return out
     ends = (1, 2, 3) if n >= 4 else (1,)
     out[1:-1] = _stencil_ddt(times, y, np.arange(1, n - 1), (-1, 1))
     out[0] = _stencil_ddt(times, y, 0, ends)
@@ -694,6 +710,8 @@ def _stencil_ddt(t: np.ndarray, y: np.ndarray, i, offsets: tuple[int, ...]):
 
 def energy_residual_series(times, l2, h1x, l4p4, pairing, p: ClosedLoopParams) -> np.ndarray:
     e = np.asarray(l2) ** 2
+    if len(e) < 2:
+        return np.full(len(e), np.nan)
     d = _ddt(np.asarray(times), e)
     res = 0.5 * d + p.nu * np.asarray(h1x) ** 2 - p.alpha * e + np.asarray(l4p4)
     res = res + p.mu * np.asarray(pairing)

@@ -9,17 +9,18 @@ grids sample at x_j = j L / M and use the complex Fourier basis.
 ``Grid1D`` owns the coefficient layout.  Its Parseval weights ``w`` turn
 every norm and inner product into one contraction, sum(w * a * conj(b)),
 exact for band-limited fields, and :func:`point_eval_matrix` evaluates
-coefficients at arbitrary points.
+coefficients at arbitrary points.  Every transform is a numpy FFT: the
+Neumann grid's type-2 DCT and its inverse are one M-point real FFT each
+(Makhoul, IEEE TASSP 28(1), 1980).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.fft import dct, idct
 
 NEUMANN = "neumann"
 PERIODIC = "periodic"
@@ -114,25 +115,77 @@ def coeffs_of(f: Field) -> np.ndarray:
     return coeffs_of_samples(f.grid, f.values)
 
 
-def coeffs_of_samples(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+def coeffs_of_samples(grid: Grid1D, values: np.ndarray, band: int | None = None) -> np.ndarray:
     """``coeffs_of`` on raw samples along the last axis, which are not
     checked for finiteness, so a non-finite state reaches the stepper's
-    stability guard."""
+    stability guard.  With ``band``, only the first ``band`` columns."""
+    band = grid.w.shape[0] if band is None else band
     if grid.bc == NEUMANN:
-        c = dct(values, type=2) / grid.M
-        c[..., 0] *= 0.5
-        return c
-    return np.fft.rfft(values) / grid.M
+        return _dct2(np.asarray(values, dtype=float), band)
+    return np.fft.rfft(values)[..., :band] / grid.M
 
 
 def samples_of(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
-    """Grid samples of coefficients in the layout of ``coeffs_of``, along the last axis."""
+    """Grid samples of coefficients in the layout of ``coeffs_of``, along
+    the last axis; the columns past a shorter layout are zero."""
     if grid.bc == NEUMANN:
-        y = np.asarray(coeffs, dtype=float) * grid.M
-        y = y.copy()
-        y[..., 0] *= 2.0
-        return idct(y, type=2)
+        return _idct2(np.asarray(coeffs, dtype=float), grid.M)
     return np.fft.irfft(np.asarray(coeffs) * grid.M, n=grid.M)
+
+
+@cache
+def _dct_twiddle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The twiddle t of the n-point DCT, t_k = (2/n) exp(-i pi k / 2n) for
+    k = 0..n//2 with t_0 = 1/n (scaled to the cosine coefficients), and 1/t."""
+    t = (2.0 / n) * np.exp(-0.5j * np.pi * np.arange(n // 2 + 1) / n)
+    t[0] = 1.0 / n
+    inv = 1.0 / t
+    t.setflags(write=False)
+    inv.setflags(write=False)
+    return t, inv
+
+
+def _dct2(u: np.ndarray, band: int) -> np.ndarray:
+    """The first ``band`` cosine coefficients c of midpoint samples u along
+    the last axis, u_j = sum_k c_k cos(k pi (j + 1/2) / n), by one n-point
+    real FFT.
+
+    v holds the even samples in order and then the odd ones reversed,
+    (u_0, u_2, ..., u_3, u_1); with Z = t * rfft(v), c_k = Re Z_k and
+    c_{n-k} = -Im Z_k for k = 0..n//2.
+    """
+    n = u.shape[-1]
+    h = (n + 1) // 2    # even samples
+    v = np.empty_like(u)
+    v[..., :h] = u[..., ::2]
+    v[..., h:] = u[..., n - 1 - n % 2::-2]
+    z = np.fft.rfft(v)
+    z *= _dct_twiddle(n)[0]
+    if band <= n // 2 + 1:
+        return z.real[..., :band].copy()
+    c = np.empty(u.shape[:-1] + (band,))
+    c[..., : n // 2 + 1] = z.real
+    c[..., n // 2 + 1:] = -z.imag[..., h - 1:n - band:-1]
+    return c
+
+
+def _idct2(c: np.ndarray, n: int) -> np.ndarray:
+    """Midpoint samples on n points of the cosine coefficients c along the
+    last axis (zero past their last column), the inverse of :func:`_dct2`:
+    Z_k = c_k - i c_{n-k}, one irfft of Z / t, and the even/odd order undone."""
+    m = c.shape[-1]
+    h = (n + 1) // 2
+    inv = _dct_twiddle(n)[1]
+    z = np.zeros(c.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    r = min(m, n // 2 + 1)
+    np.multiply(c[..., :r], inv[:r], out=z[..., :r])
+    if m > h:   # the columns past the middle are the imaginary parts
+        z[..., n - m + 1:] -= 1j * inv[n - m + 1:] * c[..., m - 1:h - 1:-1]
+    v = np.fft.irfft(z, n=n)
+    u = np.empty_like(v)
+    u[..., ::2] = v[..., :h]
+    u[..., 1::2] = v[..., n - 1:h - 1:-1]
+    return u
 
 
 def field_from_function(grid: Grid1D, fn: Callable[[np.ndarray], np.ndarray]) -> Field:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +307,22 @@ class TestSimulateCommand:
         assert line.startswith("  energy: FAIL (max residual ")
         assert f"allowance {summary['energy_allowance']:.6g})" in line
 
+    def test_blowup_at_the_first_step_has_no_energy_residual(self, tmp_path, capsys):
+        # thm51 with dt 0.01 and amplitude 3 trips the stability guard at its
+        # first step, so its record is the initial state alone: no derivative
+        doc = json.loads((ROOT / "presets" / "thm51.json").read_text())
+        doc["sim"].update(dt=0.01, T=2.0)
+        doc["sim"]["ic"]["amplitude"] = 3.0
+        out = tmp_path / "out"
+        code = main(["simulate", write_config(tmp_path, doc), "--out-dir", str(out)])
+        assert code == 1
+        data = np.genfromtxt(out / "trajectory.csv", delimiter=",", names=True)
+        assert data.size == 1 and np.isnan(data["energy_residual"])
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["energy_residual_max"] is None and summary["energy_ok"] is None
+        assert summary["blowup"]["time"] == 0.01
+        assert "  energy: n/a (one record)" in capsys.readouterr().out.splitlines()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DETCTL_OUT_DIR", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, base_config())
@@ -403,3 +422,33 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((tmp_path / f"verify_{suite}.json").read_text())
         assert report["passed"] is True
+
+
+NO_SCIPY = """
+import json, sys
+import detctl.cli
+codes = [detctl.cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # a fresh process runs a Neumann and a periodic simulate and a sweep on
+    # numpy alone: scipy is not imported, not even lazily by a command
+    runs = []
+    for name in ("thm51", "thm71"):
+        doc = json.loads((ROOT / "presets" / f"{name}.json").read_text())
+        doc["sim"]["T"] = 20 * doc["sim"]["dt"]
+        runs.append(["simulate", write_config(tmp_path, doc, f"{name}.json"),
+                     "--out-dir", str(tmp_path / name)])
+    doc = json.loads((ROOT / "presets" / "sweep-remark21.json").read_text())
+    doc["sweep"].update(alphas=[4.0], N_range=[1, 3])
+    runs.append(["sweep", write_config(tmp_path, doc, "sweep.json"),
+                 "--out-dir", str(tmp_path / "sweep")])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, check=True)
+    codes, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert loaded == []

@@ -24,6 +24,7 @@ from detctl.dynamics import (
     SimConfig,
     Stepper,
     integrate,
+    next_fast_len,
     simulate,
     stability_limit,
 )
@@ -199,7 +200,7 @@ class TestStep:
 
     def test_nan_state_rejected(self):
         # a NaN state gives a NaN limit, which no comparison with dt may let
-        # through; M=256 takes the scipy transforms above the dense crossover
+        # through; M=256 takes the FFT transforms above the dense crossover
         p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0)
         for M in (32, 256):
             c = np.zeros(M)
@@ -331,7 +332,7 @@ class TestSimulate:
                     a, b = getattr(got, name), getattr(want, name)
                     assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
-    # M=64 is below the dense/scipy crossover, M=192 above it
+    # M=64 is below the dense/FFT crossover, M=192 above it
     @pytest.mark.parametrize("M, dense", [(64, True), (192, False)])
     def test_open_loop_members_are_rank_0_rows(self, M, dense):
         # an open-loop member is all-zero rows of its group's feedback stack,
@@ -366,7 +367,7 @@ class TestSimulate:
                     for name in ("gamma2", "ih_l2", "pairing"):
                         assert not getattr(got, name).any() and not getattr(want, name).any()
 
-    # (M, bc) on both sides of the dense/scipy crossover
+    # (M, bc) on both sides of the dense/FFT crossover
     @pytest.mark.parametrize("M, bc", [(32, NEUMANN), (32, PERIODIC), (256, NEUMANN)])
     @pytest.mark.parametrize(
         "dt, n_steps, amplitude, reason",
@@ -407,7 +408,7 @@ class TestSimulate:
     def test_one_synthesis_per_stage_and_none_per_record(self, monkeypatch):
         # ETDRK2 synthesizes two stages a step, and a record reads the
         # samples of the step that reached it: 2n + 1 calls for n steps, the
-        # first for the initial state.  M=256 takes scipy's transforms, whose
+        # first for the initial state.  M=256 takes the FFT transforms, whose
         # synthesis is ``samples_of``
         calls = []
 
@@ -507,3 +508,17 @@ class TestCheckConditions:
         assert rep.thm21_printed.satisfied
         rate = 1.0 * (2 * np.pi * 4) ** 2 - 4.0
         assert rep.thm21_proof.predicted_rate == pytest.approx(rate)
+
+
+def test_next_fast_len_is_the_smallest_5_smooth_size():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 5001):
+        m = n
+        while not smooth(m):
+            m += 1
+        assert next_fast_len(n) == m, n

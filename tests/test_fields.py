@@ -11,8 +11,10 @@ from detctl.fields import (
     cosine_mode,
     eval_field,
     field_from_function,
+    coeffs_of_samples,
     h1x_norm,
     l2_norm,
+    point_eval_matrix,
     random_band,
     samples_of,
 )
@@ -99,6 +101,32 @@ class TestTransforms:
         lhs = coeffs_of(combo)
         rhs = 2.0 * coeffs_of(f1) - 0.5 * coeffs_of(f2)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+@pytest.mark.parametrize("bc", (fields.NEUMANN, fields.PERIODIC))
+@pytest.mark.parametrize("M", (8, 9, 63, 64, 65, 192, 257))
+@pytest.mark.parametrize("rows", ((), (3,)))
+def test_transforms_match_point_evaluation_sums(bc, M, rows):
+    # the FFT transforms against the dense sums of ``point_eval_matrix`` over
+    # the whole layout, for one (n,) vector and a (B, n) stack
+    g = Grid1D(1.0, M, bc)
+    rng = np.random.default_rng(M)
+    shape = rows + g.w.shape
+    c = rng.uniform(-1.0, 1.0, shape)
+    if bc == fields.PERIODIC:
+        c = c + 1j * rng.uniform(-1.0, 1.0, shape)
+        c[..., 0] = c[..., 0].real
+        if M % 2 == 0:     # the Nyquist column of samples is real
+            c[..., -1] = c[..., -1].real
+    want = (c @ point_eval_matrix(g, g.points()).T).real
+    u = samples_of(g, c)
+    assert u.shape == rows + (M,)
+    assert np.max(np.abs(u - want)) <= 1e-13 * np.max(np.abs(want))
+    back = coeffs_of_samples(g, want)
+    assert back.shape == shape
+    assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
+    v = rng.standard_normal(rows + (M,))
+    assert np.max(np.abs(samples_of(g, coeffs_of_samples(g, v)) - v)) <= 1e-13 * np.max(np.abs(v))
 
 
 class TestDerivative:

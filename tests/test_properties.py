@@ -1,6 +1,6 @@
 """Property tests of the grid's coefficient layout (transforms, Parseval
 weights, point evaluation), of the stepper's padded transforms against the
-padded scipy transforms and its cube and L4 sum against an 8M-point
+padded grid's own transforms and its cube and L4 sum against an 8M-point
 reference, of its fused step against the unfused ETD composition, of the
 closed-loop control operator against the field-level interpolant maps, of
 the recorder's independence from its stride, and of a batch's members
@@ -107,8 +107,10 @@ def test_point_evaluation_at_grid_points_gives_samples(case):
 
 
 def padded_reference(stepper, c):
-    """Fine samples and truncated cube coefficients through scipy on the
-    stepper's padded grid."""
+    """Fine samples and truncated cube coefficients on the stepper's padded
+    grid, through the full-layout ``samples_of`` and ``coeffs_of`` of that
+    grid (numpy FFTs, which the transform tests in test_fields check against
+    dense point-evaluation sums)."""
     fine = stepper._fine
     pad = np.zeros(fine.w.shape, dtype=c.dtype)
     pad[: c.shape[0]] = c
@@ -119,7 +121,7 @@ def padded_reference(stepper, c):
 @st.composite
 def padded_states(draw):
     """A stepper of either boundary condition and a random state over its
-    whole coefficient layout.  M falls on both sides of the dense/scipy
+    whole coefficient layout.  M falls on both sides of the dense/FFT
     crossover (Neumann M=178, periodic M=175), odd and even."""
     bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
     M = draw(st.one_of(st.integers(8, 120), st.integers(190, 288),
@@ -136,6 +138,8 @@ def padded_states(draw):
 @PROPERTY
 @given(padded_states())
 def test_stepper_transforms_match_padded_scipy(case):
+    """The stepper's padded synthesis and cube, dense matrices or band-limited
+    FFTs, match the padded grid's full-layout transforms."""
     stepper, c = case
     w_ref, cubed_ref = padded_reference(stepper, c)
     w, dw = stepper.samples(c)[0], stepper._fine.dx
@@ -186,7 +190,7 @@ def test_even_periodic_nyquist_column_is_a_conjugate_pair_on_the_padded_grid():
 
 def unfused_step(stepper, c):
     """ETD1 or ETDRK2 composed term by term from the ETD weights, the padded
-    scipy cube and the control operator, and max|u| before the step."""
+    reference cube and the control operator, and max|u| before the step."""
     (p,) = stepper.params
     ctl = None if p.open_loop else control_operator(p.spec, stepper.grid)
 
@@ -206,13 +210,13 @@ def unfused_step(stepper, c):
 
 # grid sizes that keep the stepper's operators dense, and past the crossover
 DENSE_M = {NEUMANN: (8, 178), PERIODIC: (8, 175)}
-SCIPY_M = {NEUMANN: (179, 288), PERIODIC: (176, 288)}
+FFT_M = {NEUMANN: (179, 288), PERIODIC: (176, 288)}
 
 
 @st.composite
 def stepped_states(draw, kind, scheme, dense):
     """A stepper of one controller family (or the open loop, on either
-    boundary condition) on a grid on the given side of the dense/scipy
+    boundary condition) on a grid on the given side of the dense/FFT
     crossover that resolves its rank, and a random state with 1/(k+1)^2 decaying columns over its
     whole layout, inside the stability limit."""
     if kind is None:
@@ -220,7 +224,7 @@ def stepped_states(draw, kind, scheme, dense):
     else:
         bc = PERIODIC if kind == DELTA else NEUMANN
     N = draw(st.integers(1, 4))
-    lo, hi = (DENSE_M if dense else SCIPY_M)[bc]
+    lo, hi = (DENSE_M if dense else FFT_M)[bc]
     lo = max(lo, 4 * N)     # the grid resolves the rank: N <= M/4
     if kind == VOLUME:  # cell-aligned means need M a multiple of N
         M = N * draw(st.integers(-(-lo // N), hi // N))
@@ -349,10 +353,10 @@ def test_state_independent_of_record_stride(kind, seed, n_steps):
 @st.composite
 def batches(draw, dense):
     """Members on one grid of either boundary condition, on the given side of
-    the dense/scipy crossover, with mixed families (the open loop included),
+    the dense/FFT crossover, with mixed families (the open loop included),
     ranks, dt, alpha and gains, one scheme, one step count and one stride."""
     bc = draw(st.sampled_from((NEUMANN, PERIODIC)))
-    lo, hi = (DENSE_M if dense else SCIPY_M)[bc]
+    lo, hi = (DENSE_M if dense else FFT_M)[bc]
     # M a multiple of every rank, and at least 8 kmax
     grid = Grid1D(L, 12 * draw(st.integers(max(-(-lo // 12), 2), hi // 12)), bc)
     kinds = (DELTA, None) if bc == PERIODIC else (VOLUME, NODAL, FOURIER, None)
