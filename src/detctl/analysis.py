@@ -1,12 +1,13 @@
 """Trajectory analysis: the closed-loop stability conditions, the rates and
 absorbing-ball radii they certify and the tolerances they are checked at
-(each stated here once), decay-rate fits, bound verification, mode counting,
-and minimal-controller-rank sweeps."""
+(each stated here once), decay-rate fits, the verdicts of a run on every
+certified claim (:func:`verdicts`, the one place that decides what passes),
+mode counting, and minimal-controller-rank sweeps."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -204,13 +205,6 @@ def verify_decay_bound(traj: TrajectoryRecord, r: float, slack: float) -> bool:
     return bool(np.all(e <= bound))
 
 
-def energy_allowance(traj: TrajectoryRecord) -> float:
-    """Largest energy residual the recorded identity may leave:
-    1e-3 * max(max ||u||_H1^2, 1)."""
-    h1_max = float(np.max(traj.h1)) if len(traj) else 0.0
-    return 1e-3 * max(h1_max ** 2, 1.0)
-
-
 def absorbing_bounds(p: ClosedLoopParams) -> tuple[float, float]:
     """Asymptotic L2 and derivative bounds (R0^2, R1^2) of the closed loop.
 
@@ -245,7 +239,102 @@ def absorbing_entry_time(p: ClosedLoopParams, u0_l2_sq: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# verdicts
+
+def verdicts(traj: TrajectoryRecord, p: ClosedLoopParams, fit_t0: float | None = None,
+             blowup: BlowupError | None = None) -> dict:
+    """The verdicts of one run on every certified claim, keyed as ``summary.json``
+    holds them: the condition report, the decay fit (from ``fit_t0``, by default
+    1/r when thm51 applies with r > 0, else 0), the decay bounds, thm41's
+    absorbing ball, the energy identity and ``failed_checks``.  A verdict whose
+    hypotheses fail is None; a blow-up fails every gated one that applies."""
+    report = check_conditions(p)
+
+    if fit_t0 is None:
+        r = report.thm51.predicted_rate if report.thm51.applies else None
+        fit_t0 = 1.0 / r if (r is not None and r > 0) else 0.0
+    try:
+        fit_out = asdict(fit_decay_rate(traj, fit_t0))
+    except NoFitError as err:
+        fit_out = {"error": str(err)}
+    fitted_rate = fit_out.get("rate")
+
+    decayed = bool(len(traj) >= 2 and traj.l2[-1] < traj.l2[0])
+
+    def bound_check(chk: TheoremCheck, fitted: bool = False) -> dict:
+        """The verdict on one decay bound; ``fitted`` gates the fitted rate
+        instead of the envelope at every record."""
+        applicable = bool(chk.applies and chk.satisfied)
+        entry = {"applies": bool(chk.applies), "hypotheses_ok": bool(chk.satisfied),
+                 "predicted_rate": chk.predicted_rate, "slack": DECAY_SLACK,
+                 "passed": False if applicable else None}
+        if applicable and blowup is None:
+            rate = chk.predicted_rate
+            if fitted:
+                entry["passed"] = bool(decayed and (rate <= 0 or fitted_rate is not None
+                                                    and fitted_rate >= (1.0 - DECAY_SLACK) * rate))
+                entry["fitted_rate"] = fitted_rate
+            else:
+                entry["passed"] = verify_decay_bound(traj, rate, DECAY_SLACK)
+        return entry
+
+    checks = {"thm21": bound_check(report.thm21_proof, fitted=True),
+              "thm51": bound_check(report.thm51), "thm71": bound_check(report.thm71)}
+
+    absorbing = {"applies": bool(report.thm41.applies and report.thm41.satisfied)}
+    if absorbing["applies"]:
+        r0_sq, r1_sq = absorbing_bounds(p)
+        t_half = absorbing_entry_time(p, float(traj.l2[0]) ** 2)
+        tail = np.asarray(traj.l2)[np.asarray(traj.times) >= t_half] ** 2
+        sup_after = float(np.max(tail)) if tail.size else 0.0
+        absorbing.update({
+            "R0_sq": r0_sq, "R1_sq": r1_sq, "T_half": t_half,
+            "sup_l2_sq_after_T_half": sup_after, "margin": ABSORBING_MARGIN,
+            "passed": bool(blowup is None and sup_after <= (1.0 + ABSORBING_MARGIN) * r0_sq),
+        })
+
+    # one record has no derivative, so no residual and no verdict; the
+    # identity may leave 1e-3 max(max ||u||_H1^2, 1)
+    resid_max = float(np.max(traj.energy_residual)) if len(traj) >= 2 else None
+    allowance = 1e-3 * max(float(np.max(traj.h1)) ** 2 if len(traj) else 0.0, 1.0)
+
+    failed = [k for k, v in checks.items() if v["passed"] is False]
+    if absorbing["applies"] and not absorbing["passed"]:
+        failed.append("thm41-absorbing")
+
+    return {"condition_report": asdict(report), "decay_fit": fit_out, "bound_checks": checks,
+            "absorbing": absorbing, "energy_residual_max": resid_max, "energy_allowance": allowance,
+            "energy_ok": None if resid_max is None else bool(resid_max <= allowance),
+            "decayed": decayed, "failed_checks": failed}
+
+
+def verdict_lines(v: dict) -> list[tuple[str, bool | None, str]]:
+    """(key, passed, detail) of every verdict in ``v`` (from :func:`verdicts`)
+    that applies to the run; the energy identity always applies."""
+    lines = [(key, chk["passed"], f"rate {chk['predicted_rate']:.6g}")
+             for key, chk in v["bound_checks"].items() if chk["passed"] is not None]
+    ball = v["absorbing"]
+    if ball["applies"]:
+        lines.append(("thm41-absorbing", ball["passed"],
+                      f"sup ||u||^2 after T_half {ball['sup_l2_sq_after_T_half']:.6g} "
+                      f"<= {(1.0 + ABSORBING_MARGIN) * ball['R0_sq']:.6g}"))
+    # reported, not gated: a record stride too coarse for a fast transient
+    # (thm41's amplitude-10 start) fails the identity on a correct solution
+    lines.append(("energy", v["energy_ok"], "one record" if v["energy_ok"] is None
+                  else f"max residual {v['energy_residual_max']:.6g}, "
+                       f"allowance {v['energy_allowance']:.6g}"))
+    return lines
+
+
+# ---------------------------------------------------------------------------
 # minimal stabilizing controller rank
+
+def minimal_rank(ratios: dict[int, float]) -> int | None:
+    """The first rank N in ``ratios`` whose terminal ratio is at most
+    ``STABILIZED_RATIO`` (far below any transient overshoot), or None;
+    stabilization is not assumed monotone in N."""
+    return next((N for N, ratio in ratios.items() if ratio <= STABILIZED_RATIO), None)
+
 
 def sweep_grid(N: int, kmax: int, L: float = 1.0) -> Grid1D:
     """Smallest Neumann grid that is a multiple of 4N, resolves the IC band,
@@ -300,14 +389,10 @@ def rank_scan(
     """Terminal ratio of every rank N in ``Ns`` at every alpha (with its gain mu).
 
     Returns one {N: ratio} per alpha.  Each cell runs from the fixed random
-    band state of :func:`sweep_cell_config`, and all cells are integrated by
-    one :func:`integrate` call, which steps the cells that share a grid and a
-    step schedule together; each cell's ratio is then read from its outcome
-    (a cell that blows up gets an infinite ratio).  Every
-    rank is run: the stabilization criterion (a ratio at or below
-    ``STABILIZED_RATIO``, far below any transient overshoot) is not
-    assumed monotone in N, so the minimal stabilizing rank is the first one
-    that meets it.
+    band state of :func:`sweep_cell_config`; all cells are integrated by one
+    :func:`integrate` call, which steps the cells that share a grid and a step
+    schedule together (a cell that blows up gets an infinite ratio).  Every
+    rank is run, for :func:`minimal_rank`.
     """
     Ns = list(Ns)
     cells = [[sweep_cell_config(nu, alpha, L, mu, N, kind=kind, ic_seed=ic_seed,

@@ -6,7 +6,7 @@ experiment} (simulate) or {sweep, experiment} (sweep); unknown keys are
 rejected with field-level paths.  Numeric output uses 17-significant-digit
 formatting and LF endings so identical configs reproduce identical bytes.
 
-Certified bounds are checked at the fixed tolerances of :mod:`detctl.analysis`.
+Every verdict comes from :func:`detctl.analysis.verdicts`, at its fixed tolerances.
 Exit codes: 0 success, 1 scientific failure (a certified bound was violated
 or the integration blew up), 2 usage or configuration error.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import math
 import os
@@ -282,86 +281,19 @@ def write_trajectory_csv(path: Path, traj: TrajectoryRecord) -> None:
 
 def build_summary(name: str, traj: TrajectoryRecord, p: ClosedLoopParams,
                   experiment: dict, blowup: BlowupError | None = None) -> dict:
-    report = analysis.check_conditions(p)
-    slack, margin = analysis.DECAY_SLACK, analysis.ABSORBING_MARGIN
-    e0 = float(traj.l2[0]) ** 2 if len(traj) else 0.0
-
-    fit_t0 = experiment["fit_t0"]
-    if fit_t0 is None:
-        r = report.thm51.predicted_rate if report.thm51.applies else None
-        fit_t0 = 1.0 / r if (r is not None and r > 0) else 0.0
-    try:
-        fit = analysis.fit_decay_rate(traj, fit_t0)
-        fit_out = {"rate": fit.rate, "window": list(fit.window), "residual": fit.residual}
-        fitted_rate = fit.rate
-    except analysis.NoFitError as err:
-        fit_out = {"error": str(err)}
-        fitted_rate = None
-
-    decayed = bool(len(traj) >= 2 and traj.l2[-1] < traj.l2[0])
-
-    def bound_check(chk, fitted: bool = False) -> dict:
-        """The verdict on one decay bound; ``fitted`` gates the fitted rate
-        instead of the envelope at every record."""
-        applicable = bool(chk.applies and chk.satisfied)
-        entry = {"applies": bool(chk.applies), "hypotheses_ok": bool(chk.satisfied),
-                 "predicted_rate": chk.predicted_rate, "slack": slack,
-                 "passed": False if applicable else None}
-        if applicable and blowup is None:
-            rate = chk.predicted_rate
-            if fitted:
-                entry["passed"] = bool(decayed and (rate <= 0 or fitted_rate is not None
-                                                    and fitted_rate >= (1.0 - slack) * rate))
-                entry["fitted_rate"] = fitted_rate
-            else:
-                entry["passed"] = bool(analysis.verify_decay_bound(traj, rate, slack))
-        return entry
-
-    checks = {"thm21": bound_check(report.thm21_proof, fitted=True),
-              "thm51": bound_check(report.thm51), "thm71": bound_check(report.thm71)}
-
-    absorbing = {"applies": bool(report.thm41.applies and report.thm41.satisfied)}
-    if absorbing["applies"]:
-        r0_sq, r1_sq = analysis.absorbing_bounds(p)
-        t_half = analysis.absorbing_entry_time(p, e0)
-        tail = np.asarray(traj.l2)[np.asarray(traj.times) >= t_half] ** 2
-        sup_after = float(np.max(tail)) if tail.size else 0.0
-        absorbing.update({
-            "R0_sq": r0_sq, "R1_sq": r1_sq, "T_half": t_half,
-            "sup_l2_sq_after_T_half": sup_after, "margin": margin,
-            "passed": bool(blowup is None and sup_after <= (1.0 + margin) * r0_sq),
-        })
-
+    """``summary.json``: the run's layout around :func:`analysis.verdicts`."""
     h1x = np.asarray(traj.h1x)
-    h1_ratio = float(h1x[-1] / h1x[0]) if len(traj) >= 2 and h1x[0] > 0 else None
-
-    # one record has no derivative, so no residual and no verdict
-    resid_max = float(np.max(traj.energy_residual)) if len(traj) >= 2 else None
-    allowance = analysis.energy_allowance(traj)
-
-    failed = [k for k, v in checks.items() if v["passed"] is False]
-    if absorbing["applies"] and not absorbing["passed"]:
-        failed.append("thm41-absorbing")
-
     return {
         "experiment": name,
         "version": __version__,
-        "condition_report": dataclasses.asdict(report),
-        "decay_fit": fit_out,
-        "bound_checks": checks,
-        "absorbing": absorbing,
-        "h1x_ratio_final": h1_ratio,
-        "energy_residual_max": resid_max,
-        "energy_allowance": allowance,
-        "energy_ok": None if resid_max is None else bool(resid_max <= allowance),
-        "decayed": decayed,
+        "h1x_ratio_final": float(h1x[-1] / h1x[0]) if len(traj) >= 2 and h1x[0] > 0 else None,
         "terminal": {
             "t": float(traj.times[-1]) if len(traj) else None,
             "l2": float(traj.l2[-1]) if len(traj) else None,
             "l2_ratio": float(traj.l2[-1] / traj.l2[0]) if len(traj) and traj.l2[0] > 0 else None,
         },
         "blowup": None if blowup is None else {"time": blowup.time, "reason": blowup.reason},
-        "failed_checks": failed,
+        **analysis.verdicts(traj, p, experiment["fit_t0"], blowup),
     }
 
 
@@ -420,18 +352,8 @@ def cmd_simulate(config_path: str, out_dir: str | None) -> int:
 
     failed = bool(summary["failed_checks"]) or blowup is not None
     print(f"[simulate] {experiment['name']}: wrote {out}/trajectory.csv, summary.json, manifest.json")
-    for key, chk in summary["bound_checks"].items():
-        if chk["passed"] is not None:
-            print(f"  {key}: {'PASS' if chk['passed'] else 'FAIL'} "
-                  f"(rate {chk['predicted_rate']:.6g})")
-    # reported, not gated: a record stride too coarse for a fast transient
-    # (thm41's amplitude-10 start) fails the identity on a correct solution
-    if summary["energy_ok"] is None:
-        print("  energy: n/a (one record)")
-    else:
-        print(f"  energy: {'PASS' if summary['energy_ok'] else 'FAIL'} "
-              f"(max residual {summary['energy_residual_max']:.6g}, "
-              f"allowance {summary['energy_allowance']:.6g})")
+    for key, passed, detail in analysis.verdict_lines(summary):
+        print(f"  {key}: {'n/a' if passed is None else 'PASS' if passed else 'FAIL'} ({detail})")
     if blowup is not None:
         print(f"  blow-up at t={blowup.time:.6g}: {blowup.reason}", file=sys.stderr)
     return 1 if failed else 0
@@ -444,21 +366,17 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
     started = datetime.now(timezone.utc).isoformat()
 
     lo, hi = sw["N_range"]
-    threshold = analysis.STABILIZED_RATIO
-    minimal: dict[float, int | None] = {}
-    rows = []
-    mus = [sw["mu_of"](alpha) for alpha in sw["alphas"]]
-    predicted = {alpha: analysis.reference_rank(sw["nu"], alpha, sw["L"])
-                 for alpha in sw["alphas"]}
+    alphas, threshold = sw["alphas"], analysis.STABILIZED_RATIO
+    mus = [sw["mu_of"](alpha) for alpha in alphas]
+    predicted = {alpha: analysis.reference_rank(sw["nu"], alpha, sw["L"]) for alpha in alphas}
     scans = analysis.rank_scan(
-        sw["nu"], sw["alphas"], sw["L"], mus, range(lo, hi + 1), kind=sw["kind"],
+        sw["nu"], alphas, sw["L"], mus, range(lo, hi + 1), kind=sw["kind"],
         ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"], ic_amplitude=sw["ic_amplitude"],
     )
-    for alpha, mu, terminal in zip(sw["alphas"], mus, scans):
-        minimal[alpha] = next((N for N, ratio in terminal.items() if ratio <= threshold), None)
-        for N, ratio in terminal.items():
-            rows.append((alpha, N, mu, ratio, int(ratio <= threshold),
-                         -1 if minimal[alpha] is None else minimal[alpha], predicted[alpha]))
+    minimal = {alpha: analysis.minimal_rank(terminal) for alpha, terminal in zip(alphas, scans)}
+    rows = [(alpha, N, mu, ratio, int(ratio <= threshold),
+             -1 if minimal[alpha] is None else minimal[alpha], predicted[alpha])
+            for alpha, mu, terminal in zip(alphas, mus, scans) for N, ratio in terminal.items()]
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha,N,mu,terminal_ratio,stabilized,minimal_N,predicted_N_ref\n")
@@ -466,11 +384,8 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
             fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
                               for v in row) + "\n")
 
-    ratios = []
-    alphas = sw["alphas"]
-    for a_prev, a_next in zip(alphas, alphas[1:]):
-        n0, n1 = minimal[a_prev], minimal[a_next]
-        ratios.append(None if (n0 in (None, 0) or n1 is None) else n1 / n0)
+    steps = [(minimal[a_prev], minimal[a_next]) for a_prev, a_next in zip(alphas, alphas[1:])]
+    ratios = [None if (n0 in (None, 0) or n1 is None) else n1 / n0 for n0, n1 in steps]
 
     summary = {
         "experiment": sw["name"],

@@ -4,7 +4,8 @@ solver-versus-oracle checks with machine-readable verdicts.
 Each suite returns a report dict {"suite", "seed", "properties": {name: {...}},
 "passed"}; ``all`` runs every suite and prefixes each property with its
 suite's name.  Inequality properties assert the certified bounds, whose
-constants, rates and tolerances come from :mod:`detctl.analysis`; the two
+constants, rates and tolerances come from :mod:`detctl.analysis` (the energy
+suite reads the verdicts `simulate` prints, :func:`analysis.verdicts`); the two
 questionable composite forms of the observation-energy inequality (the stated
 one and the half-constant variant) are measured and reported without being
 asserted.
@@ -177,8 +178,8 @@ def oracle_suite(seed: int = 0) -> dict:
 
 
 def energy_suite(seed: int = 0) -> dict:
-    """Short closed-loop runs of both feedback architectures: the recorded
-    energy identity must close and the certified decay bounds must hold."""
+    """Short closed-loop runs of both feedback architectures: the verdicts of
+    `simulate` on the energy identity and the certified decay bound must pass."""
     props: dict[str, dict] = {}
     # name, parameters, the theorem whose rate they certify, and the run;
     # the point-actuated loop needs the finer stride: its stiff recorded modes
@@ -201,11 +202,10 @@ def energy_suite(seed: int = 0) -> dict:
     )
     for name, p, theorem, cfg in runs:
         traj = simulate(cfg, p)
-        allowance = analysis.energy_allowance(traj)
-        resid = float(np.max(traj.energy_residual))
-        props[f"{name}_energy_identity"] = _prop(resid, len(traj), allowance)
-        rate = getattr(analysis.check_conditions(p), theorem).predicted_rate
-        ok = analysis.verify_decay_bound(traj, rate, analysis.DECAY_SLACK)
+        v = analysis.verdicts(traj, p)
+        props[f"{name}_energy_identity"] = _prop(v["energy_residual_max"], len(traj),
+                                                 v["energy_allowance"])
+        ok = v["bound_checks"][theorem]["passed"] is True
         props[f"{name}_decay_bound"] = _prop(1.0 if ok else np.inf, len(traj), 1.0)
     return _report("energy", seed, props)
 

@@ -9,6 +9,7 @@ from detctl.analysis import (
     check_conditions,
     fit_decay_rate,
     linear_growth_rate,
+    minimal_rank,
     rank_scan,
     reference_rank,
     sweep_cell_config,
@@ -146,27 +147,28 @@ class TestAbsorbing:
         assert absorbing_entry_time(p, 0.5 * r0_sq) == 0.0
 
 
-def minimal_N(ratios):
-    return next((N for N, r in ratios.items() if r <= STABILIZED_RATIO), None)
-
-
 class TestMinimalN:
+    def test_first_rank_at_or_below_the_threshold(self):
+        assert minimal_rank({1: 1.0, 2: STABILIZED_RATIO, 3: 0.0}) == 2
+        assert minimal_rank({3: 0.0, 1: 0.0}) == 3
+        assert minimal_rank({1: 2.0 * STABILIZED_RATIO, 2: float("inf")}) is None
+
     def test_low_alpha_returns_min(self):
         # alpha below nu (pi/L)^2: every mode except the mean is already
         # stable, one controller suffices
         (ratios,) = rank_scan(1.0, [4.0], 1.0, [20.0], range(1, 9))
         assert list(ratios) == list(range(1, 9))
-        assert minimal_N(ratios) == 1
+        assert minimal_rank(ratios) == 1
 
     def test_zero_gain_never_stabilizes(self):
         (ratios,) = rank_scan(1.0, [16.0], 1.0, [0.0], range(1, 4))
         assert set(ratios) == {1, 2, 3}
         assert all(r > 1e-4 for r in ratios.values())
-        assert minimal_N(ratios) is None
+        assert minimal_rank(ratios) is None
 
     def test_moderate_alpha_needs_two(self):
         (ratios,) = rank_scan(1.0, [16.0], 1.0, [80.0], range(1, 9))
-        assert minimal_N(ratios) == 2
+        assert minimal_rank(ratios) == 2
 
     def test_sweep_steps_its_cells_in_groups(self, monkeypatch):
         # the preset's 24 cells: T = 20/alpha and dt ~ 1/alpha give every cell

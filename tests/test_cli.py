@@ -323,6 +323,20 @@ class TestSimulateCommand:
         assert summary["blowup"]["time"] == 0.01
         assert "  energy: n/a (one record)" in capsys.readouterr().out.splitlines()
 
+    @pytest.mark.parametrize("sim", ({"T": 0.05}, {"dt": 0.01}), ids=("short", "guard"))
+    def test_absorbing_ball_verdict_is_printed(self, tmp_path, capsys, sim):
+        # thm41 cut short (its ball holds), and with a step that trips the
+        # stability guard at once (a blow-up fails the ball)
+        doc = load_preset("thm41")
+        doc["sim"].update(sim)
+        out = tmp_path / "out"
+        code = main(["simulate", write_config(tmp_path, doc), "--out-dir", str(out)])
+        summary = json.loads((out / "summary.json").read_text())
+        passed = summary["absorbing"]["passed"]
+        assert code == (0 if passed else 1) and passed is ("T" in sim)
+        line = next(ln for ln in capsys.readouterr().out.splitlines() if "thm41-absorbing:" in ln)
+        assert line.startswith(f"  thm41-absorbing: {'PASS' if passed else 'FAIL'} (sup ||u||^2 ")
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DETCTL_OUT_DIR", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, base_config())
