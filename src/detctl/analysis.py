@@ -72,10 +72,19 @@ class TheoremCheck:
 class ConditionReport:
     """Per-regime hypothesis verdicts and predicted squared-norm decay rates.
 
-    - thm21_proof: volume elements, the working conditions mu h >= nu and
-      nu > alpha h^2 / (4 pi^2); rate nu (2 pi N / L)^2 - alpha
-    - thm21_printed: the stated (dimensionally inconsistent) hypothesis
-      mu >= nu > (h / 2 pi)^2 max(alpha, mu), flagged separately
+    - thm21_proof: volume elements.  I_h = P is the orthogonal projection
+      onto cell constants, and ||u - Pu|| <= (h / pi) ||u_x|| holds cell by
+      cell (the sharp constant for zero mean on an interval of width h; Payne
+      & Weinberger, ARMA 5, 1960).  With kappa = nu (pi / h)^2 = nu (pi N / L)^2,
+        1/2 d/dt ||u||^2 <= -nu ||u_x||^2 + alpha ||u||^2 - mu ||Pu||^2
+                         <= -(kappa - alpha) ||u||^2 - (mu - kappa) ||Pu||^2,
+      so ||u||^2 decays at rate 2 (min(mu, kappa) - alpha), certified when it
+      is positive.  No rate can beat 2 (kappa - alpha), the rate of
+      cos(N pi x / L): it has zero mean on every cell, so P never sees it
+    - thm21_printed: the paper's stated (dimensionally inconsistent)
+      hypothesis mu >= nu > (h / 2 pi)^2 max(alpha, mu) and its rate
+      nu (2 pi N / L)^2 - alpha, flagged separately and never gated (nu=1,
+      alpha=64, mu=100, N=2, L=1 meets it, yet cos(2 pi x) grows)
     - thm41: existence/absorbing-ball condition nu >= mu c^2 h^2
     - thm51: gain margin r = mu - 2 alpha - nu / L^2 > 0 plus thm41; rate r
     - thm71: delta actuation, mu > 4 alpha and nu >= 2 mu h^2;
@@ -105,12 +114,12 @@ def check_conditions(p: ClosedLoopParams) -> ConditionReport:
     nu, alpha, mu, L = p.nu, p.alpha, p.mu, p.L
 
     if spec.kind == VOLUME:
-        rate21 = nu * (2 * np.pi * spec.N / L) ** 2 - alpha
-        nu_min = alpha * h ** 2 / (4 * np.pi ** 2)
-        thm21_proof = TheoremCheck(True, bool(mu * h >= nu > nu_min), rate21,
-                                   {"mu_h": mu * h, "nu": nu, "alpha_h2_over_4pi2": nu_min})
+        kappa = nu * (np.pi / h) ** 2
+        rate21 = 2.0 * (min(mu, kappa) - alpha)
+        thm21_proof = TheoremCheck(True, bool(rate21 > 0), rate21, {"kappa": kappa})
         threshold = (h / (2 * np.pi)) ** 2 * max(alpha, mu)
-        thm21_printed = TheoremCheck(True, bool(mu >= nu > threshold), rate21,
+        thm21_printed = TheoremCheck(True, bool(mu >= nu > threshold),
+                                     nu * (2 * np.pi * spec.N / L) ** 2 - alpha,
                                      {"threshold": threshold})
     else:
         thm21_proof = thm21_printed = no

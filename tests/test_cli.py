@@ -337,6 +337,18 @@ class TestSimulateCommand:
         line = next(ln for ln in capsys.readouterr().out.splitlines() if "thm41-absorbing:" in ln)
         assert line.startswith(f"  thm41-absorbing: {'PASS' if passed else 'FAIL'} (sup ||u||^2 ")
 
+    def test_thm21_invisible_mode_start_meets_its_certificate(self, tmp_path):
+        # cos(4 pi x) has zero mean on each of the four cells, so the
+        # controller never sees it: it decays at 2 (nu (4 pi)^2 - alpha), the
+        # fastest rate the certificate may claim
+        doc = load_preset("thm21")
+        doc["sim"]["ic"] = {"kind": "single-mode", "k": 4, "amplitude": 1e-3}
+        out = tmp_path / "out"
+        assert main(["simulate", write_config(tmp_path, doc), "--out-dir", str(out)]) == 0
+        chk = json.loads((out / "summary.json").read_text())["bound_checks"]["thm21"]
+        assert chk["passed"] is True
+        assert chk["predicted_rate"] <= (1.0 + analysis.DECAY_SLACK) * chk["fitted_rate"]
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DETCTL_OUT_DIR", str(tmp_path / "envout"))
         cfg = write_config(tmp_path, base_config())

@@ -501,13 +501,31 @@ class TestCheckConditions:
         assert rep.thm71.details["two_mu_h2"] == pytest.approx(0.5625)
 
     def test_volume_proof_vs_printed(self):
+        # the proof's ||u||^2 rate is 2 (min(mu, kappa) - alpha) with
+        # kappa = nu (pi N / L)^2; the printed form keeps the paper's rate
         spec = InterpolantSpec(VOLUME, 4, 1.0)
-        p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=400.0, spec=spec)
+        kappa = (np.pi * 4) ** 2
+        for mu, rate in ((400.0, 2 * (kappa - 4.0)), (100.0, 2 * (100.0 - 4.0))):
+            rep = check_conditions(ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=mu, spec=spec))
+            assert rep.thm21_proof.satisfied and rep.thm21_printed.satisfied
+            assert rep.thm21_proof.predicted_rate == pytest.approx(rate)
+            assert rep.thm21_proof.details["kappa"] == pytest.approx(kappa)
+            assert rep.thm21_printed.predicted_rate == pytest.approx((2 * np.pi * 4) ** 2 - 4.0)
+
+    def test_invisible_mode_refutes_the_printed_hypothesis(self):
+        # cos(2 pi x) has zero mean on both cells, so the controller never
+        # sees it, and it grows at 2 (alpha - nu (2 pi)^2) > 0
+        spec = InterpolantSpec(VOLUME, 2, 1.0)
+        p = ClosedLoopParams(nu=1.0, alpha=64.0, L=1.0, mu=100.0, spec=spec)
         rep = check_conditions(p)
-        assert rep.thm21_proof.satisfied
         assert rep.thm21_printed.satisfied
-        rate = 1.0 * (2 * np.pi * 4) ** 2 - 4.0
-        assert rep.thm21_proof.predicted_rate == pytest.approx(rate)
+        assert not rep.thm21_proof.satisfied
+        assert rep.thm21_proof.predicted_rate == pytest.approx(2 * (4 * np.pi ** 2 - 64.0))
+        cfg = SimConfig(grid=Grid1D(1.0, 64, NEUMANN), dt=1e-4, T=0.1, record_every=100,
+                        ic=ICSpec("single-mode", k=2, amplitude=1e-3), scheme="etdrk2")
+        traj = simulate(cfg, p)
+        grown = np.log(traj.l2[-1] ** 2 / traj.l2[0] ** 2) / 0.1
+        assert grown == pytest.approx(-rep.thm21_proof.predicted_rate, rel=1e-3)
 
 
 def test_next_fast_len_is_the_smallest_5_smooth_size():
