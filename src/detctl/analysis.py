@@ -145,6 +145,13 @@ def check_conditions(p: ClosedLoopParams) -> ConditionReport:
                            thm21_proof, thm21_printed, thm41, thm51, thm71)
 
 
+def certified(p: ClosedLoopParams) -> bool:
+    """Whether a theorem certifies that ||u||^2 decays to zero under ``p``:
+    the hypotheses of thm21 (the proof's form), thm51 or thm71 hold."""
+    report = check_conditions(p)
+    return report.thm21_proof.satisfied or report.thm51.satisfied or report.thm71.satisfied
+
+
 @dataclass(frozen=True)
 class DecayFit:
     """Log-linear fit of the squared L2 norm: ||u||^2 ~ C exp(-rate * t)."""
@@ -394,10 +401,12 @@ def terminal_ratio(cfg: SimConfig, p: ClosedLoopParams, outcomes: dict | None = 
 def rank_scan(
     nu: float, alphas: Sequence[float], L: float, mus: Sequence[float], Ns: Iterable[int],
     *, kind: str = VOLUME, ic_seed: int = 0, ic_kmax: int = 2, ic_amplitude: float = 1.0,
-) -> list[dict[int, float]]:
-    """Terminal ratio of every rank N in ``Ns`` at every alpha (with its gain mu).
+) -> tuple[list[dict[int, float]], list[dict[int, bool]]]:
+    """Terminal ratio and certificate (:func:`certified`) of every rank N in
+    ``Ns`` at every alpha (with its gain mu).
 
-    Returns one {N: ratio} per alpha.  Each cell runs from the fixed random
+    Returns the ratios and the certificates, each one {N: value} per alpha,
+    from the cells' own parameters.  Each cell runs from the fixed random
     band state of :func:`sweep_cell_config`; all cells are integrated by one
     :func:`integrate` call, which steps the cells that share a grid and a step
     schedule together (a cell that blows up gets an infinite ratio).  Every
@@ -408,5 +417,6 @@ def rank_scan(
                                 ic_kmax=ic_kmax, ic_amplitude=ic_amplitude) for N in Ns]
              for alpha, mu in zip(alphas, mus)]
     outcomes = integrate(member for row in cells for member in row)
-    return [{N: terminal_ratio(cfg, p, outcomes) for N, (cfg, p) in zip(Ns, row)}
-            for row in cells]
+    return ([{N: terminal_ratio(cfg, p, outcomes) for N, (cfg, p) in zip(Ns, row)}
+             for row in cells],
+            [{N: certified(p) for N, (_, p) in zip(Ns, row)} for row in cells])

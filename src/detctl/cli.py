@@ -369,20 +369,22 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
     alphas, threshold = sw["alphas"], analysis.STABILIZED_RATIO
     mus = [sw["mu_of"](alpha) for alpha in alphas]
     predicted = {alpha: analysis.reference_rank(sw["nu"], alpha, sw["L"]) for alpha in alphas}
-    scans = analysis.rank_scan(
+    scans, certs = analysis.rank_scan(
         sw["nu"], alphas, sw["L"], mus, range(lo, hi + 1), kind=sw["kind"],
         ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"], ic_amplitude=sw["ic_amplitude"],
     )
     minimal = {alpha: analysis.minimal_rank(terminal) for alpha, terminal in zip(alphas, scans)}
+    # a row is sweep.csv's columns, then the cell's certificate
     rows = [(alpha, N, mu, ratio, int(ratio <= threshold),
-             -1 if minimal[alpha] is None else minimal[alpha], predicted[alpha])
-            for alpha, mu, terminal in zip(alphas, mus, scans) for N, ratio in terminal.items()]
+             -1 if minimal[alpha] is None else minimal[alpha], predicted[alpha], cert[N])
+            for alpha, mu, terminal, cert in zip(alphas, mus, scans, certs)
+            for N, ratio in terminal.items()]
 
     with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("alpha,N,mu,terminal_ratio,stabilized,minimal_N,predicted_N_ref\n")
         for row in rows:
             fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+                              for v in row[:-1]) + "\n")
 
     steps = [(minimal[a_prev], minimal[a_next]) for a_prev, a_next in zip(alphas, alphas[1:])]
     ratios = [None if (n0 in (None, 0) or n1 is None) else n1 / n0 for n0, n1 in steps]
@@ -396,7 +398,7 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
         "consecutive_minimal_N_ratios": ratios,
         "ratio_threshold": threshold,
         "cells": [{"alpha": r[0], "N": r[1], "mu": r[2], "terminal_ratio": r[3],
-                   "stabilized": bool(r[4])} for r in rows],
+                   "stabilized": bool(r[4]), "certified": r[7]} for r in rows],
     }
     write_json(out / "summary.json", summary)
     _write_manifest(out, doc, sw["ic_seed"], started,

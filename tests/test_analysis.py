@@ -156,18 +156,18 @@ class TestMinimalN:
     def test_low_alpha_returns_min(self):
         # alpha below nu (pi/L)^2: every mode except the mean is already
         # stable, one controller suffices
-        (ratios,) = rank_scan(1.0, [4.0], 1.0, [20.0], range(1, 9))
+        (ratios,), _ = rank_scan(1.0, [4.0], 1.0, [20.0], range(1, 9))
         assert list(ratios) == list(range(1, 9))
         assert minimal_rank(ratios) == 1
 
     def test_zero_gain_never_stabilizes(self):
-        (ratios,) = rank_scan(1.0, [16.0], 1.0, [0.0], range(1, 4))
+        (ratios,), _ = rank_scan(1.0, [16.0], 1.0, [0.0], range(1, 4))
         assert set(ratios) == {1, 2, 3}
         assert all(r > 1e-4 for r in ratios.values())
         assert minimal_rank(ratios) is None
 
     def test_moderate_alpha_needs_two(self):
-        (ratios,) = rank_scan(1.0, [16.0], 1.0, [80.0], range(1, 9))
+        (ratios,), _ = rank_scan(1.0, [16.0], 1.0, [80.0], range(1, 9))
         assert minimal_rank(ratios) == 2
 
     def test_sweep_steps_its_cells_in_groups(self, monkeypatch):
@@ -182,7 +182,7 @@ class TestMinimalN:
 
         monkeypatch.setattr(dynamics.Stepper, "__init__", counted)
         alphas = [4.0, 16.0, 64.0]
-        rows = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9))
+        rows, _ = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9))
         assert [list(row) for row in rows] == [list(range(1, 9))] * 3
         assert made == [(64, 12), (72, 6), (80, 3), (84, 3)]
 

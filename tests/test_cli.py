@@ -398,6 +398,15 @@ def test_json_is_strict_for_numpy_non_finite(tmp_path):
                    "plain": ["nan"]}
 
 
+@pytest.fixture(scope="module")
+def remark21_out(tmp_path_factory):
+    """The preset sweep's output directory, run once for its tests."""
+    out = tmp_path_factory.mktemp("remark21")
+    assert main(["sweep", str(ROOT / "presets" / "sweep-remark21.json"),
+                 "--out-dir", str(out)]) == 0
+    return out
+
+
 class TestSweepCommand:
     def test_single_cell_matches_direct_run(self, tmp_path):
         doc = {"sweep": {"alphas": [4.0], "nu": 1.0, "L": 1.0,
@@ -415,11 +424,9 @@ class TestSweepCommand:
         assert int(data["minimal_N"]) == 2
 
 
-    def test_remark21_preset_matches_reference(self, tmp_path):
+    def test_remark21_preset_matches_reference(self, remark21_out):
         # the batched sweep against the stored reference table, read only
-        out = tmp_path / "out"
-        assert main(["sweep", str(ROOT / "presets" / "sweep-remark21.json"),
-                     "--out-dir", str(out)]) == 0
+        out = remark21_out
         got = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1)
         ref = np.loadtxt(ROOT / "bench" / "reference" / "sweep-remark21.csv",
                          delimiter=",", skiprows=1)
@@ -431,6 +438,14 @@ class TestSweepCommand:
         summary = json.loads((out / "summary.json").read_text())
         want = {format(alpha, "g"): None if n < 0 else int(n) for alpha, n in ref[:, [0, 5]]}
         assert summary["minimal_N"] == want
+
+    def test_remark21_certified_cells_are_stabilized(self, remark21_out):
+        # a certificate claims the cell decays to zero, so the sweep must
+        # measure it stabilized; (alpha, N) = (16, 1) and (64, 2) grow
+        cells = json.loads((remark21_out / "summary.json").read_text())["cells"]
+        assert [c for c in cells if c["certified"] and not c["stabilized"]] == []
+        assert {(c["alpha"], c["N"]) for c in cells if not c["certified"]} == {
+            (16.0, 1), (64.0, 1), (64.0, 2)}
 
 
 class TestVerifyCommand:
