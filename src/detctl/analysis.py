@@ -300,7 +300,7 @@ def verdicts(traj: TrajectoryRecord, p: ClosedLoopParams, fit_t0: float | None =
     absorbing = {"applies": bool(report.thm41.applies and report.thm41.satisfied)}
     if absorbing["applies"]:
         r0_sq, r1_sq = absorbing_bounds(p)
-        t_half = absorbing_entry_time(p, float(traj.l2[0]) ** 2)
+        t_half = absorbing_entry_time(p, float(traj.l2[0]) ** 2 if len(traj) else 0.0)
         tail = np.asarray(traj.l2)[np.asarray(traj.times) >= t_half] ** 2
         sup_after = float(np.max(tail)) if tail.size else 0.0
         absorbing.update({
@@ -410,7 +410,7 @@ def rank_scan(
     band state of :func:`sweep_cell_config`; all cells are integrated by one
     :func:`integrate` call, which steps the cells that share a grid and a step
     schedule together (a cell that blows up gets an infinite ratio).  Every
-    rank is run, for :func:`minimal_rank`.
+    rank is run: :func:`minimal_rank` does not assume stabilization monotone.
     """
     Ns = list(Ns)
     cells = [[sweep_cell_config(nu, alpha, L, mu, N, kind=kind, ic_seed=ic_seed,
