@@ -14,7 +14,7 @@ a step is the cube plus a few matrix-vector products.  On small grids every
 operator, the transforms to and from the padded grid included, is one dense
 real matrix; above ``DENSE_MAX_ENTRIES`` the transforms are numpy FFTs (the
 Neumann DCT an M-point real FFT, see :mod:`detctl.fields`) and the linear
-part a diagonal plus the rank-N factors.  A step returns the
+part a diagonal plus the feedback's factors.  A step returns the
 padded-grid samples of its new state with it, so the next step's guard and
 cube and the recorder read them and no state is synthesized twice.  One
 recorder per group keeps each record's state rows, squared samples and
@@ -33,20 +33,22 @@ Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
 ``A @ (O @ c).real`` and the recorded observation energy, interpolant norm
 and control pairing follow from the observations alone, so nothing here
-branches on the family.  A group stacks its members' triples once,
-zero-padded to its largest rank; the open loop is zero rows, and a group
-with no feedback has rank 0, so nothing branches on the open loop either.
-Piecewise-constant controllers act through their resolved-band
-projection, whose pairing against any resolved field equals the exact
-continuum pairing; delta controllers act as mass-preserving single-cell
-sources on periodic grids.  The module holds only the integrator: the
-stability hypotheses and the rates they certify are in :mod:`detctl.analysis`.
+branches on the family.  A group stacks the triples of its distinct
+controllers once, R rows for the sum R of their ranks, and a (B, R) gain
+matrix puts each member's mu on its own rows, so the batch's feedback is
+two products of the (B, n) state with an (n, R) stack; the open loop is a
+zero gain row and a group with no feedback has R = 0, so nothing branches
+on the open loop either.  Piecewise-constant controllers act through their
+resolved-band projection, whose pairing against any resolved field equals
+the exact continuum pairing; delta controllers act as mass-preserving
+single-cell sources on periodic grids.  The module holds only the
+integrator: the stability hypotheses and the rates they certify are in
+:mod:`detctl.analysis`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -239,8 +241,13 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 # both schemes up to 62k entries (Neumann M=176, periodic M=171), within 5% at
 # 67k (Neumann M=184; periodic M=176 to 180 hold 64k to 68k) and behind on
 # ETDRK2 from 74k (Neumann M=192, periodic M=190).  Against the numpy FFTs a
-# single run still crosses there: dense is ahead at Neumann M=176 on both
-# schemes and the two are within 20% either way at M=184 (CHANGES.md).
+# single run still crosses there with the np.dot stage maps (2-vCPU x86-64,
+# OpenBLAS 0.3.31, min of 6 alternating processes): dense is ahead at Neumann
+# M=176 on both schemes (ETD1 31 against 64 us a step, ETDRK2 76 against
+# 135), and at M=184 the two are within 25% either way (ETD1 31 against 41,
+# ETDRK2 95 against 111, the reverse on ETDRK2 in another round).  A batch of
+# 12 members with distinct alpha crosses lower: at M=176 the FFTs are ahead
+# (ETD1 94 against 125 us, ETDRK2 190 against 282).
 DENSE_MAX_ENTRIES = 64_000
 
 
@@ -302,20 +309,11 @@ def _padded_transforms(grid: Grid1D, fine: Grid1D) -> tuple[np.ndarray, np.ndarr
 
 
 def _applier(M: np.ndarray):
-    """x -> M @ x for every member, as one bound call: ``M`` is one (n, m)
-    map that all members share or a (B, n, m) stack, and the state is the
-    batch's (B, m) rows (or one member's (m,) vector for a shared map)."""
-    if M.ndim == 3:
-        return partial(_stacked_matvec, M)
-    return M.T.__rmatmul__
-
-
-def _stacked_matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.matmul(M, x[:, :, None])[:, :, 0]
-
-
-def _diagonal_plus_low_rank(d: np.ndarray, U, V, x: np.ndarray) -> np.ndarray:
-    return d * x - U(V(x))
+    """x -> M @ x for every member as one ``np.dot`` with M's transposed
+    view: ``M`` is one (n, m) map that all members share, and the state is
+    the batch's (B, m) rows or one member's (m,) vector."""
+    MT = M.T
+    return lambda x: np.dot(x, MT)
 
 
 class Stepper:
@@ -326,14 +324,17 @@ class Stepper:
     is B = 1), and a state of shape (n,) steps as its single row.  The state
     is the real view x = c.view(float64): the cosine coefficients on Neumann
     grids, the rfft coefficients with real and imaginary parts interleaved
-    on periodic ones.  The group's feedback is one stack, built here and
-    read by every map and by the recorder: ``O_r`` (B, r, n), ``A_r``
-    (B, n, r) and ``q`` (B, r) hold each member's (O, A, q) triple on this
-    grid in real form (O_r x = (O c).real, A_r v = (A v).view(float64)),
-    zero-padded to the group's largest rank r.  An open-loop member's rows
-    are zero, and a group of open-loop members has r = 0.  Everything in a
-    step but the cube is linear, so the diffusion, alpha u and the rank-r
-    feedback are folded into the ETD stage maps once:
+    on periodic ones.  The group's feedback is one operator stack that every
+    member shares, read by every map and by the recorder: ``O`` (R, n),
+    ``A`` (n, R) and ``q`` (R,) concatenate the real forms (O x = (O c).real,
+    A v = (A v).view(float64)) of the (O, A, q) triples of the group's
+    distinct controllers, each once, so R is the sum of their ranks, and the
+    gains ``G`` (B, R) hold each member's mu on its own controller's rows and
+    0 elsewhere (an open-loop member is a zero row, and a group of open-loop
+    members has R = 0).  Every member's feedback mu A O x is then
+    F x = ((x O^T) * G) A^T.  Everything in a step but the cube is linear,
+    so the diffusion, alpha u and the feedback are folded into the ETD stage
+    maps once:
 
         ETD1:    w = S x,  y = P x - Q w^3
         ETDRK2:  v = S y,  y + W2L (y - x) - W2T (v^3 - w^3)
@@ -342,26 +343,30 @@ class Stepper:
     periodic, N_f = next_fast_len(2M + 1) points: the cube's modes reach
     3M/2, so an alias lands at |m| >= N_f - 3M/2 > M/2, outside the band,
     and the trapezoid sum of u^4 is exact), where the cube is taken without
-    aliasing, T the analysis back to the band, Lin = alpha I - mu A_r O_r,
+    aliasing, T the analysis back to the band, Lin = alpha I - mu A O,
     P = diag(decay) + diag(w1) Lin, Q = diag(w1) T, W2L = diag(w2) Lin and
     W2T = diag(w2) T.  ``decay``, ``w1`` and ``w2`` are the ETD weights
     exp(z), dt phi1(z) and dt phi2(z), z = -nu k^2 dt, one row per member.
 
-    The maps are built as arrays and kept as their bound products
-    (``_P``, ``_Q``, ``_W2L``, ``_W2T``, ``_synth``, ``_analyze``), each one
-    call on the whole batch.  Up to ``DENSE_MAX_ENTRIES`` S and T are dense
-    matrices, and when every member has the same parameters and dt
-    (``shared``; a single run always does) P, Q, W2L and W2T are too, built
-    from row 0 of the stack.  Otherwise Q and W2T are (B, n) weights on the
-    T product, and P and W2L are (B, n) diagonals plus the feedback
-    U_k (V x) with V = O_r and U_k = w_k mu A_r, applied with ``np.matmul``:
-    as fast as (B, n, n) stacks at M=64 and a tenth of their memory.  Above
+    Each stage is one function of the whole batch (``_etd1``, ``_etd2``),
+    and S and T are ``_synth`` and ``_analyze``.  Up to ``DENSE_MAX_ENTRIES``
+    S and T are dense matrices, and when every member has the same
+    parameters and dt (``shared``; a single run always does) so are P, Q,
+    W2L and W2T, each one ``np.dot`` with its transposed view.  Otherwise
+    the stages are factored, with the (B, n) weights d1 = decay + alpha w1
+    and a2 = alpha w2:
+
+        ETD1:    y = d1 x - w1 (T w^3 + F x)
+        ETDRK2:  y + a2 z - w2 (F z + T (v^3 - w^3)),  z = y - x,
+
+    so a stage costs its T product and two products of the (B, n) state
+    with the (n, R) stack, whatever B and the members' controllers.  Above
     ``DENSE_MAX_ENTRIES`` S and T are the numpy FFT transforms of
     :mod:`detctl.fields` on the padded grid along the last axis, handed and
-    returning only the band's columns, and every P and W2L is such a
-    diagonal plus factors (row 0 of them for shared members).  BLAS rounds a product of several rows differently
-    from one row, so a member of a batch may differ from its single run in
-    the last bits; a given batch is deterministic.
+    returning only the band's columns, and the stages are factored.  BLAS
+    rounds a product of several rows differently from one row, so a member
+    of a batch may differ from its single run in the last bits; a given
+    batch is deterministic.
 
     ``advance`` takes the state with its ``samples`` (w = S x, w^2 and the
     largest w^2) and returns the new state with its own: the synthesis of a
@@ -388,18 +393,21 @@ class Stepper:
             self._fine = Grid1D(grid.L, next_fast_len(2 * grid.M + 1), fields.PERIODIC)
         parts = 2 if grid.bc == fields.PERIODIC else 1
         B, n = len(self.params), grid.w.shape[0] * parts
-        ops = {}    # members with one spec share its control operator
+        rows = {}   # each distinct controller's rows of the stack
+        O, A, q = [np.zeros((0, n))], [np.zeros((n, 0))], [np.zeros(0)]
         for pm in self.params:
-            if not pm.open_loop and pm.spec not in ops:
+            if not pm.open_loop and pm.spec not in rows:
                 ctl = interpolants.control_operator(pm.spec, grid)
-                ops[pm.spec] = _real_columns(ctl.O, parts), _real_rows(ctl.A, parts), ctl.q
-        r = max((O.shape[0] for O, _, _ in ops.values()), default=0)
-        self.O_r, self.A_r, self.q = np.zeros((B, r, n)), np.zeros((B, n, r)), np.zeros((B, r))
+                start = sum(len(v) for v in q)
+                rows[pm.spec] = slice(start, start + len(ctl.q))
+                O.append(_real_columns(ctl.O, parts))
+                A.append(_real_rows(ctl.A, parts))
+                q.append(ctl.q)
+        self.O, self.A, self.q = np.concatenate(O), np.concatenate(A, axis=1), np.concatenate(q)
+        self.G = np.zeros((B, len(self.q)))
         for i, pm in enumerate(self.params):
             if not pm.open_loop:
-                O, A, q = ops[pm.spec]
-                k = O.shape[0]
-                self.O_r[i, :k], self.A_r[i, :, :k], self.q[i, :k] = O, A, q
+                self.G[i, rows[pm.spec]] = pm.mu
         alpha, mu, nu = (np.array([getattr(pm, name) for pm in self.params])
                          for name in ("alpha", "mu", "nu"))
         z = -nu[:, None] * grid.wavenumbers ** 2 * self.dt[:, None]
@@ -412,34 +420,29 @@ class Stepper:
 
         self.shared = len(set(zip(self.params, self.dt.tolist()))) == 1
         decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
-        stages = (w1, w2) if scheme == "etdrk2" else (w1,)  # weights of (P, Q) and (W2L, W2T)
         self._S, self._T = _padded_transforms(grid, self._fine) or (None, None)
         if self._S is not None:
             self._synth, self._analyze = _applier(self._S), _applier(self._T)
         else:
             self._synth, self._analyze = self._fft_synth, self._fft_analyze
         if self._S is not None and self.shared:
-            Lin = alpha[0] * np.eye(n) - (mu[0] * self.A_r[0]) @ self.O_r[0]
-            lin = [w[0][:, None] * Lin for w in stages]
-            lin[0] += np.diag(decay[0])
-            lin_maps = [_applier(m) for m in lin]
-            weighted = [_applier(w[0][:, None] * self._T) for w in stages]
+            Lin = alpha[0] * np.eye(n) - (mu[0] * self.A) @ self.O
+            P = w1[0][:, None] * Lin + np.diag(decay[0])
+            PT, QT = P.T, (w1[0][:, None] * self._T).T
+            W2LT, W2TT = (w2[0][:, None] * Lin).T, (w2[0][:, None] * self._T).T
+            self._etd1 = lambda x, w3: np.dot(x, PT) - np.dot(w3, QT)
+            self._etd2 = lambda y, z, d: y + np.dot(z, W2LT) - np.dot(d, W2TT)
         else:
-            # each member's diagonal, its rank-r feedback U (V x) and its
-            # weights on the T product, one row for all members when they
-            # share them
-            diags = [decay + alpha[:, None] * w1, alpha[:, None] * w2][: len(stages)]
-            U = [w[:, :, None] * (mu[:, None, None] * self.A_r) for w in stages]
-            V = self.O_r
-            if self.shared:
-                diags, U, V = [d[0] for d in diags], [u[0] for u in U], V[0]
-            lin_maps = [partial(_diagonal_plus_low_rank, d, _applier(u), _applier(V))
-                        for d, u in zip(diags, U)]
-            analyze = self._analyze
-            weighted = [lambda v, wk=(w[0] if self.shared else w): wk * analyze(v)
-                        for w in stages]
-        self._P, self._Q = lin_maps[0], weighted[0]
-        self._W2L, self._W2T = (lin_maps[1], weighted[1]) if len(stages) == 2 else (None, None)
+            d1, a2, G = decay + alpha[:, None] * w1, alpha[:, None] * w2, self.G
+            if self.shared:     # one row for all members, so a (n,) state stays one
+                d1, a2, w1, w2, G = d1[0], a2[0], w1[0], w2[0], G[0]
+            OT, AT, analyze = self.O.T, self.A.T, self._analyze
+
+            def feedback(x):
+                return np.dot(np.dot(x, OT) * G, AT)
+
+            self._etd1 = lambda x, w3: d1 * x - w1 * (analyze(w3) + feedback(x))
+            self._etd2 = lambda y, z, d: y + a2 * z - w2 * (feedback(z) + analyze(d))
 
     def _fft_synth(self, x: np.ndarray) -> np.ndarray:
         dtype = np.complex128 if self.grid.bc == fields.PERIODIC else np.float64
@@ -480,10 +483,10 @@ class Stepper:
                           for i in np.flatnonzero(past)}
                 raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
         w3 = w2 * w
-        y = self._P(x) - self._Q(w3)
+        y = self._etd1(x, w3)
         if self.scheme == "etdrk2":
             v = self._synth(y)
-            y = y + self._W2L(y - x) - self._W2T(v * v * v - w3)
+            y = self._etd2(y, y - x, v * v * v - w3)
         # ``samples`` of y, inline: a call per step costs ~1% of a batch step
         w = self._synth(y)
         w2 = w * w
@@ -498,13 +501,12 @@ class _Recorder:
 
     Each record keeps, for every live member, the state row x, the squared
     samples w^2 its step left on the padded grid and H x, where H stacks the
-    real observation matrix O_r over G = A_r^T diag(w): the observations are
-    v = O_r x and the control pairing sum(w Re((A v) conj(c))) is v . (G x).
-    H is built from the ``Stepper``'s zero-padded stack: one matrix when the
-    members share parameters and dt (its ``shared``) and otherwise a
-    (B, 2r, n) stack; its product is one call on the live rows per record.
-    An open-loop member's rows of H are zero, so it records zero
-    observations, and a rank-0 group records them as empty sums.  The
+    ``Stepper``'s shared real observation matrix O over A^T diag(w): the
+    observations are v = O x and the control pairing sum(w Re((A v) conj(c)))
+    is v . (A^T diag(w) x).  H is one matrix for every group, one call on the
+    live rows per record, and ``flush`` keeps each member's own rows of v by
+    the 0/1 mask G != 0 of the stack's gains: an open-loop member records
+    zero observations, and a rank-0 group records them as empty sums.  The
     norms, the L4 term and the observation series are elementwise products
     and row sums over the chunk, which numpy rounds row by row, so a record
     depends on neither the stride nor the chunk; a batch's records differ
@@ -524,10 +526,10 @@ class _Recorder:
         rows = min(RECORD_CHUNK, len(steps))
         self._x = np.empty((rows, B, self._w.shape[0]))
         self._u2 = np.empty((rows, B, st._fine.M))
-        H = np.concatenate([st.O_r, st.A_r.transpose(0, 2, 1) * self._w], axis=1)
-        self._H, self._q = (H[0], st.q[0]) if st.shared else (H, st.q)
-        self._observe = _applier(self._H)
-        self._hx = np.empty((rows, B, H.shape[1]))
+        H = np.concatenate([st.O, st.A.T * self._w])
+        self._q, self._own = st.q, st.G != 0    # each member's own rows of the stack
+        self._observe = _applier(H)
+        self._hx = np.empty((rows, B, H.shape[0]))
         self._series = {name: np.zeros((B, len(steps))) for name in SERIES}
         self.live = np.arange(B)     # the member in each row of the state
         self.count = 0      # records taken
@@ -548,9 +550,7 @@ class _Recorder:
         self.flush()
         self.live, b = self.live[rows], len(rows)
         self._x, self._u2, self._hx = self._x[:, :b], self._u2[:, :b], self._hx[:, :b]
-        if self._H.ndim == 3:
-            self._H, self._q = self._H[rows], self._q[rows]
-            self._observe = _applier(self._H)
+        self._own = self._own[rows]
 
     def flush(self) -> None:
         k = self.count - self._done
@@ -563,8 +563,8 @@ class _Recorder:
         s["h1"][at] = np.sqrt(l2_sq / self._L2[self.live] + h1x_sq).T
         u2 = self._u2[:k]
         s["l4p4"][at] = (np.square(u2, out=u2).sum(axis=-1) * self._dw).T
-        r = self._q.shape[-1]
-        v, g = self._hx[:k, :, :r], self._hx[:k, :, r:]
+        r = self._q.shape[0]
+        v, g = np.where(self._own, self._hx[:k, :, :r], 0.0), self._hx[:k, :, r:]
         v2 = v * v
         s["gamma2"][at] = v2.sum(axis=-1).T
         s["ih_l2"][at] = np.sqrt((v2 * self._q).sum(axis=-1)).T

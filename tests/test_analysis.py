@@ -14,6 +14,7 @@ from detctl.analysis import (
     reference_rank,
     sweep_cell_config,
     sweep_grid,
+    terminal_ratio,
     unstable_mode_count,
     verify_decay_bound,
 )
@@ -185,6 +186,31 @@ class TestMinimalN:
         rows, _ = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9))
         assert [list(row) for row in rows] == [list(range(1, 9))] * 3
         assert made == [(64, 12), (72, 6), (80, 3), (84, 3)]
+
+    def test_sweep_group_stacks_each_distinct_controller_once(self):
+        # the preset's M=64 group, 3 alphas x N in {1, 2, 4, 8}, shares four
+        # volume controllers: R = 1 + 2 + 4 + 8 rows, each member's gain on
+        # its own N rows
+        alphas = [4.0, 16.0, 64.0]
+        cells = [sweep_cell_config(1.0, alpha, 1.0, 5.0 * alpha, N)
+                 for alpha in alphas for N in (1, 2, 4, 8)]
+        assert {cfg.grid.M for cfg, _ in cells} == {64}
+        st = dynamics.Stepper(cells[0][0].grid, [p for _, p in cells],
+                              [cfg.dt for cfg, _ in cells])
+        assert st.O.shape == (15, 64) and st.A.shape == (64, 15) and st.q.shape == (15,)
+        assert [np.count_nonzero(row) for row in st.G] == [1, 2, 4, 8] * 3
+        assert np.array_equal(st.G.max(axis=1), [p.mu for _, p in cells])
+
+    @pytest.mark.parametrize("kind", ["volume", "nodal", "fourier"])
+    def test_rank_scan_matches_each_cell_run_alone(self, kind):
+        alphas = [4.0, 16.0, 64.0]
+        mus = [5.0 * alpha for alpha in alphas]
+        rows, _ = rank_scan(1.0, alphas, 1.0, mus, range(1, 5), kind=kind)
+        for alpha, mu, row in zip(alphas, mus, rows):
+            assert list(row) == [1, 2, 3, 4]
+            for N, got in row.items():
+                want = terminal_ratio(*sweep_cell_config(1.0, alpha, 1.0, mu, N, kind=kind))
+                assert got == want or abs(got - want) <= 1e-12 * want, (alpha, N)
 
     def test_integrate_keeps_one_outcome_per_member(self):
         cell = sweep_cell_config(1.0, 16.0, 1.0, 80.0, 2)

@@ -335,10 +335,11 @@ class TestSimulate:
     # M=64 is below the dense/FFT crossover, M=192 above it
     @pytest.mark.parametrize("M, dense", [(64, True), (192, False)])
     def test_open_loop_members_are_rank_0_rows(self, M, dense):
-        # an open-loop member is all-zero rows of its group's feedback stack,
-        # and a group of open-loop members has rank 0; the members differ in
-        # alpha or dt, so the batches take the factored stage maps, and each
-        # member goes on as its single run and observes nothing
+        # an open-loop member is a zero gain row of its group's shared stack,
+        # which holds only the controllers that act, and a group of open-loop
+        # members has R = 0; the members differ in alpha or dt, so the
+        # batches take the factored stage maps, and each member goes on as
+        # its single run and observes nothing
         g = neumann(M=M)
         n_steps = 40
         volume = InterpolantSpec(VOLUME, 4, 1.0)
@@ -355,7 +356,9 @@ class TestSimulate:
                        for i, (dt, p) in enumerate(batch)]
             st = Stepper(g, [p for _, p in members], [cfg.dt for cfg, _ in members])
             assert (st._S is not None) == dense and not st.shared
-            assert st.O_r.shape[1] == (0 if batch[-1] is pair else 3)
+            assert st.O.shape[0] == (0 if batch[-1] is pair else 3)
+            for row, (_, p) in zip(st.G, members):
+                assert row.any() != p.open_loop
             outcomes = integrate(members)
             for cfg, p in members:
                 got, want = outcomes[cfg, p], simulate(cfg, p)
@@ -366,6 +369,40 @@ class TestSimulate:
                 if p.open_loop:
                     for name in ("gamma2", "ih_l2", "pairing"):
                         assert not getattr(got, name).any() and not getattr(want, name).any()
+
+    def test_members_with_one_spec_stack_its_rows_once(self):
+        spec = InterpolantSpec(FOURIER, 2, 1.0)
+        ps = [ClosedLoopParams(nu=1.0, alpha=alpha, L=1.0, mu=mu, spec=spec)
+              for alpha, mu in ((4.0, 10.0), (5.0, 20.0))]
+        st = Stepper(neumann(), ps, [1e-4, 2e-4])
+        q = control_operator(spec, neumann()).q
+        assert st.O.shape == (len(q), 64) and st.A.shape == (64, len(q))
+        assert np.array_equal(st.q, q)
+        assert np.array_equal(st.G, [[10.0] * len(q), [20.0] * len(q)])
+
+    def test_periodic_delta_batch_with_per_member_dt_matches_single_runs(self):
+        # two delta controllers, one of them shared by two members, stacked
+        # as R = 4 + 2 rows; each member steps with its own dt, gain and alpha
+        g = Grid1D(1.0, 64, PERIODIC)
+        n_steps = 150
+        four, two = InterpolantSpec(DELTA, 4, 1.0), InterpolantSpec(DELTA, 2, 1.0)
+        batch = [
+            (1e-4, ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0, mu=4.5, spec=four)),
+            (2e-4, ClosedLoopParams(nu=1.0, alpha=2.0, L=1.0, mu=8.0, spec=two)),
+            (1.5e-4, ClosedLoopParams(nu=0.5, alpha=1.5, L=1.0, mu=9.0, spec=four)),
+        ]
+        members = [(SimConfig(grid=g, dt=dt, T=n_steps * dt, record_every=7, scheme="etdrk2",
+                              ic=ICSpec("random-band", seed=11 + i, kmax=2, amplitude=1.0)), p)
+                   for i, (dt, p) in enumerate(batch)]
+        st = Stepper(g, [p for _, p in members], [cfg.dt for cfg, _ in members], "etdrk2")
+        assert st._S is not None and not st.shared and st.O.shape[0] == 6
+        outcomes = integrate(members)
+        for cfg, p in members:
+            got, want = outcomes[cfg, p], simulate(cfg, p)
+            assert np.array_equal(got.times, want.times) and len(got) == n_steps // 7 + 2
+            for name in SERIES:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
     # (M, bc) on both sides of the dense/FFT crossover
     @pytest.mark.parametrize("M, bc", [(32, NEUMANN), (32, PERIODIC), (256, NEUMANN)])
