@@ -2,7 +2,7 @@
 absorbing-ball radii they certify and the tolerances they are checked at
 (each stated here once), decay-rate fits, the verdicts of a run on every
 certified claim (:func:`verdicts`, the one place that decides what passes),
-mode counting, and minimal-controller-rank sweeps."""
+mode counting, and the verdicts of a minimal-rank sweep (:func:`rank_scan`)."""
 
 from __future__ import annotations
 
@@ -35,6 +35,8 @@ ABSORBING_MARGIN = 0.05
 
 # a sweep cell is stabilized when ||u(T)|| <= STABILIZED_RATIO ||u(0)||
 STABILIZED_RATIO = 1e-4
+# a sweep's summary keys each alpha by its %g text, so a sweep's alphas must differ there
+alpha_key = "{:g}".format
 
 # sweep cells: the smallest grid, and the step over the explicit stability limit
 SWEEP_M_MIN = 64
@@ -401,22 +403,34 @@ def terminal_ratio(cfg: SimConfig, p: ClosedLoopParams, outcomes: dict | None = 
 def rank_scan(
     nu: float, alphas: Sequence[float], L: float, mus: Sequence[float], Ns: Iterable[int],
     *, kind: str = VOLUME, ic_seed: int = 0, ic_kmax: int = 2, ic_amplitude: float = 1.0,
-) -> tuple[list[dict[int, float]], list[dict[int, bool]]]:
-    """Terminal ratio and certificate (:func:`certified`) of every rank N in
-    ``Ns`` at every alpha (with its gain mu).
-
-    Returns the ratios and the certificates, each one {N: value} per alpha,
-    from the cells' own parameters.  Each cell runs from the fixed random
-    band state of :func:`sweep_cell_config`; all cells are integrated by one
-    :func:`integrate` call, which steps the cells that share a grid and a step
-    schedule together (a cell that blows up gets an infinite ratio).  Every
-    rank is run: :func:`minimal_rank` does not assume stabilization monotone.
-    """
+) -> dict:
+    """The verdicts of a sweep over every rank N in ``Ns`` at every alpha (with its
+    gain mu), keyed as the sweep's ``summary.json`` holds them: each cell's terminal
+    ratio, whether it is stabilized and its certificate (:func:`certified`), and
+    per ``alpha_key`` the minimal and the reference rank.  Each cell runs from
+    the random band state of :func:`sweep_cell_config`; one :func:`integrate` call
+    steps the cells that share a grid and a step schedule together (a cell that
+    blows up gets an infinite ratio).  Every rank is run: :func:`minimal_rank` does
+    not assume stabilization monotone."""
+    keys = [alpha_key(alpha) for alpha in alphas]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"alphas {keys} repeat a %g key")
     Ns = list(Ns)
-    cells = [[sweep_cell_config(nu, alpha, L, mu, N, kind=kind, ic_seed=ic_seed,
-                                ic_kmax=ic_kmax, ic_amplitude=ic_amplitude) for N in Ns]
-             for alpha, mu in zip(alphas, mus)]
-    outcomes = integrate(member for row in cells for member in row)
-    return ([{N: terminal_ratio(cfg, p, outcomes) for N, (cfg, p) in zip(Ns, row)}
-             for row in cells],
-            [{N: certified(p) for N, (_, p) in zip(Ns, row)} for row in cells])
+    rows = [[sweep_cell_config(nu, alpha, L, mu, N, kind=kind, ic_seed=ic_seed,
+                               ic_kmax=ic_kmax, ic_amplitude=ic_amplitude) for N in Ns]
+            for alpha, mu in zip(alphas, mus)]
+    outcomes = integrate(member for row in rows for member in row)
+    ratios = [{N: terminal_ratio(cfg, p, outcomes) for N, (cfg, p) in zip(Ns, row)}
+              for row in rows]
+    minimal = [minimal_rank(terminal) for terminal in ratios]
+    return {
+        "alphas": list(alphas), "ratio_threshold": STABILIZED_RATIO,
+        "cells": [{"alpha": alpha, "N": N, "mu": p.mu, "terminal_ratio": terminal[N],
+                   "stabilized": terminal[N] <= STABILIZED_RATIO, "certified": certified(p)}
+                  for alpha, row, terminal in zip(alphas, rows, ratios)
+                  for N, (_, p) in zip(Ns, row)],
+        "minimal_N": dict(zip(keys, minimal)),
+        "predicted_N_ref": {key: reference_rank(nu, alpha, L) for key, alpha in zip(keys, alphas)},
+        "consecutive_minimal_N_ratios": [None if n0 is None or n1 is None else n1 / n0
+                                         for n0, n1 in zip(minimal, minimal[1:])],
+    }

@@ -6,7 +6,7 @@ experiment} (simulate) or {sweep, experiment} (sweep); unknown keys are
 rejected with field-level paths.  Numeric output uses 17-significant-digit
 formatting and LF endings so identical configs reproduce identical bytes.
 
-Every verdict comes from :func:`detctl.analysis.verdicts`, at its fixed tolerances.
+Every verdict comes from :mod:`detctl.analysis` (``verdicts``, ``rank_scan``), at its tolerances.
 Exit codes: 0 success, 1 scientific failure (a certified bound was violated
 or the integration blew up), 2 usage or configuration error.
 """
@@ -21,7 +21,7 @@ import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ from .interpolants import KINDS, InterpolantSpec, check_grid
 
 OUT_DIR_ENV = "DETCTL_OUT_DIR"
 CSV_COLUMNS = ("t", "l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "energy_residual")
+SWEEP_COLUMNS = "alpha,N,mu,terminal_ratio,stabilized,minimal_N,predicted_N_ref".split(",")
 CSV_BLOCK_ROWS = 1024
 
 
@@ -114,8 +115,8 @@ def _alphas(val, path):
     for i, a in enumerate(val):
         if not (_finite(a) and a > 0):
             raise ConfigError(f"{path}[{i}]: expected a positive number, got {a!r}")
-        if a in val[:i]:
-            raise ConfigError(f"{path}[{i}]: {a!r} repeats an earlier entry")
+        if analysis.alpha_key(a) in map(analysis.alpha_key, val[:i]):  # the summary's keys
+            raise ConfigError(f"{path}[{i}]: {a!r} repeats an earlier entry at %g")
     return [float(a) for a in val]
 
 
@@ -260,20 +261,27 @@ def write_json(path: Path, obj: dict) -> None:
         fh.write("\n")
 
 
-def write_trajectory_csv(path: Path, traj: TrajectoryRecord) -> None:
-    """The record as CSV, byte for byte what ``np.savetxt`` with ``%.17g`` writes.
+def write_csv(path: Path, columns: Sequence[str], rows) -> None:
+    """``rows`` as CSV under a ``columns`` header, each value as a float: byte for
+    byte what ``np.savetxt`` with ``%.17g`` writes (an integer prints as one).
 
     Each block of ``CSV_BLOCK_ROWS`` rows is one ``%`` operation on the
     repeated row format, which bounds the text held in memory on long runs.
     """
-    data = np.column_stack([traj.times, traj.l2, traj.h1x, traj.h1, traj.l4p4,
-                            traj.gamma2, traj.ih_l2, traj.energy_residual])
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    data = np.asarray(rows, dtype=float)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.write(",".join(columns) + "\n")
         for i in range(0, len(data), CSV_BLOCK_ROWS):
             block = data[i: i + CSV_BLOCK_ROWS]
             fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def write_trajectory_csv(path: Path, traj: TrajectoryRecord) -> None:
+    """The record as CSV, one row per record under ``CSV_COLUMNS``."""
+    write_csv(path, CSV_COLUMNS, np.column_stack([
+        traj.times, traj.l2, traj.h1x, traj.h1, traj.l4p4, traj.gamma2, traj.ih_l2,
+        traj.energy_residual]))
 
 
 # ---------------------------------------------------------------------------
@@ -366,47 +374,22 @@ def cmd_sweep(config_path: str, out_dir: str | None) -> int:
     started = datetime.now(timezone.utc).isoformat()
 
     lo, hi = sw["N_range"]
-    alphas, threshold = sw["alphas"], analysis.STABILIZED_RATIO
-    mus = [sw["mu_of"](alpha) for alpha in alphas]
-    predicted = {alpha: analysis.reference_rank(sw["nu"], alpha, sw["L"]) for alpha in alphas}
-    scans, certs = analysis.rank_scan(
-        sw["nu"], alphas, sw["L"], mus, range(lo, hi + 1), kind=sw["kind"],
-        ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"], ic_amplitude=sw["ic_amplitude"],
-    )
-    minimal = {alpha: analysis.minimal_rank(terminal) for alpha, terminal in zip(alphas, scans)}
-    # a row is sweep.csv's columns, then the cell's certificate
-    rows = [(alpha, N, mu, ratio, int(ratio <= threshold),
-             -1 if minimal[alpha] is None else minimal[alpha], predicted[alpha], cert[N])
-            for alpha, mu, terminal, cert in zip(alphas, mus, scans, certs)
-            for N, ratio in terminal.items()]
-
-    with open(out / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("alpha,N,mu,terminal_ratio,stabilized,minimal_N,predicted_N_ref\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
-                              for v in row[:-1]) + "\n")
-
-    steps = [(minimal[a_prev], minimal[a_next]) for a_prev, a_next in zip(alphas, alphas[1:])]
-    ratios = [None if (n0 in (None, 0) or n1 is None) else n1 / n0 for n0, n1 in steps]
-
-    summary = {
-        "experiment": sw["name"],
-        "version": __version__,
-        "alphas": alphas,
-        "minimal_N": {format(a, "g"): minimal[a] for a in alphas},
-        "predicted_N_ref": {format(a, "g"): predicted[a] for a in alphas},
-        "consecutive_minimal_N_ratios": ratios,
-        "ratio_threshold": threshold,
-        "cells": [{"alpha": r[0], "N": r[1], "mu": r[2], "terminal_ratio": r[3],
-                   "stabilized": bool(r[4]), "certified": r[7]} for r in rows],
-    }
-    write_json(out / "summary.json", summary)
+    mus = [sw["mu_of"](alpha) for alpha in sw["alphas"]]
+    scan = analysis.rank_scan(sw["nu"], sw["alphas"], sw["L"], mus, range(lo, hi + 1),
+                              kind=sw["kind"], ic_seed=sw["ic_seed"], ic_kmax=sw["ic_kmax"],
+                              ic_amplitude=sw["ic_amplitude"])
+    key, predicted = analysis.alpha_key, scan["predicted_N_ref"]
+    minimal = {k: -1 if N is None else N for k, N in scan["minimal_N"].items()}  # -1: none
+    write_csv(out / "sweep.csv", SWEEP_COLUMNS,
+              [(c["alpha"], c["N"], c["mu"], c["terminal_ratio"], c["stabilized"],
+                minimal[key(c["alpha"])], predicted[key(c["alpha"])]) for c in scan["cells"]])
+    write_json(out / "summary.json", {"experiment": sw["name"], "version": __version__, **scan})
     _write_manifest(out, doc, sw["ic_seed"], started,
                     {"sweep_csv": "sweep.csv", "summary_json": "summary.json"})
 
     print(f"[sweep] {sw['name']}: wrote {out}/sweep.csv, summary.json, manifest.json")
-    for alpha in alphas:
-        print(f"  alpha={alpha:g}: minimal N = {minimal[alpha]}")
+    for k, N in scan["minimal_N"].items():
+        print(f"  alpha={k}: minimal N = {N}")
     return 0
 
 

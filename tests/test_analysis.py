@@ -157,19 +157,24 @@ class TestMinimalN:
     def test_low_alpha_returns_min(self):
         # alpha below nu (pi/L)^2: every mode except the mean is already
         # stable, one controller suffices
-        (ratios,), _ = rank_scan(1.0, [4.0], 1.0, [20.0], range(1, 9))
-        assert list(ratios) == list(range(1, 9))
-        assert minimal_rank(ratios) == 1
+        scan = rank_scan(1.0, [4.0], 1.0, [20.0], range(1, 9))
+        assert [c["N"] for c in scan["cells"]] == list(range(1, 9))
+        assert scan["minimal_N"] == {"4": 1}
 
     def test_zero_gain_never_stabilizes(self):
-        (ratios,), _ = rank_scan(1.0, [16.0], 1.0, [0.0], range(1, 4))
-        assert set(ratios) == {1, 2, 3}
-        assert all(r > 1e-4 for r in ratios.values())
-        assert minimal_rank(ratios) is None
+        scan = rank_scan(1.0, [16.0], 1.0, [0.0], range(1, 4))
+        assert [c["N"] for c in scan["cells"]] == [1, 2, 3]
+        assert all(c["terminal_ratio"] > 1e-4 and not c["stabilized"] for c in scan["cells"])
+        assert scan["minimal_N"] == {"16": None}
 
     def test_moderate_alpha_needs_two(self):
-        (ratios,), _ = rank_scan(1.0, [16.0], 1.0, [80.0], range(1, 9))
-        assert minimal_rank(ratios) == 2
+        scan = rank_scan(1.0, [16.0], 1.0, [80.0], range(1, 9))
+        assert scan["minimal_N"] == {"16": 2}
+        assert [c["stabilized"] for c in scan["cells"]] == [False] + [True] * 7
+
+    def test_alphas_that_share_a_summary_key_are_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            rank_scan(1.0, [4.0000001, 4.0000002], 1.0, [20.0, 20.0], [1])
 
     def test_sweep_steps_its_cells_in_groups(self, monkeypatch):
         # the preset's 24 cells: T = 20/alpha and dt ~ 1/alpha give every cell
@@ -183,8 +188,9 @@ class TestMinimalN:
 
         monkeypatch.setattr(dynamics.Stepper, "__init__", counted)
         alphas = [4.0, 16.0, 64.0]
-        rows, _ = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9))
-        assert [list(row) for row in rows] == [list(range(1, 9))] * 3
+        scan = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9))
+        assert [(c["alpha"], c["N"]) for c in scan["cells"]] == [
+            (alpha, N) for alpha in alphas for N in range(1, 9)]
         assert made == [(64, 12), (72, 6), (80, 3), (84, 3)]
 
     def test_sweep_group_stacks_each_distinct_controller_once(self):
@@ -205,12 +211,13 @@ class TestMinimalN:
     def test_rank_scan_matches_each_cell_run_alone(self, kind):
         alphas = [4.0, 16.0, 64.0]
         mus = [5.0 * alpha for alpha in alphas]
-        rows, _ = rank_scan(1.0, alphas, 1.0, mus, range(1, 5), kind=kind)
-        for alpha, mu, row in zip(alphas, mus, rows):
-            assert list(row) == [1, 2, 3, 4]
-            for N, got in row.items():
-                want = terminal_ratio(*sweep_cell_config(1.0, alpha, 1.0, mu, N, kind=kind))
-                assert got == want or abs(got - want) <= 1e-12 * want, (alpha, N)
+        scan = rank_scan(1.0, alphas, 1.0, mus, range(1, 5), kind=kind)
+        assert [(c["alpha"], c["N"], c["mu"]) for c in scan["cells"]] == [
+            (alpha, N, mu) for alpha, mu in zip(alphas, mus) for N in range(1, 5)]
+        for c in scan["cells"]:
+            alpha, N, got = c["alpha"], c["N"], c["terminal_ratio"]
+            want = terminal_ratio(*sweep_cell_config(1.0, alpha, 1.0, c["mu"], N, kind=kind))
+            assert got == want or abs(got - want) <= 1e-12 * want, (alpha, N)
 
     def test_integrate_keeps_one_outcome_per_member(self):
         cell = sweep_cell_config(1.0, 16.0, 1.0, 80.0, 2)

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -18,7 +20,7 @@ from detctl.cli import (
     write_json,
     write_trajectory_csv,
 )
-from detctl.dynamics import TrajectoryRecord
+from detctl.dynamics import BlowupError, TrajectoryRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,9 +94,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="alphas"):
             parse_sweep_config(doc)
 
-    @pytest.mark.parametrize("alphas,i", [([4, 4], 1), ([1.0, 4, 2.0, 4.0], 3)])
+    @pytest.mark.parametrize("alphas,i", [([4, 4], 1), ([1.0, 4, 2.0, 4.0], 3),
+                                          ([4.0000001, 4.0000002], 1)])
     def test_repeated_alpha_exits_2(self, tmp_path, capsys, alphas, i):
-        # a repeat would write its cells twice and give a spurious ratio of 1
+        # a repeat would write its cells twice and give a spurious ratio of 1;
+        # alphas equal at %g would share one summary key, and one verdict be lost
         doc = {"sweep": {"alphas": alphas, "nu": 1.0, "L": 1.0,
                          "mu_rule": {"type": "proportional", "factor": 5.0},
                          "N_range": [1, 2]},
@@ -407,6 +411,23 @@ def remark21_out(tmp_path_factory):
     return out
 
 
+def sweep_table(out):
+    """``sweep.csv``'s rows and ``summary.json`` of a sweep's output directory,
+    after checking that both state the same table."""
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "sweep.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(summary["cells"])
+    for row, cell in zip(rows, summary["cells"]):
+        for col in ("alpha", "N", "mu", "terminal_ratio", "stabilized"):
+            assert float(row[col]) == float(cell[col]), (col, row, cell)  # "inf" in both
+        key = format(cell["alpha"], "g")
+        minimal = summary["minimal_N"][key]
+        assert int(row["minimal_N"]) == (-1 if minimal is None else minimal)
+        assert float(row["predicted_N_ref"]) == summary["predicted_N_ref"][key]
+    return rows, summary
+
+
 class TestSweepCommand:
     def test_single_cell_matches_direct_run(self, tmp_path):
         doc = {"sweep": {"alphas": [4.0], "nu": 1.0, "L": 1.0,
@@ -438,6 +459,44 @@ class TestSweepCommand:
         summary = json.loads((out / "summary.json").read_text())
         want = {format(alpha, "g"): None if n < 0 else int(n) for alpha, n in ref[:, [0, 5]]}
         assert summary["minimal_N"] == want
+
+    def test_remark21_csv_and_summary_state_the_same_table(self, remark21_out):
+        rows, summary = sweep_table(remark21_out)
+        assert len(rows) == 24 and set(summary["minimal_N"]) == {"4", "16", "64"}
+
+    def test_a_cell_that_blows_up_is_infinite_and_skipped(self, tmp_path, monkeypatch):
+        # (alpha, N) = (16, 2) is the first stabilized rank at alpha 16; when
+        # it blows up the minimal rank moves on to 3 and no other cell changes
+        doc = {"sweep": {"alphas": [4.0, 16.0], "nu": 1.0, "L": 1.0,
+                         "mu_rule": {"type": "proportional", "factor": 5.0},
+                         "N_range": [1, 3]},
+               "experiment": {"name": "blowup"}}
+        config = write_config(tmp_path, doc)
+        assert main(["sweep", config, "--out-dir", str(tmp_path / "clean")]) == 0
+        integrate = analysis.integrate
+
+        def with_blowup(members):
+            outcomes = integrate(members)
+            for (cfg, p), rec in outcomes.items():
+                if (p.alpha, p.spec.N) == (16.0, 2):
+                    partial = dataclasses.replace(
+                        rec, **{f.name: getattr(rec, f.name)[:1] for f in dataclasses.fields(rec)})
+                    outcomes[cfg, p] = BlowupError(0.0, "injected", record=partial)
+            return outcomes
+
+        monkeypatch.setattr(analysis, "integrate", with_blowup)
+        assert main(["sweep", config, "--out-dir", str(tmp_path / "blown")]) == 0
+        clean_rows, clean = sweep_table(tmp_path / "clean")
+        rows, summary = sweep_table(tmp_path / "blown")
+        blown = [i for i, c in enumerate(summary["cells"]) if (c["alpha"], c["N"]) == (16.0, 2)]
+        assert blown == [4]
+        assert rows[4]["terminal_ratio"] == "inf" and rows[4]["stabilized"] == "0"
+        assert summary["cells"][4]["terminal_ratio"] == "inf"
+        assert summary["cells"][4]["stabilized"] is False
+        assert clean["minimal_N"] == {"4": 1, "16": 2}
+        assert summary["minimal_N"] == {"4": 1, "16": 3}
+        assert [c for i, c in enumerate(summary["cells"]) if i != 4] == [
+            c for i, c in enumerate(clean["cells"]) if i != 4]
 
     def test_remark21_certified_cells_are_stabilized(self, remark21_out):
         # a certificate claims the cell decays to zero, so the sweep must
