@@ -22,12 +22,19 @@ observation products and reduces them to the recorded series
 ``RECORD_CHUNK`` records at a time.
 
 One engine steps a batch of runs: :func:`integrate` steps the runs that
-share a grid, a step count, a record stride and a scheme as one (B, n) state,
-a member that trips the stability guard leaves its group, and it returns
-every member's outcome, from which :func:`simulate` reads one.  A run on its
-own is a batch of one, a (1, n) state on the same path; the guard compares
-the batch's largest squared sample with a cap on max u^2 precomputed from
-each member's dt.
+share a step count, a record stride, a scheme and a periodic grid, or Neumann
+grids of one length whatever their M, as one (B, n) state, a member that
+trips the stability guard leaves its group, and it returns every member's
+outcome, from which :func:`simulate` reads one.  A Neumann state on M points
+is exactly the first M columns of the same state on a larger Neumann grid,
+so a group works on its largest grid with each member zero-padded past its
+own band; periodic grids do not merge, because an even M's Nyquist column
+weighs L on its own grid and 2L on a larger one, and grids merge only while
+the group's stacked controllers hold at most M rows.  A run on its own is a
+batch of one, a (1, n) state on the same path; the guard compares the
+batch's largest squared sample on the group's padded grid, which samples a
+member of a smaller M more finely than its own, with a cap on max u^2
+precomputed from each member's dt.
 
 Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
@@ -246,8 +253,11 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 # M=176 on both schemes (ETD1 31 against 64 us a step, ETDRK2 76 against
 # 135), and at M=184 the two are within 25% either way (ETD1 31 against 41,
 # ETDRK2 95 against 111, the reverse on ETDRK2 in another round).  A batch of
-# 12 members with distinct alpha crosses lower: at M=176 the FFTs are ahead
-# (ETD1 94 against 125 us, ETDRK2 190 against 282).
+# 12 members with distinct alpha crosses lower, less so since its factored
+# maps are contiguous copies (min of 6 alternating processes, Neumann M=176):
+# the FFTs are still ahead, ETD1 80 against 88 us dense (125 with transposed
+# views) and ETDRK2 179 against 188 (245).  A single run keeps the views, so
+# its crossover, which sets this constant, did not move.
 DENSE_MAX_ENTRIES = 64_000
 
 
@@ -308,27 +318,44 @@ def _padded_transforms(grid: Grid1D, fine: Grid1D) -> tuple[np.ndarray, np.ndarr
     return S, T
 
 
-def _applier(M: np.ndarray):
-    """x -> M @ x for every member as one ``np.dot`` with M's transposed
-    view: ``M`` is one (n, m) map that all members share, and the state is
-    the batch's (B, m) rows or one member's (m,) vector."""
-    MT = M.T
+def _transposed(M: np.ndarray, copy: bool) -> np.ndarray:
+    """M's transpose, a C-contiguous copy when ``copy``: ``np.dot`` of a
+    batch's rows with the transposed view is 1.2-1.8x slower from B = 12 on
+    and as fast for one row, so only members that differ take the copy."""
+    return np.ascontiguousarray(M.T) if copy else M.T
+
+
+def _applier(M: np.ndarray, copy: bool = False):
+    """x -> M @ x for every member as one ``np.dot`` with M's transpose
+    (``_transposed``): ``M`` is one (n, m) map that all members share, and
+    the state is the batch's (B, m) rows or one member's (m,) vector."""
+    MT = _transposed(M, copy)
     return lambda x: np.dot(x, MT)
 
 
 class Stepper:
-    """Precomputed one-step map of B members that share a grid and a scheme.
+    """Precomputed one-step map of B members that share a scheme and a grid.
 
-    ``p`` and ``dt`` are one member's, or sequences with one entry per
-    member; the state has shape (B, n), one row per member (a run on its own
-    is B = 1), and a state of shape (n,) steps as its single row.  The state
-    is the real view x = c.view(float64): the cosine coefficients on Neumann
-    grids, the rfft coefficients with real and imaginary parts interleaved
-    on periodic ones.  The group's feedback is one operator stack that every
-    member shares, read by every map and by the recorder: ``O`` (R, n),
-    ``A`` (n, R) and ``q`` (R,) concatenate the real forms (O x = (O c).real,
-    A v = (A v).view(float64)) of the (O, A, q) triples of the group's
-    distinct controllers, each once, so R is the sum of their ranks, and the
+    ``grid``, ``p`` and ``dt`` are one member's, or sequences with one entry
+    per member; the state has shape (B, n), one row per member (a run on its
+    own is B = 1), and a state of shape (n,) steps as its single row.  The
+    state is the real view x = c.view(float64): the cosine coefficients on
+    Neumann grids, the rfft coefficients with real and imaginary parts
+    interleaved on periodic ones.  Members' grids share L and the boundary
+    condition, and periodic ones also M (an even M's Nyquist column weighs L
+    on its own grid, 2L on a larger one).  Neumann members of different M
+    share one: the basis cos(k pi x / L), its wavenumbers and the weights
+    ``Grid1D.w`` do not depend on M, and the cube dealiased on twice the
+    largest M is exact for every smaller band, so the Stepper works on the
+    largest grid, ``grid``, with each member's state, controller columns and
+    weights ``decay``, ``w1`` and ``w2`` zero past its own band, and its
+    padded columns stay exactly 0.  The group's feedback is one operator
+    stack that every member shares, read by every map and by the recorder:
+    ``O`` (R, n), ``A`` (n, R) and ``q`` (R,) concatenate the real forms
+    (O x = (O c).real, A v = (A v).view(float64)) of the (O, A, q) triples
+    of the group's distinct controllers on their members' own grids, each
+    (spec, grid) once and zero-padded to the band, so R is the sum of their
+    ranks, and the
     gains ``G`` (B, R) hold each member's mu on its own controller's rows and
     0 elsewhere (an open-loop member is a zero row, and a group of open-loop
     members has R = 0).  Every member's feedback mu A O x is then
@@ -351,10 +378,11 @@ class Stepper:
     Each stage is one function of the whole batch (``_etd1``, ``_etd2``),
     and S and T are ``_synth`` and ``_analyze``.  Up to ``DENSE_MAX_ENTRIES``
     S and T are dense matrices, and when every member has the same
-    parameters and dt (``shared``; a single run always does) so are P, Q,
-    W2L and W2T, each one ``np.dot`` with its transposed view.  Otherwise
+    parameters, dt and grid (``shared``; a single run always does) so are P,
+    Q, W2L and W2T, each one ``np.dot`` with its transposed view.  Otherwise
     the stages are factored, with the (B, n) weights d1 = decay + alpha w1
-    and a2 = alpha w2:
+    and a2 = alpha w2, and S, T, O and A enter as C-contiguous copies of
+    their transposes, on which a product of many rows is faster:
 
         ETD1:    y = d1 x - w1 (T w^3 + F x)
         ETDRK2:  y + a2 z - w2 (F z + T (v^3 - w^3)),  z = y - x,
@@ -372,57 +400,68 @@ class Stepper:
     largest w^2) and returns the new state with its own: the synthesis of a
     step's first stage is the last product of the step before, so a step
     still makes one S product per stage.  It guards every member before the
-    step on the samples it is given.  dt <= stability_limit reads
-    max u^2 <= (0.5 / dt - alpha - mu) / 3, so the guard compares the
-    largest squared sample of the batch with the smallest such cap; only
-    when that fails does it compare each member's largest squared sample
-    with its own cap, and only when some rows are past theirs (a NaN state
-    included) does it format their ``stability_limit`` and raise
-    ``BlowupError`` with ``failed`` naming them.
+    step on the samples it is given, which are on the padded grid of the
+    largest M and so sample a member of a smaller M more finely than its own
+    run does.  dt <= stability_limit reads max u^2 <= (0.5 / dt - alpha -
+    mu) / 3, so the guard compares the largest squared sample of the batch
+    with the smallest such cap; only when that fails does it compare each
+    member's largest squared sample with its own cap, and only when some
+    rows are past theirs (a NaN state included) does it format their
+    ``stability_limit`` and raise ``BlowupError`` with ``failed`` naming
+    them.
     ``cube`` exposes the unfused transforms.
     """
 
-    def __init__(self, grid: Grid1D, p, dt, scheme: str = "etd1"):
+    def __init__(self, grid, p, dt, scheme: str = "etd1"):
         self.params = (p,) if isinstance(p, ClosedLoopParams) else tuple(p)
-        self.dt = np.broadcast_to(np.asarray(dt, dtype=float), (len(self.params),)).copy()
-        self.grid = grid
+        B = len(self.params)
+        grids = (grid,) * B if isinstance(grid, Grid1D) else tuple(grid)
+        self.dt = np.broadcast_to(np.asarray(dt, dtype=float), (B,)).copy()
+        self.grid = grid = max(grids, key=lambda g: g.M)
+        if len(grids) != B or any((g.L, g.bc) != (grid.L, grid.bc)
+                                  or (g.bc == fields.PERIODIC and g != grid) for g in grids):
+            raise ValueError("a Stepper takes one grid per member, all of one L and bc, "
+                             "and periodic grids of one M")
         self.scheme = scheme
         if grid.bc == fields.NEUMANN:
             self._fine = Grid1D(grid.L, 2 * grid.M, fields.NEUMANN)
         else:
             self._fine = Grid1D(grid.L, next_fast_len(2 * grid.M + 1), fields.PERIODIC)
         parts = 2 if grid.bc == fields.PERIODIC else 1
-        B, n = len(self.params), grid.w.shape[0] * parts
+        n = grid.w.shape[0] * parts
         rows = {}   # each distinct controller's rows of the stack
         O, A, q = [np.zeros((0, n))], [np.zeros((n, 0))], [np.zeros(0)]
-        for pm in self.params:
-            if not pm.open_loop and pm.spec not in rows:
-                ctl = interpolants.control_operator(pm.spec, grid)
-                start = sum(len(v) for v in q)
-                rows[pm.spec] = slice(start, start + len(ctl.q))
-                O.append(_real_columns(ctl.O, parts))
-                A.append(_real_rows(ctl.A, parts))
+        for pm, g in zip(self.params, grids):
+            if not pm.open_loop and (pm.spec, g) not in rows:
+                ctl = interpolants.control_operator(pm.spec, g)
+                start, pad = sum(len(v) for v in q), n - g.w.shape[0] * parts
+                rows[pm.spec, g] = slice(start, start + len(ctl.q))
+                O.append(np.pad(_real_columns(ctl.O, parts), ((0, 0), (0, pad))))
+                A.append(np.pad(_real_rows(ctl.A, parts), ((0, pad), (0, 0))))
                 q.append(ctl.q)
         self.O, self.A, self.q = np.concatenate(O), np.concatenate(A, axis=1), np.concatenate(q)
         self.G = np.zeros((B, len(self.q)))
-        for i, pm in enumerate(self.params):
+        for i, (pm, g) in enumerate(zip(self.params, grids)):
             if not pm.open_loop:
-                self.G[i, rows[pm.spec]] = pm.mu
+                self.G[i, rows[pm.spec, g]] = pm.mu
         alpha, mu, nu = (np.array([getattr(pm, name) for pm in self.params])
                          for name in ("alpha", "mu", "nu"))
         z = -nu[:, None] * grid.wavenumbers ** 2 * self.dt[:, None]
-        self.decay = np.exp(z)
-        self.w1 = self.dt[:, None] * _phi1(z)
-        self.w2 = self.dt[:, None] * _phi2(z)
+        # each member's weights are 0 past its own band, so its padded columns stay 0
+        band = np.arange(grid.w.shape[0]) < np.array([g.w.shape[0] for g in grids])[:, None]
+        self.decay = np.where(band, np.exp(z), 0.0)
+        self.w1 = np.where(band, self.dt[:, None] * _phi1(z), 0.0)
+        self.w2 = np.where(band, self.dt[:, None] * _phi2(z), 0.0)
         self._alpha, self._mu = alpha, mu
         self._caps = (0.5 / self.dt - alpha - mu) / 3.0   # on max u^2, per member
         self._cap_min = float(self._caps.min())
 
-        self.shared = len(set(zip(self.params, self.dt.tolist()))) == 1
+        self.shared = len(set(zip(self.params, self.dt.tolist(), grids))) == 1
+        copy = not self.shared
         decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
         self._S, self._T = _padded_transforms(grid, self._fine) or (None, None)
         if self._S is not None:
-            self._synth, self._analyze = _applier(self._S), _applier(self._T)
+            self._synth, self._analyze = _applier(self._S, copy), _applier(self._T, copy)
         else:
             self._synth, self._analyze = self._fft_synth, self._fft_analyze
         if self._S is not None and self.shared:
@@ -436,7 +475,7 @@ class Stepper:
             d1, a2, G = decay + alpha[:, None] * w1, alpha[:, None] * w2, self.G
             if self.shared:     # one row for all members, so a (n,) state stays one
                 d1, a2, w1, w2, G = d1[0], a2[0], w1[0], w2[0], G[0]
-            OT, AT, analyze = self.O.T, self.A.T, self._analyze
+            OT, AT, analyze = _transposed(self.O, copy), _transposed(self.A, copy), self._analyze
 
             def feedback(x):
                 return np.dot(np.dot(x, OT) * G, AT)
@@ -511,29 +550,38 @@ class _Recorder:
     and row sums over the chunk, which numpy rounds row by row, so a record
     depends on neither the stride nor the chunk; a batch's records differ
     from its members' single runs in the last bits, as its states do (see
-    ``Stepper``).
+    ``Stepper``).  The Neumann norms read only a member's own band, whose
+    weights are those of its own grid, and the L4 sum on the group's padded
+    grid is exact for every smaller band.  A row whose squared sums overflow
+    is summed again scaled by its largest entry, so a finite norm records
+    finite.  When members leave, ``keep`` takes the survivors' ``Stepper``.
     """
 
     def __init__(self, st: Stepper, steps: list[int]):
-        grid = st.grid
-        parts = 2 if grid.bc == fields.PERIODIC else 1
         B = len(st.params)
         self._params, self._dt, self._steps = st.params, st.dt, steps
+        self._L2 = np.array([q.L ** 2 for q in st.params])
+        self._series = {name: np.zeros((B, len(steps))) for name in SERIES}
+        self.live = np.arange(B)     # the member in each row of the state
+        self.count = 0      # records taken
+        self._done = 0      # records reduced into ``_series``
+        self._bind(st)
+
+    def _bind(self, st: Stepper) -> None:
+        """Take the grid, the operator stack and the buffer shapes of the
+        ``Stepper`` of the live members."""
+        grid = st.grid
+        parts = 2 if grid.bc == fields.PERIODIC else 1
         self._w = np.repeat(grid.w, parts)
         self._wk2 = self._w * np.repeat(grid.wavenumbers, parts) ** 2
-        self._L2 = np.array([q.L ** 2 for q in st.params])
         self._dw = st._fine.dx
-        rows = min(RECORD_CHUNK, len(steps))
+        rows, B = min(RECORD_CHUNK, len(self._steps)), len(st.params)
         self._x = np.empty((rows, B, self._w.shape[0]))
         self._u2 = np.empty((rows, B, st._fine.M))
         H = np.concatenate([st.O, st.A.T * self._w])
         self._q, self._own = st.q, st.G != 0    # each member's own rows of the stack
         self._observe = _applier(H)
         self._hx = np.empty((rows, B, H.shape[0]))
-        self._series = {name: np.zeros((B, len(steps))) for name in SERIES}
-        self.live = np.arange(B)     # the member in each row of the state
-        self.count = 0      # records taken
-        self._done = 0      # records reduced into ``_series``
 
     def add(self, x: np.ndarray, s: tuple) -> None:
         """Record state ``x`` of the live members, with its ``Stepper.samples``."""
@@ -545,22 +593,30 @@ class _Recorder:
         if i + 1 == self._x.shape[0]:
             self.flush()
 
-    def keep(self, rows: list[int]) -> None:
-        """Go on with only the live members in ``rows``."""
+    def keep(self, rows: list[int], st: Stepper) -> None:
+        """Go on with only the live members in ``rows``, which ``st`` steps."""
         self.flush()
-        self.live, b = self.live[rows], len(rows)
-        self._x, self._u2, self._hx = self._x[:, :b], self._u2[:, :b], self._hx[:, :b]
-        self._own = self._own[rows]
+        self.live = self.live[rows]
+        self._bind(st)
 
     def flush(self) -> None:
         k = self.count - self._done
         at, s = (self.live, slice(self._done, self.count)), self._series
-        x2 = np.square(self._x[:k])
+        x, L2 = self._x[:k], self._L2[self.live]
+        x2 = np.square(x)
         l2_sq = (x2 * self._w).sum(axis=-1)
         h1x_sq = (x2 * self._wk2).sum(axis=-1)
-        s["l2"][at] = np.sqrt(l2_sq).T
-        s["h1x"][at] = np.sqrt(h1x_sq).T
-        s["h1"][at] = np.sqrt(l2_sq / self._L2[self.live] + h1x_sq).T
+        h1_sq = l2_sq / L2 + h1x_sq
+        norms = [np.sqrt(l2_sq), np.sqrt(h1x_sq), np.sqrt(h1_sq)]
+        big = ~np.isfinite(h1_sq)     # a finite row whose squares overflow
+        if big.any():   # rescaled by its largest entry (a recorded state is finite)
+            top = np.abs(x[big]).max(axis=-1)
+            y2 = np.square(x[big] / top[:, None])
+            l2_sq, h1x_sq = (y2 * self._w).sum(axis=-1), (y2 * self._wk2).sum(axis=-1)
+            h1_sq = l2_sq / np.broadcast_to(L2, big.shape)[big] + h1x_sq
+            for norm, sq in zip(norms, (l2_sq, h1x_sq, h1_sq)):
+                norm[big] = top * np.sqrt(sq)
+        s["l2"][at], s["h1x"][at], s["h1"][at] = (norm.T for norm in norms)
         u2 = self._u2[:k]
         s["l4p4"][at] = (np.square(u2, out=u2).sum(axis=-1) * self._dw).T
         r = self._q.shape[0]
@@ -586,34 +642,76 @@ def integrate(members) -> dict[tuple, TrajectoryRecord | BlowupError]:
     """Every member's record, or the ``BlowupError`` that ended it, keyed by member.
 
     ``members`` are (SimConfig, ClosedLoopParams) pairs; one listed twice is
-    integrated once.  The members with the same grid, step count, record
-    stride and scheme form one group, stepped as one (B, n) state by one
-    ``Stepper`` and recorded by one recorder (their dt, initial state and
-    parameters may differ).  A member that trips the stability guard, or
-    whose recorded state is not finite, leaves its group with its failure
-    time and partial record; the others go on.
+    integrated once.  The members with the same step count, record stride
+    and scheme form one group if they also share a periodic grid, or Neumann
+    grids of one length L, whatever their M: a Neumann state on M points is
+    exactly the first M columns of the same state on a larger Neumann grid
+    (the basis, its wavenumbers and the weights ``Grid1D.w`` do not depend on
+    M, and the cube dealiased on twice the largest M is exact for every
+    smaller band), while an even M's periodic Nyquist column weighs L on its
+    own grid and 2L on a larger one.  A group is cut, in order of M and
+    between grids, where its stack of distinct controllers would hold more
+    rows R than the M of its largest grid (see :func:`_split`).  Each part
+    is stepped as one (B, n) state by one ``Stepper`` on its largest grid
+    and recorded by one recorder (dt, initial state, grid and parameters may
+    differ).  A member that trips the stability guard, or whose recorded
+    state is not finite, leaves its group with its failure time and partial
+    record; the others go on.
     """
     groups: dict[tuple, dict] = {}
     for cfg, p in members:
         if abs(cfg.grid.L - p.L) > 1e-14 * p.L:
             raise ValueError(f"grid length {cfg.grid.L} differs from params length {p.L}")
-        groups.setdefault((cfg.grid, cfg.n_steps, cfg.record_every, cfg.scheme), {})[cfg, p] = None
+        on = cfg.grid if cfg.grid.bc == fields.PERIODIC else cfg.grid.L
+        groups.setdefault((on, cfg.n_steps, cfg.record_every, cfg.scheme), {})[cfg, p] = None
     outcomes = {}
     for group in groups.values():
-        outcomes.update(zip(group, _integrate(list(group))))
+        for part in _split(group):
+            outcomes.update(zip(part, _integrate(part)))
     return outcomes
+
+
+def _split(group) -> list[list]:
+    """``group``'s members in parts, each a run of whole grids in order of M,
+    cut before a grid whose distinct controllers would bring the part's
+    stack past R = M rows.
+
+    With R <= M the feedback's two products with the (n, R) stack cost no
+    more than one dense (n, n) stage map.  Past it the products, whose gains
+    are mostly zero, outgrow the calls that one group saves: uncut, the
+    sweep preset over N = 1..64 (192 members, R = 2,080 on M = 256) took 3x
+    as long as one group per grid (13 against 4.3 s on a 2-vCPU x86-64).  A
+    grid's own members are never cut apart.
+    """
+    grids: dict[Grid1D, list] = {}
+    for cfg, p in group:
+        grids.setdefault(cfg.grid, []).append((cfg, p))
+    parts: list[list] = []
+    R = 0
+    for grid in sorted(grids, key=lambda g: g.M):
+        rank = sum(spec.rank for spec in {p.spec for _, p in grids[grid] if not p.open_loop})
+        if not parts or R + rank > grid.M:
+            parts.append([])
+            R = 0
+        parts[-1] += grids[grid]
+        R += rank
+    return parts
 
 
 def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
     """The time loop of one group; each member's record or its error, in order."""
     cfgs = [cfg for cfg, _ in members]
-    grid, n_steps, scheme = cfgs[0].grid, cfgs[0].n_steps, cfgs[0].scheme
+    n_steps, scheme = cfgs[0].n_steps, cfgs[0].scheme
     rec_steps = list(range(0, n_steps + 1, cfgs[0].record_every))
     if rec_steps[-1] != n_steps:
         rec_steps.append(n_steps)
-    st = Stepper(grid, [p for _, p in members], [cfg.dt for cfg in cfgs], scheme)
+    st = Stepper([cfg.grid for cfg in cfgs], [p for _, p in members], [cfg.dt for cfg in cfgs],
+                 scheme)
     rec = _Recorder(st, rec_steps)
-    x = np.stack([coeffs_of(cfg.ic.realize(grid)).view(np.float64) for cfg in cfgs])
+    x = np.zeros((len(cfgs), st.O.shape[1]))    # each member zero-padded to the group's band
+    for row, cfg in zip(x, cfgs):
+        c = coeffs_of(cfg.ic.realize(cfg.grid)).view(np.float64)
+        row[:len(c)] = c
     s = st.samples(x)
     out: list = [None] * len(members)
     n = k = 0   # steps taken, records taken
@@ -634,17 +732,19 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
                 continue
             finite = np.isfinite(x).all(axis=1)
             failed = {int(row): (stop, "non-finite state") for row in np.flatnonzero(~finite)}
-        # the failed members leave with their records, and the rest go on
+        # the failed members leave with their records, and the rest go on,
+        # on the largest of their own grids
         for row, (step, reason) in failed.items():
             m = rec.live[row]
             out[m] = BlowupError(step * cfgs[m].dt, reason, rec.result(m))
         keep = [row for row in range(len(x)) if row not in failed]
         if not keep:
             return out
-        x = x[keep]
-        rec.keep(keep)
-        st = Stepper(grid, [members[m][1] for m in rec.live], [cfgs[m].dt for m in rec.live],
-                     scheme)
+        live = rec.live[keep]
+        st = Stepper([cfgs[m].grid for m in live], [members[m][1] for m in live],
+                     [cfgs[m].dt for m in live], scheme)
+        rec.keep(keep, st)
+        x = x[keep, :st.O.shape[1]]
         s = st.samples(x)
     for m in rec.live:
         out[m] = rec.result(m)

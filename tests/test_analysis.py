@@ -178,20 +178,22 @@ class TestMinimalN:
 
     def test_sweep_steps_its_cells_in_groups(self, monkeypatch):
         # the preset's 24 cells: T = 20/alpha and dt ~ 1/alpha give every cell
-        # the same step count, so each grid is one group across the alphas
+        # the same step count, and Neumann members of any M share a group, so
+        # one Stepper steps all 24 on the largest grid, M = 84, with one stack
+        # of the 8 volume controllers, R = 1 + ... + 8 = 36 <= 84 rows
         made = []
         init = dynamics.Stepper.__init__
 
         def counted(self, grid, p, dt, scheme="etd1"):
             init(self, grid, p, dt, scheme)
-            made.append((grid.M, len(self.params)))
+            made.append((self.grid.M, len(self.params), self.O.shape[0]))
 
         monkeypatch.setattr(dynamics.Stepper, "__init__", counted)
         alphas = [4.0, 16.0, 64.0]
         scan = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9))
         assert [(c["alpha"], c["N"]) for c in scan["cells"]] == [
             (alpha, N) for alpha in alphas for N in range(1, 9)]
-        assert made == [(64, 12), (72, 6), (80, 3), (84, 3)]
+        assert made == [(84, 24, 36)]
 
     def test_sweep_group_stacks_each_distinct_controller_once(self):
         # the preset's M=64 group, 3 alphas x N in {1, 2, 4, 8}, shares four

@@ -29,7 +29,7 @@ from detctl.dynamics import (
     stability_limit,
 )
 from detctl.analysis import check_conditions
-from detctl.interpolants import DELTA, FOURIER, VOLUME, InterpolantSpec, control_operator
+from detctl.interpolants import DELTA, FOURIER, NODAL, VOLUME, InterpolantSpec, control_operator
 
 
 def neumann(M=64, L=1.0):
@@ -38,6 +38,20 @@ def neumann(M=64, L=1.0):
 
 def open_loop(nu=1.0, alpha=4.0, L=1.0):
     return ClosedLoopParams(nu=nu, alpha=alpha, L=L)
+
+
+def stepper_groups(monkeypatch):
+    """A list that gets (working grid M, members, stack rows R) of every Stepper
+    made from now on."""
+    made = []
+    init = Stepper.__init__
+
+    def counted(self, grid, p, dt, scheme="etd1"):
+        init(self, grid, p, dt, scheme)
+        made.append((self.grid.M, len(self.params), self.O.shape[0]))
+
+    monkeypatch.setattr(Stepper, "__init__", counted)
+    return made
 
 
 def rhs(u, p):
@@ -404,6 +418,135 @@ class TestSimulate:
                 a, b = getattr(got, name), getattr(want, name)
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
+    @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
+    def test_neumann_members_of_any_M_share_one_group(self, scheme, monkeypatch):
+        # one Stepper on the largest grid, M = 84, steps members on M = 64,
+        # 72, 80 and 84 zero-padded to its band; one volume spec on two grids
+        # stacks its rows twice, and each member goes on as its single run
+        made = stepper_groups(monkeypatch)
+        n_steps = 60
+        volume = InterpolantSpec(VOLUME, 2, 1.0)
+        batch = [
+            (64, 1e-3, ClosedLoopParams(nu=1.0, alpha=16.0, L=1.0, mu=80.0, spec=volume)),
+            (72, 1e-3, ClosedLoopParams(nu=1.0, alpha=8.0, L=1.0, mu=40.0,
+                                        spec=InterpolantSpec(NODAL, 3, 1.0))),
+            (80, 5e-4, ClosedLoopParams(nu=0.5, alpha=4.0, L=1.0, mu=20.0,
+                                        spec=InterpolantSpec(FOURIER, 4, 1.0))),
+            (84, 1e-3, open_loop(alpha=4.0)),
+            (84, 2e-3, ClosedLoopParams(nu=1.0, alpha=16.0, L=1.0, mu=80.0, spec=volume)),
+        ]
+        members = [(SimConfig(grid=neumann(M=M), dt=dt, T=n_steps * dt, record_every=7,
+                              scheme=scheme,
+                              ic=ICSpec("random-band", seed=i, kmax=3, amplitude=1.0)), p)
+                   for i, (M, dt, p) in enumerate(batch)]
+        outcomes = integrate(members)
+        assert made == [(84, 5, 12)]
+        st = Stepper([cfg.grid for cfg, _ in members], [p for _, p in members],
+                     [cfg.dt for cfg, _ in members], scheme)
+        ranks = [len(control_operator(p.spec, cfg.grid).q) for cfg, p in members if p.spec]
+        assert st.O.shape == (sum(ranks), 84) == (2 + 3 + 5 + 2, 84)
+        for cfg, p in members:
+            got, want = outcomes[cfg, p], simulate(cfg, p)
+            assert np.array_equal(got.times, want.times) and len(got) == n_steps // 7 + 2
+            for name in SERIES:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_one_run_on_two_grids_takes_the_factored_maps(self):
+        # the same parameters and dt on M = 64 and 128: the members' bands
+        # differ, so no fused map serves both
+        p = ClosedLoopParams(nu=1.0, alpha=16.0, L=1.0, mu=80.0, spec=InterpolantSpec(VOLUME, 4, 1.0))
+        members = [(SimConfig(grid=neumann(M=M), dt=1e-3, T=0.03,
+                              ic=ICSpec("random-band", seed=2, kmax=3, amplitude=1.0)), p)
+                   for M in (64, 128)]
+        assert not Stepper([neumann(M=64), neumann(M=128)], [p, p], 1e-3).shared
+        outcomes = integrate(members)
+        for cfg, _ in members:
+            got, want = outcomes[cfg, p], simulate(cfg, p)
+            for name in SERIES:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_a_group_is_cut_between_grids_where_its_stack_outgrows_its_band(
+            self, monkeypatch):
+        # fourier controllers with the mean (rank N + 1): M=64 and M=72 stack
+        # 2 + 3 + 4 = 9 <= 72 rows and merge; M=80 would bring R to 87 > 80,
+        # so it starts a part, and M=84's own 133 > 84 rows stay whole
+        made = stepper_groups(monkeypatch)
+        Ns = {64: (1, 2), 72: (3,), 80: (17, 18, 19, 20), 84: tuple(range(15, 22))}
+        members = [(SimConfig(grid=neumann(M=M), dt=1e-3, T=0.02,
+                              ic=ICSpec("random-band", seed=N, kmax=3, amplitude=1.0)),
+                    ClosedLoopParams(nu=1.0, alpha=4.0 + N, L=1.0, mu=30.0,
+                                     spec=InterpolantSpec(FOURIER, N, 1.0)))
+                   for M in (84, 80, 72, 64) for N in Ns[M]]
+        outcomes = integrate(members)
+        assert made == [(72, 3, 9), (80, 4, 78), (84, 7, 133)]
+        for cfg, p in members:
+            got, want = outcomes[cfg, p], simulate(cfg, p)
+            for name in SERIES:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_periodic_members_of_different_M_keep_their_own_groups(self, monkeypatch):
+        # an even M's Nyquist column weighs L on its own periodic grid and 2L
+        # on a larger one, so periodic grids do not merge, and a Stepper
+        # refuses to mix them
+        made = stepper_groups(monkeypatch)
+        p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=20.0, spec=InterpolantSpec(DELTA, 4, 1.0))
+        members = [(SimConfig(grid=Grid1D(1.0, M, PERIODIC), dt=1e-3, T=0.02,
+                              ic=ICSpec("random-band", seed=3, kmax=3, amplitude=1.0)), p)
+                   for M in (64, 72)]
+        outcomes = integrate(members)
+        assert made == [(64, 1, 4), (72, 1, 4)]
+        for cfg, _ in members:
+            got, want = outcomes[cfg, p], simulate(cfg, p)
+            for name in ("times",) + SERIES:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        for grids in ([Grid1D(1.0, 64, PERIODIC), Grid1D(1.0, 72, PERIODIC)],
+                      [neumann(M=64), Grid1D(1.0, 64, PERIODIC)], [neumann(M=64), neumann(L=2.0)]):
+            with pytest.raises(ValueError, match="grids"):
+                Stepper(grids, [open_loop()] * 2, 1e-3)
+
+    def test_member_of_a_mixed_M_group_that_trips_the_guard_leaves_with_its_record(
+            self, monkeypatch):
+        # the M=84 member trips the guard mid-run, in the recorder's second
+        # chunk, and leaves with its single run's error; the others go on as
+        # their single runs on M = 72, the largest of their own grids
+        made = stepper_groups(monkeypatch)
+        n_steps = 300
+        batch = [
+            (84, 0.0015, ClosedLoopParams(nu=1.0, alpha=100.0, L=1.0),
+             ICSpec("single-mode", k=1, amplitude=1e-4)),
+            (64, 0.001, ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
+                                         spec=InterpolantSpec(FOURIER, 2, 1.0)),
+             ICSpec("random-band", seed=5, kmax=3, amplitude=1.0)),
+            (72, 0.0015, ClosedLoopParams(nu=0.5, alpha=4.0, L=1.0, mu=20.0,
+                                          spec=InterpolantSpec(VOLUME, 4, 1.0)),
+             ICSpec("random-band", seed=6, kmax=3, amplitude=1.0)),
+        ]
+        members = [(SimConfig(grid=neumann(M=M), dt=dt, T=n_steps * dt, ic=ic), p)
+                   for M, dt, p, ic in batch]
+        outcomes = integrate(members)
+        assert made == [(84, 3, 7), (72, 2, 7)]
+        solo = []
+        for cfg, p in members:
+            try:
+                solo.append(simulate(cfg, p))
+            except BlowupError as err:
+                solo.append(err)
+        assert [isinstance(r, BlowupError) for r in solo] == [True, False, False]
+        assert RECORD_CHUNK < len(solo[0].record) < n_steps
+        for (cfg, p), want in zip(members, solo):
+            got = outcomes[cfg, p]
+            assert type(got) is type(want)
+            if isinstance(want, BlowupError):
+                assert (got.time, got.reason) == (want.time, want.reason)
+                got, want = got.record, want.record
+            assert np.array_equal(got.times, want.times)
+            for name in SERIES:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
     # (M, bc) on both sides of the dense/FFT crossover
     @pytest.mark.parametrize("M, bc", [(32, NEUMANN), (32, PERIODIC), (256, NEUMANN)])
     @pytest.mark.parametrize(
@@ -436,7 +579,10 @@ class TestSimulate:
             assert err.time == dt and reason in err.reason
             assert len(err.record) == 1 and err.record.times[0] == 0.0
             if reason.startswith("stability"):
+                # the norms are finite, (1e160)^4 is not
                 assert err.record.l4p4[0] == np.inf
+                assert abs(err.record.l2[0] - amplitude) <= 1e-12 * amplitude
+                assert np.isfinite(err.record.h1x[0]) and err.record.h1[0] >= err.record.l2[0]
         assert np.array_equal(got.times, want.times) and len(got) == n_steps + 1
         for name in SERIES:
             a, b = getattr(got, name), getattr(want, name)
