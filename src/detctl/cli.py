@@ -212,8 +212,7 @@ def parse_simulate_config(doc: dict) -> tuple[Grid1D, ClosedLoopParams, SimConfi
     if ctl is not None:
         with _reported_at("control"):
             spec = InterpolantSpec(ctl["kind"], ctl["N"], grid.L,
-                                   obs_points=ctl["obs_points"] or None,
-                                   act_points=ctl["act_points"] or None,
+                                   obs_points=ctl["obs_points"], act_points=ctl["act_points"],
                                    include_mean=ctl["include_mean"])
             check_grid(spec, grid)
     with _reported_at("params"):

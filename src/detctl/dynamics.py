@@ -24,13 +24,13 @@ observation products and reduces them to the recorded series
 One engine steps a batch of runs: :func:`integrate` steps the runs that
 share a step count, a record stride, a scheme and a periodic grid, or Neumann
 grids of one length whatever their M, as one (B, n) state, a member that
-trips the stability guard leaves its group, and it returns every member's
-outcome, from which :func:`simulate` reads one.  A Neumann state on M points
-is exactly the first M columns of the same state on a larger Neumann grid,
-so a group works on its largest grid with each member zero-padded past its
-own band; periodic grids do not merge, because an even M's Nyquist column
-weighs L on its own grid and 2L on a larger one, and grids merge only while
-the group's stacked controllers hold at most M rows.  A run on its own is a
+trips the stability guard stays in its group as a zero row, and it returns
+every member's outcome, from which :func:`simulate` reads one.  A Neumann
+state on M points is exactly the first M columns of the same state on a
+larger Neumann grid, so a group works on its largest grid with each member
+zero-padded past its own band; periodic grids do not merge, because an even
+M's Nyquist column weighs L on its own grid and 2L on a larger one, and
+grids merge only while the group's stacked controllers hold at most M rows.  A run on its own is a
 batch of one, a (1, n) state on the same path; the guard compares the
 batch's largest squared sample on the group's padded grid, which samples a
 member of a smaller M more finely than its own, with a cap on max u^2
@@ -205,7 +205,7 @@ class BlowupError(RuntimeError):
 
     ``Stepper.advance`` raises it before the step, with ``failed`` mapping
     the row of every member that tripped the guard to its own reason, so a
-    batch can drop those members and retry the step for the rest.
+    batch can release those rows and retry the step for the rest.
     """
 
     def __init__(self, time: float, reason: str, record: TrajectoryRecord | None = None,
@@ -408,7 +408,9 @@ class Stepper:
     member's largest squared sample with its own cap, and only when some
     rows are past theirs (a NaN state included) does it format their
     ``stability_limit`` and raise ``BlowupError`` with ``failed`` naming
-    them.
+    them.  ``release`` stops guarding a failed member's row, which the batch
+    then holds at 0, a fixed point of every stage map (P 0 - Q 0 = 0,
+    d1 0 - w1 (T 0 + F 0) = 0); the caps are all of a Stepper that changes.
     ``cube`` exposes the unfused transforms.
     """
 
@@ -502,6 +504,11 @@ class Stepper:
         w2 = w * w
         return w, w2, w2.max()
 
+    def release(self, row: int) -> None:
+        """Stop guarding ``row``, whose member failed and whose state is held at 0."""
+        self._caps[row] = np.inf
+        self._cap_min = float(self._caps.min())
+
     def advance(self, c: np.ndarray, s: tuple) -> tuple[np.ndarray, tuple]:
         """One step of every member; returns the new state and its samples.
 
@@ -538,12 +545,12 @@ SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
 class _Recorder:
     """The recorded series of a group's members, reduced ``RECORD_CHUNK`` records at a time.
 
-    Each record keeps, for every live member, the state row x, the squared
+    Each record keeps, for every member, the state row x, the squared
     samples w^2 its step left on the padded grid and H x, where H stacks the
     ``Stepper``'s shared real observation matrix O over A^T diag(w): the
     observations are v = O x and the control pairing sum(w Re((A v) conj(c)))
     is v . (A^T diag(w) x).  H is one matrix for every group, one call on the
-    live rows per record, and ``flush`` keeps each member's own rows of v by
+    batch's rows per record, and ``flush`` keeps each member's own rows of v by
     the 0/1 mask G != 0 of the stack's gains: an open-loop member records
     zero observations, and a rank-0 group records them as empty sums.  The
     norms, the L4 term and the observation series are elementwise products
@@ -554,7 +561,7 @@ class _Recorder:
     weights are those of its own grid, and the L4 sum on the group's padded
     grid is exact for every smaller band.  A row whose squared sums overflow
     is summed again scaled by its largest entry, so a finite norm records
-    finite.  When members leave, ``keep`` takes the survivors' ``Stepper``.
+    finite.  A failed member's row stays, at 0: a row is one member all run.
     """
 
     def __init__(self, st: Stepper, steps: list[int]):
@@ -562,20 +569,14 @@ class _Recorder:
         self._params, self._dt, self._steps = st.params, st.dt, steps
         self._L2 = np.array([q.L ** 2 for q in st.params])
         self._series = {name: np.zeros((B, len(steps))) for name in SERIES}
-        self.live = np.arange(B)     # the member in each row of the state
         self.count = 0      # records taken
         self._done = 0      # records reduced into ``_series``
-        self._bind(st)
-
-    def _bind(self, st: Stepper) -> None:
-        """Take the grid, the operator stack and the buffer shapes of the
-        ``Stepper`` of the live members."""
         grid = st.grid
         parts = 2 if grid.bc == fields.PERIODIC else 1
         self._w = np.repeat(grid.w, parts)
         self._wk2 = self._w * np.repeat(grid.wavenumbers, parts) ** 2
         self._dw = st._fine.dx
-        rows, B = min(RECORD_CHUNK, len(self._steps)), len(st.params)
+        rows = min(RECORD_CHUNK, len(steps))
         self._x = np.empty((rows, B, self._w.shape[0]))
         self._u2 = np.empty((rows, B, st._fine.M))
         H = np.concatenate([st.O, st.A.T * self._w])
@@ -584,7 +585,7 @@ class _Recorder:
         self._hx = np.empty((rows, B, H.shape[0]))
 
     def add(self, x: np.ndarray, s: tuple) -> None:
-        """Record state ``x`` of the live members, with its ``Stepper.samples``."""
+        """Record state ``x`` of every member, with its ``Stepper.samples``."""
         i = self.count - self._done
         self._x[i] = x
         self._u2[i] = s[1]
@@ -593,16 +594,10 @@ class _Recorder:
         if i + 1 == self._x.shape[0]:
             self.flush()
 
-    def keep(self, rows: list[int], st: Stepper) -> None:
-        """Go on with only the live members in ``rows``, which ``st`` steps."""
-        self.flush()
-        self.live = self.live[rows]
-        self._bind(st)
-
     def flush(self) -> None:
         k = self.count - self._done
-        at, s = (self.live, slice(self._done, self.count)), self._series
-        x, L2 = self._x[:k], self._L2[self.live]
+        at, s = (slice(None), slice(self._done, self.count)), self._series
+        x, L2 = self._x[:k], self._L2
         x2 = np.square(x)
         l2_sq = (x2 * self._w).sum(axis=-1)
         h1x_sq = (x2 * self._wk2).sum(axis=-1)
@@ -623,7 +618,12 @@ class _Recorder:
         v, g = np.where(self._own, self._hx[:k, :, :r], 0.0), self._hx[:k, :, r:]
         v2 = v * v
         s["gamma2"][at] = v2.sum(axis=-1).T
-        s["ih_l2"][at] = np.sqrt((v2 * self._q).sum(axis=-1)).T
+        ih_l2 = np.sqrt((v2 * self._q).sum(axis=-1))
+        big = ~np.isfinite(ih_l2)
+        if big.any():   # rescaled as the norms
+            top = np.abs(v[big]).max(axis=-1)
+            ih_l2[big] = top * np.sqrt((np.square(v[big] / top[:, None]) * self._q).sum(axis=-1))
+        s["ih_l2"][at] = ih_l2.T
         s["pairing"][at] = (v * g).sum(axis=-1).T
         self._done = self.count
 
@@ -655,8 +655,8 @@ def integrate(members) -> dict[tuple, TrajectoryRecord | BlowupError]:
     is stepped as one (B, n) state by one ``Stepper`` on its largest grid
     and recorded by one recorder (dt, initial state, grid and parameters may
     differ).  A member that trips the stability guard, or whose recorded
-    state is not finite, leaves its group with its failure time and partial
-    record; the others go on.
+    state is not finite, stops with its failure time and partial record; its
+    row stays in the batch at 0, unguarded, and the others go on.
     """
     groups: dict[tuple, dict] = {}
     for cfg, p in members:
@@ -732,23 +732,16 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
                 continue
             finite = np.isfinite(x).all(axis=1)
             failed = {int(row): (stop, "non-finite state") for row in np.flatnonzero(~finite)}
-        # the failed members leave with their records, and the rest go on,
-        # on the largest of their own grids
-        for row, (step, reason) in failed.items():
-            m = rec.live[row]
+        # a failed member takes its record so far; its row stays in the batch
+        # at 0, which every stage map keeps at 0, and is no longer guarded
+        for m, (step, reason) in failed.items():
             out[m] = BlowupError(step * cfgs[m].dt, reason, rec.result(m))
-        keep = [row for row in range(len(x)) if row not in failed]
-        if not keep:
+            st.release(m)
+        if None not in out:
             return out
-        live = rec.live[keep]
-        st = Stepper([cfgs[m].grid for m in live], [members[m][1] for m in live],
-                     [cfgs[m].dt for m in live], scheme)
-        rec.keep(keep, st)
-        x = x[keep, :st.O.shape[1]]
+        x[list(failed)] = 0.0
         s = st.samples(x)
-    for m in rec.live:
-        out[m] = rec.result(m)
-    return out
+    return [rec.result(m) if o is None else o for m, o in enumerate(out)]
 
 
 def simulate(cfg: SimConfig, p: ClosedLoopParams,
@@ -757,12 +750,7 @@ def simulate(cfg: SimConfig, p: ClosedLoopParams,
 
     With ``outcomes``, the result of an :func:`integrate` call that held
     (cfg, p), the run's outcome is read from there; without it, the run is
-    integrated on its own.  Raises the run's ``BlowupError``.  The residual
-    series is assembled afterwards from the recorded quantities:
-    |d/dt ||u||^2 / 2 + nu ||u_x||^2 - alpha ||u||^2 + ||u||_L4^4 + mu <I_h u, u>|,
-    with centered differencing inside the record and one-sided stencils at
-    its ends; a record of one row (a run stopped at its first step) has no
-    derivative, and its residual is nan.
+    integrated on its own.  Raises the run's ``BlowupError``.
     """
     if outcomes is None:
         outcomes = integrate([(cfg, p)])
@@ -809,6 +797,10 @@ def _stencil_ddt(t: np.ndarray, y: np.ndarray, i, offsets: tuple[int, ...]):
 
 
 def energy_residual_series(times, l2, h1x, l4p4, pairing, p: ClosedLoopParams) -> np.ndarray:
+    """|d/dt ||u||^2 / 2 + nu ||u_x||^2 - alpha ||u||^2 + ||u||_L4^4 + mu <I_h u, u>|
+    of a record, with centered differencing inside it and one-sided stencils
+    at its ends; a record of one row (a run stopped at its first step) has
+    no derivative, and its residual is nan."""
     e = np.asarray(l2) ** 2
     if len(e) < 2:
         return np.full(len(e), np.nan)

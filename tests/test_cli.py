@@ -202,6 +202,12 @@ GRID_DEPENDENT = {
                                                       "obs_points": [0.25, 0.75]}}),
     "act_points for nodal": ("control", {"control": {"kind": "nodal", "N": 2,
                                                      "act_points": [0.25, 0.75]}}),
+    "empty obs_points for nodal": ("control", {"control": {"kind": "nodal", "N": 4,
+                                                           "obs_points": []}}),
+    "empty act_points for delta": ("control", {"grid.bc": "periodic", "control": {
+        "kind": "delta", "N": 4, "act_points": []}}),
+    "empty obs_points for volume": ("control", {"control": {"kind": "volume", "N": 4,
+                                                            "obs_points": []}}),
     "include_mean for volume": ("control", {"control": {"kind": "volume", "N": 2,
                                                         "include_mean": True}}),
     "periodic single-mode k above M/2": ("sim.ic", {

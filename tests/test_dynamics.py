@@ -306,10 +306,13 @@ class TestSimulate:
                 c, s = st.advance(c, s)
             assert abs(l2 - np.sqrt(l2_sq_of_coeffs(g, c))) <= 1e-13 * l2
 
-    def test_member_that_trips_the_guard_leaves_the_batch(self):
+    def test_member_that_trips_the_guard_leaves_the_batch(self, monkeypatch):
         # one member trips the guard at its first step and one mid-run, in
         # the recorder's second chunk; each takes its single run's error, and
-        # the others go on as their single runs
+        # the others go on as their single runs, in the same Stepper.  The
+        # third member's cap on max u^2 is negative (dt = 0.01 > 0.5 / alpha),
+        # so its row, held at 0, would trip the guard again if it were still
+        # guarded
         g = neumann(M=32)
         n_steps = 300
         fourier = InterpolantSpec(FOURIER, 2, 1.0)
@@ -333,8 +336,11 @@ class TestSimulate:
         assert [isinstance(r, BlowupError) for r in solo] == [True, False, True, False]
         assert solo[2].time == 0.01 and RECORD_CHUNK < len(solo[0].record) < n_steps
         # the first three leave one member, which goes on alone
-        for batch in (members, members[:3]):
+        made = stepper_groups(monkeypatch)
+        for batch, groups in ((members, [(32, 4, 3)]), (members[:3], [(32, 3, 3)])):
+            made.clear()
             outcomes = integrate(batch)
+            assert made == groups
             for (cfg, p), want in zip(batch, solo):
                 got = outcomes[cfg, p]
                 assert type(got) is type(want)
@@ -510,8 +516,9 @@ class TestSimulate:
     def test_member_of_a_mixed_M_group_that_trips_the_guard_leaves_with_its_record(
             self, monkeypatch):
         # the M=84 member trips the guard mid-run, in the recorder's second
-        # chunk, and leaves with its single run's error; the others go on as
-        # their single runs on M = 72, the largest of their own grids
+        # chunk, and leaves with its single run's error; its row stays in the
+        # batch at 0, and the others go on as their single runs in the same
+        # Stepper on M = 84
         made = stepper_groups(monkeypatch)
         n_steps = 300
         batch = [
@@ -527,7 +534,7 @@ class TestSimulate:
         members = [(SimConfig(grid=neumann(M=M), dt=dt, T=n_steps * dt, ic=ic), p)
                    for M, dt, p, ic in batch]
         outcomes = integrate(members)
-        assert made == [(84, 3, 7), (72, 2, 7)]
+        assert made == [(84, 3, 7)]
         solo = []
         for cfg, p in members:
             try:
@@ -587,6 +594,26 @@ class TestSimulate:
         for name in SERIES:
             a, b = getattr(got, name), getattr(want, name)
             assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
+
+    def test_interpolant_norm_of_a_huge_finite_state_is_finite(self):
+        # a closed-loop state of coefficients above 1e154 overflows the sum of
+        # v^2 q, but ih_l2 is homogeneous of degree 1 and records finite;
+        # gamma2 and the pairing are squared and overflow
+        p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
+                             spec=InterpolantSpec(VOLUME, 4, 1.0))
+        records = []
+        for amplitude in (1.0, 1e160):
+            cfg = SimConfig(grid=neumann(M=32), dt=1e-3, T=1e-2,
+                            ic=ICSpec("random-band", seed=1, kmax=3, amplitude=amplitude))
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    records.append(simulate(cfg, p))
+                except BlowupError as err:
+                    records.append(err.record)
+        small, huge = records
+        assert len(huge) == 1 and huge.gamma2[0] == np.inf
+        want = 1e160 * small.ih_l2[0]
+        assert abs(huge.ih_l2[0] - want) <= 1e-12 * want
 
     def test_one_synthesis_per_stage_and_none_per_record(self, monkeypatch):
         # ETDRK2 synthesizes two stages a step, and a record reads the
