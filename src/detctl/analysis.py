@@ -46,15 +46,13 @@ SWEEP_SAFETY = 0.4
 # ---------------------------------------------------------------------------
 # closed-loop hypothesis checks
 
-def certified_c(spec: InterpolantSpec | None) -> float | None:
+def certified_c(spec: InterpolantSpec) -> float | None:
     """Certified interpolation constant c with defect <= c h ||.||_H1.
 
     Volume and nodal families carry c = 1; the fourier family with the mean
     carries c = 1/pi.  Without the mean (constants invisible) and for the
     delta family no finite constant exists.
     """
-    if spec is None:
-        return None
     if spec.kind in (VOLUME, NODAL):
         return 1.0
     if spec.kind == FOURIER and spec.include_mean:

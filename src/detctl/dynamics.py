@@ -9,12 +9,13 @@ smallest fast FFT size of at least 2M + 1 points, enough to keep both the
 cube's band and the L4 quadrature exact.  The stepper keeps the state
 as one real vector (the coefficients, real and imaginary parts interleaved
 on periodic grids) and folds everything linear in a step (diffusion,
-alpha u and the rank-N feedback) into precomputed stage operators once, so
-a step is the cube plus a few matrix-vector products.  On small grids every
-operator, the transforms to and from the padded grid included, is one dense
-real matrix; above ``DENSE_MAX_ENTRIES`` the transforms are numpy FFTs (the
-Neumann DCT an M-point real FFT, see :mod:`detctl.fields`) and the linear
-part a diagonal plus the feedback's factors.  A step returns the
+alpha u and the rank-N feedback) into stage maps built once, whose algebra
+:class:`Stepper` states, so a step is the cube plus a few matrix-vector
+products.  On small grids every operator, the transforms to and from the
+padded grid included, is one dense real matrix; above
+``DENSE_MAX_ENTRIES`` the transforms are numpy FFTs (the Neumann DCT an
+M-point real FFT, see :mod:`detctl.fields`) and the linear part a diagonal
+plus the feedback's factors.  A step returns the
 padded-grid samples of its new state with it, so the next step's guard and
 cube and the recorder read them and no state is synthesized twice.  One
 recorder per group keeps each record's state rows, squared samples and
@@ -22,19 +23,14 @@ observation products and reduces them to the recorded series
 ``RECORD_CHUNK`` records at a time.
 
 One engine steps a batch of runs: :func:`integrate` steps the runs that
-share a step count, a record stride, a scheme and a periodic grid, or Neumann
-grids of one length whatever their M, as one (B, n) state, a member that
-trips the stability guard stays in its group as a zero row, and it returns
-every member's outcome, from which :func:`simulate` reads one.  A Neumann
-state on M points is exactly the first M columns of the same state on a
-larger Neumann grid, so a group works on its largest grid with each member
-zero-padded past its own band; periodic grids do not merge, because an even
-M's Nyquist column weighs L on its own grid and 2L on a larger one, and
-grids merge only while the group's stacked controllers hold at most M rows.  A run on its own is a
-batch of one, a (1, n) state on the same path; the guard compares the
-batch's largest squared sample on the group's padded grid, which samples a
-member of a smaller M more finely than its own, with a cap on max u^2
-precomputed from each member's dt.
+can share one (B, n) state as a group on its largest grid (which grids
+merge, and why, is stated there), a member that trips the stability guard
+stays in its group as a zero row, and it returns every member's outcome,
+from which :func:`simulate` reads one.  A run on its own is a batch of
+one, a (1, n) state on the same path; the guard compares the batch's
+largest squared sample on the group's padded grid, which samples a member
+of a smaller M more finely than its own, with a cap on max u^2 precomputed
+from each member's dt.
 
 Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
@@ -105,7 +101,9 @@ class ICSpec:
     """Named initial-condition presets.
 
     - single-mode(k, amplitude): amplitude * cos(k pi x / L) (Neumann, k < M) or
-      amplitude * cos(2 pi k x / L) (periodic, k <= M/2, where it is not aliased)
+      amplitude * cos(2 pi k x / L) (periodic, k <= (M - 1) // 2: a larger k
+      aliases, and k = M/2 is an even M's Nyquist mode, whose column the
+      recorded norms and the padded transform weigh twice)
     - random-band(seed, kmax, amplitude): seeded cosine/Fourier sum with the
       1/(k+1) amplitude law, rescaled to L2 norm ``amplitude``
     - constant(value)
@@ -139,8 +137,9 @@ class ICSpec:
         if self.kind == SINGLE_MODE:
             if grid.bc == fields.NEUMANN:
                 return fields.cosine_mode(grid, self.k, self.amplitude)
-            if self.k > grid.M // 2:
-                raise ValueError(f"single-mode k={self.k} exceeds M/2={grid.M // 2}: aliased")
+            if self.k > (grid.M - 1) // 2:
+                raise ValueError(f"single-mode k={self.k} exceeds (M-1)/2={(grid.M - 1) // 2}: "
+                                 "aliased, or an even M's Nyquist mode")
             return fields.field_from_function(
                 grid, lambda x: self.amplitude * np.cos(2 * np.pi * self.k * x / grid.L)
             )
@@ -342,14 +341,11 @@ class Stepper:
     state is the real view x = c.view(float64): the cosine coefficients on
     Neumann grids, the rfft coefficients with real and imaginary parts
     interleaved on periodic ones.  Members' grids share L and the boundary
-    condition, and periodic ones also M (an even M's Nyquist column weighs L
-    on its own grid, 2L on a larger one).  Neumann members of different M
-    share one: the basis cos(k pi x / L), its wavenumbers and the weights
-    ``Grid1D.w`` do not depend on M, and the cube dealiased on twice the
-    largest M is exact for every smaller band, so the Stepper works on the
-    largest grid, ``grid``, with each member's state, controller columns and
-    weights ``decay``, ``w1`` and ``w2`` zero past its own band, and its
-    padded columns stay exactly 0.  The group's feedback is one operator
+    condition, and periodic ones also M; Neumann members may differ in M
+    (why is :func:`integrate`'s).  The Stepper works on the largest grid,
+    ``grid``, with each member's state, controller columns and weights
+    ``decay``, ``w1`` and ``w2`` zero past its own band, and its padded
+    columns stay exactly 0.  The group's feedback is one operator
     stack that every member shares, read by every map and by the recorder:
     ``O`` (R, n), ``A`` (n, R) and ``q`` (R,) concatenate the real forms
     (O x = (O c).real, A v = (A v).view(float64)) of the (O, A, q) triples

@@ -258,12 +258,6 @@ def l2_sq_of_coeffs(grid: Grid1D, coeffs: np.ndarray) -> float:
     return inner_of_coeffs(grid, coeffs, coeffs)
 
 
-def h1x_sq_of_coeffs(grid: Grid1D, coeffs: np.ndarray) -> float:
-    """Squared L2 norm of the derivative from modal coefficients."""
-    kc = grid.wavenumbers * coeffs
-    return inner_of_coeffs(grid, kc, kc)
-
-
 def l2_norm(f: Field) -> float:
     """L2 norm, evaluated modally (Parseval)."""
     return float(np.sqrt(max(l2_sq_of_coeffs(f.grid, coeffs_of(f)), 0.0)))
@@ -271,7 +265,7 @@ def l2_norm(f: Field) -> float:
 
 def h1x_norm(f: Field) -> float:
     """L2 norm of the derivative, ||f_x||."""
-    return float(np.sqrt(max(h1x_sq_of_coeffs(f.grid, coeffs_of(f)), 0.0)))
+    return float(np.sqrt(max(l2_sq_of_coeffs(f.grid, f.grid.wavenumbers * coeffs_of(f)), 0.0)))
 
 
 def point_eval_matrix(grid: Grid1D, x: np.ndarray) -> np.ndarray:

@@ -171,21 +171,6 @@ def cell_average_matrix(spec: InterpolantSpec, n_modes: int) -> np.ndarray:
     return C
 
 
-def cell_mean_matrix(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
-    """Coefficient-space form of volume observation, the per-cell sample mean.
-
-    The midpoint rule over a cell's M/N samples of cos(m pi x / L) is the
-    exact cell average times (theta/2) / sin(theta/2), theta = m pi / M.
-    """
-    check_grid(spec, grid)
-    return cell_average_matrix(spec, grid.M) / np.sinc(np.arange(grid.M) / (2 * grid.M))
-
-
-def chi_projection_matrix(spec: InterpolantSpec, grid: Grid1D) -> np.ndarray:
-    """B[m, k] = coefficients of the indicator of cell J_k on a Neumann grid."""
-    return spec.h * cell_average_matrix(spec, grid.M).T / grid.w[:, None]
-
-
 def fourier_mode_slice(spec: InterpolantSpec) -> slice:
     """Retained cosine-mode indices of the fourier family."""
     return slice(0 if spec.include_mean else 1, spec.N + 1)
@@ -291,11 +276,16 @@ def control_operator(spec: InterpolantSpec, grid: Grid1D) -> ControlOperator:
         sl = fourier_mode_slice(spec)
         O = np.eye(grid.M)[sl]
         return ControlOperator(O, O.T, grid.w[sl])
+    C = cell_average_matrix(spec, grid.M)
     if spec.kind == VOLUME:
-        O = cell_mean_matrix(spec, grid)
+        # the per-cell sample mean: the midpoint rule over a cell's M/N samples
+        # of cos(m pi x / L) is the exact cell average times (theta/2) /
+        # sin(theta/2), theta = m pi / M
+        O = C / np.sinc(np.arange(grid.M) / (2 * grid.M))
     else:
         O = point_eval_matrix(grid, spec.obs_points)
-    return ControlOperator(O, chi_projection_matrix(spec, grid), np.full(spec.N, spec.h))
+    # A holds the coefficients of the cell indicators on the Neumann grid
+    return ControlOperator(O, spec.h * C.T / grid.w[:, None], np.full(spec.N, spec.h))
 
 
 # ---------------------------------------------------------------------------

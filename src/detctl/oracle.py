@@ -1,14 +1,15 @@
 """Independent references: closed-form solutions and brute-force constants.
 
-Nothing here reuses the solver's code paths.  Linear-mode and logistic
-solutions validate the integrator; the empirical interpolation-constant
-search brackets the certified constants from below by random trial plus
-coordinate ascent, entirely in coefficient space with exact integrals.
+Linear-mode and logistic solutions validate the integrator and reuse none of
+its code.  The empirical interpolation-constant search brackets the
+certified constants from below by random trial plus coordinate ascent,
+entirely in coefficient space with exact integrals.  It shares one helper
+with the solver: its volume and nodal ratios take the exact cell averages
+from :func:`interpolants.cell_average_matrix`, from which
+:func:`interpolants.control_operator` also builds the volume and nodal maps.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,32 +17,11 @@ from .dynamics import ClosedLoopParams
 from .fields import Field, Grid1D, random_cosine_coeffs
 from .interpolants import (
     DELTA,
-    FOURIER,
     NODAL,
     VOLUME,
     InterpolantSpec,
     cell_average_matrix,
 )
-
-
-@dataclass(frozen=True)
-class TrialEnsemble:
-    """Seeded random cosine sums with the 1/(k+1) amplitude law."""
-
-    seed: int
-    n_trials: int
-    kmax: int
-
-    def __post_init__(self) -> None:
-        if self.n_trials < 1:
-            raise ValueError("ensemble needs at least one trial")
-        if self.kmax < 0:
-            raise ValueError("kmax must be nonnegative")
-
-    def coefficient_trials(self):
-        rng = np.random.default_rng(self.seed)
-        for _ in range(self.n_trials):
-            yield random_cosine_coeffs(rng, self.kmax)
 
 
 def analytic_linear_mode(k: int, A: float, t: float, p: ClosedLoopParams,
@@ -103,16 +83,13 @@ def _ratio_fn(spec: InterpolantSpec, n_modes: int):
             fx = a @ E.T
             return l2_sq(a) - 2.0 * h * np.sum(fx * (a @ C.T), axis=1) + h * np.sum(fx ** 2, axis=1)
 
-    elif spec.kind == FOURIER:
+    else:  # fourier
 
         def defect_sq(a):
             d = 0.5 * L * np.sum(a[:, spec.N + 1:] ** 2, axis=1)
             if not spec.include_mean:
                 d = d + L * a[:, 0] ** 2
             return d
-
-    else:
-        raise ValueError(f"no interpolation constant for kind {spec.kind!r}")
 
     def ratio(a):
         dx_sq = np.sum(deriv_w * a ** 2, axis=1)
@@ -123,16 +100,16 @@ def _ratio_fn(spec: InterpolantSpec, n_modes: int):
     return ratio
 
 
-def _coordinate_ascent(ratio, a0: np.ndarray, iterations: int = 100) -> float:
-    """Greedy coordinate sharpening with step halving: each pass tries every
-    coordinate up and down as one stack and keeps the best trial if it
-    improves."""
+def _coordinate_ascent(ratio, a0: np.ndarray) -> float:
+    """Greedy coordinate sharpening with step halving, at most 100 passes:
+    each pass tries every coordinate up and down as one stack and keeps the
+    best trial if it improves."""
     a = a0.copy()
     best = float(ratio(a[None])[0])
     step = 0.5
     scale = np.abs(a) + 0.1 * max(np.max(np.abs(a)), 1e-12)
     moves = np.concatenate([np.diag(scale), -np.diag(scale)])
-    for _ in range(iterations):
+    for _ in range(100):
         trials = a + step * moves
         r = np.nan_to_num(ratio(trials), nan=-np.inf)
         j = int(np.argmax(r))
@@ -145,16 +122,22 @@ def _coordinate_ascent(ratio, a0: np.ndarray, iterations: int = 100) -> float:
     return best
 
 
-def empirical_bh_constant(spec: InterpolantSpec, ens: TrialEnsemble) -> float:
-    """Largest observed defect / (h ||phi_x||) over the ensemble, refined.
+def empirical_bh_constant(spec: InterpolantSpec, seed: int, n_trials: int, kmax: int) -> float:
+    """Largest defect / (h ||phi_x||) over ``n_trials`` seeded random cosine
+    sums up to mode ``kmax`` (the 1/(k+1) amplitude law), refined.
 
     A lower bound on the sharp constant of the family; it must never exceed
     the certified constant used by the condition checker.
     """
     if spec.kind == DELTA:
         raise ValueError("delta controllers have no interpolation constant")
-    ratio = _ratio_fn(spec, ens.kmax + 1)
-    trials = np.array(list(ens.coefficient_trials()))
+    if n_trials < 1:
+        raise ValueError("ensemble needs at least one trial")
+    if kmax < 0:
+        raise ValueError("kmax must be nonnegative")
+    ratio = _ratio_fn(spec, kmax + 1)
+    rng = np.random.default_rng(seed)
+    trials = np.array([random_cosine_coeffs(rng, kmax) for _ in range(n_trials)])
     r = ratio(trials)
     if np.isnan(r).all():
         raise ValueError("degenerate ensemble: every trial has a vanishing derivative")

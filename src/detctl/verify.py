@@ -68,7 +68,8 @@ def _report(suite: str, seed: int, props: dict[str, dict]) -> dict:
             "passed": all(v["passed"] for v in props.values())}
 
 
-def interpolation_suite(seed: int = 0, n_trials: int = 200) -> dict:
+def interpolation_suite(seed: int = 0) -> dict:
+    n_trials = 200
     g = Grid1D(1.0, _M, NEUMANN)
     L = 1.0
     rng = np.random.default_rng(seed + 12345)
@@ -170,8 +171,7 @@ def oracle_suite(seed: int = 0) -> dict:
         ("fourier_constant", InterpolantSpec(FOURIER, 4, 1.0), 1e-6),
     ):
         cert = certified_c(spec) + roundoff
-        ens = oracle.TrialEnsemble(seed=seed, n_trials=50, kmax=_KMAX)
-        c = oracle.empirical_bh_constant(spec, ens)
+        c = oracle.empirical_bh_constant(spec, seed, 50, _KMAX)
         props["empirical_" + name] = _prop(c, 50, cert)
 
     return _report("oracle", seed, props)

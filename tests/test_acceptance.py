@@ -16,7 +16,7 @@ from detctl.cli import main
 from detctl.dynamics import ClosedLoopParams, ICSpec, SimConfig, TrajectoryRecord, simulate
 from detctl.fields import Grid1D
 from detctl.interpolants import FOURIER, InterpolantSpec
-from detctl.oracle import TrialEnsemble, empirical_bh_constant
+from detctl.oracle import empirical_bh_constant
 
 PRESETS = Path(__file__).parents[1] / "presets"
 
@@ -59,7 +59,7 @@ def preset_run(tmp_path_factory):
 
 def test_criterion_1_interpolation_inequalities():
     t0 = time.time()
-    rep = verify.interpolation_suite(seed=0, n_trials=200)
+    rep = verify.interpolation_suite(seed=0)
     elapsed = time.time() - t0
     props = rep["properties"]
     needed = ("volume_defect_le_h_dphi", "nodal_defect_le_h_dphi",
@@ -74,7 +74,7 @@ def test_criterion_2_fourier_constant():
     worst = 0.0
     spec = InterpolantSpec(FOURIER, 4, 1.0)
     for seed in range(50):
-        c = empirical_bh_constant(spec, TrialEnsemble(seed=seed, n_trials=50, kmax=20))
+        c = empirical_bh_constant(spec, seed, 50, 20)
         worst = max(worst, c)
     ok = worst <= bound
     assert report(2, f"fourier interpolant constant {worst:.6f} <= 1/pi + 1e-6", ok)

@@ -213,6 +213,9 @@ GRID_DEPENDENT = {
     "periodic single-mode k above M/2": ("sim.ic", {
         "grid.bc": "periodic", "control": None, "params.mu": 0.0,
         "sim.ic": {"kind": "single-mode", "k": 20, "amplitude": 1.0}}),
+    "periodic single-mode at the Nyquist mode": ("sim.ic", {
+        "grid.bc": "periodic", "control": None, "params.mu": 0.0,
+        "sim.ic": {"kind": "single-mode", "k": 16, "amplitude": 1.0}}),
 }
 
 

@@ -94,13 +94,12 @@ class TestParams:
                              spec=InterpolantSpec(VOLUME, 2, 1.0))
 
     def test_periodic_single_mode_above_half_the_grid_is_aliased(self):
-        # on M=16, k=12 and k=20 sample as k=4; k=8 is the Nyquist mode (-1)^j
+        # on M=16, k=12 and k=20 sample as k=4; k=8 is the Nyquist mode (-1)^j,
+        # whose column the record would weigh twice
         g = Grid1D(1.0, 16, PERIODIC)
-        for k in (9, 12, 20):
-            with pytest.raises(ValueError, match=f"k={k} exceeds M/2=8: aliased"):
+        for k in (8, 9, 12, 20):
+            with pytest.raises(ValueError, match=rf"k={k} exceeds \(M-1\)/2=7: aliased"):
                 ICSpec("single-mode", k=k, amplitude=1.0).realize(g)
-        nyquist = ICSpec("single-mode", k=8, amplitude=1.0).realize(g)
-        assert np.max(np.abs(nyquist.values - (-1.0) ** np.arange(16))) < 1e-14
 
     def test_open_loop_flag(self):
         assert open_loop().open_loop

@@ -23,7 +23,6 @@ from detctl.interpolants import (
     InterpolantSpec,
     actuate_delta,
     cell_average_matrix,
-    cell_mean_matrix,
     control_operator,
     defect,
     delta_cell_indices,
@@ -212,7 +211,7 @@ class TestGeometryMatrices:
         spec = InterpolantSpec(VOLUME, N, 2.0)
         basis = np.cos(np.outer(g.points(), np.arange(M)) * (np.pi / g.L))
         brute = basis.reshape(N, M // N, M).mean(axis=1)
-        assert np.max(np.abs(cell_mean_matrix(spec, g) - brute)) <= 1e-12
+        assert np.max(np.abs(control_operator(spec, g).O - brute)) <= 1e-12
 
 
 class TestDefect:
