@@ -11,11 +11,12 @@ as one real vector (the coefficients, real and imaginary parts interleaved
 on periodic grids) and folds everything linear in a step (diffusion,
 alpha u and the rank-N feedback) into stage maps built once, whose algebra
 :class:`Stepper` states, so a step is the cube plus a few matrix-vector
-products.  On small grids every operator, the transforms to and from the
-padded grid included, is one dense real matrix; above
-``DENSE_MAX_ENTRIES`` the transforms are numpy FFTs (the Neumann DCT an
-M-point real FFT, see :mod:`detctl.fields`) and the linear part a diagonal
-plus the feedback's factors.  A step returns the
+products, made by one straight-line function that the stepper builds for
+its path and scheme.  On small grids every operator, the transforms to and
+from the padded grid included, is one dense real matrix (or a row weight,
+where it is diagonal); above ``DENSE_MAX_ENTRIES`` the transforms are numpy
+FFTs (the Neumann DCT an M-point real FFT, see :mod:`detctl.fields`) and the
+linear part a diagonal plus the feedback's factors.  A step returns the
 padded-grid samples of its new state with it, so the next step's guard and
 cube and the recorder read them and no state is synthesized twice.  One
 recorder per group keeps each record's state rows, squared samples and
@@ -247,16 +248,18 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 # both schemes up to 62k entries (Neumann M=176, periodic M=171), within 5% at
 # 67k (Neumann M=184; periodic M=176 to 180 hold 64k to 68k) and behind on
 # ETDRK2 from 74k (Neumann M=192, periodic M=190).  Against the numpy FFTs a
-# single run still crosses there with the np.dot stage maps (2-vCPU x86-64,
-# OpenBLAS 0.3.31, min of 6 alternating processes): dense is ahead at Neumann
-# M=176 on both schemes (ETD1 31 against 64 us a step, ETDRK2 76 against
-# 135), and at M=184 the two are within 25% either way (ETD1 31 against 41,
-# ETDRK2 95 against 111, the reverse on ETDRK2 in another round).  A batch of
-# 12 members with distinct alpha crosses lower, less so since its factored
-# maps are contiguous copies (min of 6 alternating processes, Neumann M=176):
-# the FFTs are still ahead, ETD1 80 against 88 us dense (125 with transposed
-# views) and ETDRK2 179 against 188 (245).  A single run keeps the views, so
-# its crossover, which sets this constant, did not move.
+# single run with the one-function step still crosses there (2-vCPU x86-64,
+# OpenBLAS 0.3.31, min of 6 alternating processes, volume N=4): dense is
+# ahead at Neumann M=176 on both schemes (ETD1 22.6 against 31.9 us a step,
+# ETDRK2 59.6 against 64.4), and at M=184 ETD1 still is (24.2 against 33.0)
+# while on ETDRK2 neither is clearly ahead (min 64.7 against 67.0, median
+# 71.5 against 67.3).  The open loop, whose P and W2L are row weights, is
+# further ahead (M=184: ETD1 18.3 against 32.3, ETDRK2 48.2 against 65.6).
+# A batch of 12 members with distinct alpha crosses lower, less so since its
+# factored maps are contiguous copies (min of 6 alternating processes,
+# Neumann M=176): the FFTs are still ahead, ETD1 80 against 88 us dense (125
+# with transposed views) and ETDRK2 179 against 188 (245).  A single run
+# keeps the views, so its crossover, which sets this constant, did not move.
 DENSE_MAX_ENTRIES = 64_000
 
 
@@ -280,6 +283,10 @@ def next_fast_len(n: int) -> int:
 # Records the recorder reduces together; its buffers hold this many state
 # rows, padded-grid sample rows and observation rows.
 RECORD_CHUNK = 64
+
+
+# the dtype of the stepper's state x, the real view of either coefficient layout
+_REAL = np.dtype(np.float64)
 
 
 def _real_columns(E: np.ndarray, parts: int) -> np.ndarray:
@@ -324,14 +331,6 @@ def _transposed(M: np.ndarray, copy: bool) -> np.ndarray:
     return np.ascontiguousarray(M.T) if copy else M.T
 
 
-def _applier(M: np.ndarray, copy: bool = False):
-    """x -> M @ x for every member as one ``np.dot`` with M's transpose
-    (``_transposed``): ``M`` is one (n, m) map that all members share, and
-    the state is the batch's (B, m) rows or one member's (m,) vector."""
-    MT = _transposed(M, copy)
-    return lambda x: np.dot(x, MT)
-
-
 class Stepper:
     """Precomputed one-step map of B members that share a scheme and a grid.
 
@@ -371,14 +370,21 @@ class Stepper:
     W2T = diag(w2) T.  ``decay``, ``w1`` and ``w2`` are the ETD weights
     exp(z), dt phi1(z) and dt phi2(z), z = -nu k^2 dt, one row per member.
 
-    Each stage is one function of the whole batch (``_etd1``, ``_etd2``),
-    and S and T are ``_synth`` and ``_analyze``.  Up to ``DENSE_MAX_ENTRIES``
+    A step of the whole batch is one function ``_step``, (x, w^3) -> (y, S y),
+    built once for the Stepper's path and scheme: its stages and the closing
+    synthesis are straight-line products with the precomputed maps, and on
+    the dense paths each is a bound ``ndarray.dot`` with a transposed map,
+    with no Python function called in between.  Up to ``DENSE_MAX_ENTRIES``
     S and T are dense matrices, and when every member has the same
     parameters, dt and grid (``shared``; a single run always does) so are P,
-    Q, W2L and W2T, each one ``np.dot`` with its transposed view.  Otherwise
-    the stages are factored, with the (B, n) weights d1 = decay + alpha w1
-    and a2 = alpha w2, and S, T, O and A enter as C-contiguous copies of
-    their transposes, on which a product of many rows is faster:
+    Q, W2L and W2T, each one product with its transposed view.  Where Lin is
+    exactly diagonal (a test of the matrix: today the open loop, and fourier
+    on Neumann grids) P and W2L are applied as their diagonals, p * x, which
+    has the bits of the dense product: its other terms are exact zeros.
+    Otherwise the stages are factored, with the (B, n) weights
+    d1 = decay + alpha w1 and a2 = alpha w2, and S, T, O and A enter as
+    C-contiguous copies of their transposes, on which a product of many rows
+    is faster:
 
         ETD1:    y = d1 x - w1 (T w^3 + F x)
         ETDRK2:  y + a2 z - w2 (F z + T (v^3 - w^3)),  z = y - x,
@@ -387,10 +393,11 @@ class Stepper:
     with the (n, R) stack, whatever B and the members' controllers.  Above
     ``DENSE_MAX_ENTRIES`` S and T are the numpy FFT transforms of
     :mod:`detctl.fields` on the padded grid along the last axis, handed and
-    returning only the band's columns, and the stages are factored.  BLAS
-    rounds a product of several rows differently from one row, so a member
-    of a batch may differ from its single run in the last bits; a given
-    batch is deterministic.
+    returning only the band's columns, and the stages are factored.
+    ``_synth`` and ``_analyze`` apply S and T on their own, for ``samples``
+    and ``cube``.  BLAS rounds a product of several rows differently from
+    one row, so a member of a batch may differ from its single run in the
+    last bits; a given batch is deterministic.
 
     ``advance`` takes the state with its ``samples`` (w = S x, w^2 and the
     largest w^2) and returns the new state with its own: the synthesis of a
@@ -458,28 +465,60 @@ class Stepper:
         copy = not self.shared
         decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
         self._S, self._T = _padded_transforms(grid, self._fine) or (None, None)
-        if self._S is not None:
-            self._synth, self._analyze = _applier(self._S, copy), _applier(self._T, copy)
-        else:
+        if self._S is None:
             self._synth, self._analyze = self._fft_synth, self._fft_analyze
+        else:
+            ST, TT = _transposed(self._S, copy), _transposed(self._T, copy)
+            self._synth, self._analyze = (lambda x: x.dot(ST)), (lambda v: v.dot(TT))
         if self._S is not None and self.shared:
             Lin = alpha[0] * np.eye(n) - (mu[0] * self.A) @ self.O
             P = w1[0][:, None] * Lin + np.diag(decay[0])
-            PT, QT = P.T, (w1[0][:, None] * self._T).T
-            W2LT, W2TT = (w2[0][:, None] * Lin).T, (w2[0][:, None] * self._T).T
-            self._etd1 = lambda x, w3: np.dot(x, PT) - np.dot(w3, QT)
-            self._etd2 = lambda y, z, d: y + np.dot(z, W2LT) - np.dot(d, W2TT)
+            W2L = w2[0][:, None] * Lin
+            QT, W2TT = (w1[0][:, None] * self._T).T, (w2[0][:, None] * self._T).T
+            # row weights where Lin is diagonal, as np.multiply: the same
+            # C-level call shape as ndarray.dot, so one body serves both
+            if np.array_equal(Lin, np.diag(np.diagonal(Lin))):
+                lin, PL, W2Lin = np.multiply, np.diagonal(P).copy(), np.diagonal(W2L).copy()
+            else:
+                lin, PL, W2Lin = np.ndarray.dot, P.T, W2L.T
+
+            def etd1(x, w3):
+                y = lin(x, PL) - w3.dot(QT)
+                return y, y.dot(ST)
+
+            def etdrk2(x, w3):
+                y = lin(x, PL) - w3.dot(QT)
+                v = y.dot(ST)
+                y = y + lin(y - x, W2Lin) - (v * v * v - w3).dot(W2TT)
+                return y, y.dot(ST)
         else:
             d1, a2, G = decay + alpha[:, None] * w1, alpha[:, None] * w2, self.G
             if self.shared:     # one row for all members, so a (n,) state stays one
                 d1, a2, w1, w2, G = d1[0], a2[0], w1[0], w2[0], G[0]
-            OT, AT, analyze = _transposed(self.O, copy), _transposed(self.A, copy), self._analyze
+            OT, AT = _transposed(self.O, copy), _transposed(self.A, copy)
+            if self._S is not None:
+                def etd1(x, w3):
+                    y = d1 * x - w1 * (w3.dot(TT) + (x.dot(OT) * G).dot(AT))
+                    return y, y.dot(ST)
 
-            def feedback(x):
-                return np.dot(np.dot(x, OT) * G, AT)
+                def etdrk2(x, w3):
+                    y = d1 * x - w1 * (w3.dot(TT) + (x.dot(OT) * G).dot(AT))
+                    v, z = y.dot(ST), y - x
+                    y = y + a2 * z - w2 * ((z.dot(OT) * G).dot(AT) + (v * v * v - w3).dot(TT))
+                    return y, y.dot(ST)
+            else:
+                synth, analyze = self._fft_synth, self._fft_analyze
 
-            self._etd1 = lambda x, w3: d1 * x - w1 * (analyze(w3) + feedback(x))
-            self._etd2 = lambda y, z, d: y + a2 * z - w2 * (feedback(z) + analyze(d))
+                def etd1(x, w3):
+                    y = d1 * x - w1 * (analyze(w3) + (x.dot(OT) * G).dot(AT))
+                    return y, synth(y)
+
+                def etdrk2(x, w3):
+                    y = d1 * x - w1 * (analyze(w3) + (x.dot(OT) * G).dot(AT))
+                    v, z = synth(y), y - x
+                    y = y + a2 * z - w2 * ((z.dot(OT) * G).dot(AT) + analyze(v * v * v - w3))
+                    return y, synth(y)
+        self._step = etd1 if scheme == "etd1" else etdrk2
 
     def _fft_synth(self, x: np.ndarray) -> np.ndarray:
         dtype = np.complex128 if self.grid.bc == fields.PERIODIC else np.float64
@@ -513,7 +552,7 @@ class Stepper:
         back in the same dtype and shape, with its own ``samples``, which the
         next step and the recorder read.
         """
-        x = c.view(np.float64)
+        real = c.dtype == _REAL     # a Neumann state is its own real view
         w, w2, top = s
         # a NaN state fails both comparisons
         if not top <= self._cap_min:
@@ -524,15 +563,9 @@ class Stepper:
                 failed = {int(i): f"dt={self.dt[i]:.3g} exceeds the stability limit {limit[i]:.3g}"
                           for i in np.flatnonzero(past)}
                 raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
-        w3 = w2 * w
-        y = self._etd1(x, w3)
-        if self.scheme == "etdrk2":
-            v = self._synth(y)
-            y = self._etd2(y, y - x, v * v * v - w3)
-        # ``samples`` of y, inline: a call per step costs ~1% of a batch step
-        w = self._synth(y)
+        y, w = self._step(c if real else c.view(_REAL), w2 * w)
         w2 = w * w
-        return y.view(c.dtype), (w, w2, w2.max())
+        return (y if real else y.view(c.dtype)), (w, w2, np.maximum.reduce(w2, None))
 
 
 SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
@@ -577,7 +610,7 @@ class _Recorder:
         self._u2 = np.empty((rows, B, st._fine.M))
         H = np.concatenate([st.O, st.A.T * self._w])
         self._q, self._own = st.q, st.G != 0    # each member's own rows of the stack
-        self._observe = _applier(H)
+        self._HT = H.T
         self._hx = np.empty((rows, B, H.shape[0]))
 
     def add(self, x: np.ndarray, s: tuple) -> None:
@@ -585,7 +618,7 @@ class _Recorder:
         i = self.count - self._done
         self._x[i] = x
         self._u2[i] = s[1]
-        self._hx[i] = self._observe(x)
+        self._hx[i] = x.dot(self._HT)
         self.count += 1
         if i + 1 == self._x.shape[0]:
             self.flush()

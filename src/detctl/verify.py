@@ -13,6 +13,8 @@ asserted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import analysis, oracle
@@ -46,10 +48,15 @@ _M = 256
 
 
 def _worst(pairs) -> float:
-    """Largest lhs / rhs over the (lhs, rhs) pairs with rhs > 0, and at least 0."""
+    """Largest lhs / rhs over the (lhs, rhs) pairs with rhs > 0, and at least
+    0; inf, which fails every bound, when some lhs or rhs is not finite.  The
+    pairs after a non-finite one are still drawn, so a suite's later rows
+    draw the same random points."""
     worst = 0.0
     for lhs, rhs in pairs:
-        if rhs > 0:
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            worst = math.inf
+        elif rhs > 0:
             worst = max(worst, lhs / rhs)
     return worst
 

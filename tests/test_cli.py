@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
@@ -411,6 +412,33 @@ def test_json_is_strict_for_numpy_non_finite(tmp_path):
                    "plain": ["nan"]}
 
 
+def bench_workloads():
+    """``bench/workloads.py``, loaded from its file; nothing under bench/ is written."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+@pytest.mark.parametrize("name", ("thm41-steps", "thm71-records"))
+def test_simulate_workload_matches_reference(tmp_path, name):
+    # the benchmark's own gate at the preset seed, where its table must match
+    # the stored reference (the benchmark's smoke tests run too short for it)
+    workloads = bench_workloads()
+    wl = workloads.WORKLOADS[name]
+    doc = wl.config(ROOT, wl.preset_seed(ROOT))
+    out = tmp_path / "out"
+    rc = main(["simulate", write_config(tmp_path, doc), "--out-dir", str(out)])
+    table = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert workloads.compare_to_reference(wl, table, workloads.load_reference(wl), doc) == []
+    assert workloads.check_outputs(wl, out, rc, doc, None) == []
+
+
 @pytest.fixture(scope="module")
 def remark21_out(tmp_path_factory):
     """The preset sweep's output directory, run once for its tests."""
@@ -531,6 +559,13 @@ class TestVerifyCommand:
         assert code == 0
         report = json.loads((tmp_path / f"verify_{suite}.json").read_text())
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("pair", ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (0.5, np.inf)))
+    def test_a_non_finite_ratio_fails_its_property(self, pair):
+        # max(0.0, nan) is 0.0 and a NaN rhs is not > 0, so neither may be skipped
+        assert not verify._prop(verify._worst([(0.5, 1.0), pair, (0.2, 1.0)]), 3, 1.0)["passed"]
+        # a rhs of exactly 0 bounds nothing and is skipped
+        assert verify._prop(verify._worst([(0.5, 1.0), (1.0, 0.0)]), 2, 1.0)["passed"]
 
 
 NO_SCIPY = """

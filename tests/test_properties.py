@@ -208,6 +208,27 @@ def unfused_step(stepper, c):
     return pred + stepper.w2[0] * (nonlin(pred)[0] - n0), max_abs
 
 
+def dense_stage_maps_step(stepper, x):
+    """A single run's step on the dense path, composed here from its stage
+    maps: y = x P^T - w^3 Q^T, and for ETDRK2 y + (y - x) W2L^T - (v^3 - w^3)
+    W2T^T with v = S y (the algebra in ``Stepper``'s docstring)."""
+    (p,) = stepper.params
+    S, T = stepper._S, stepper._T
+    n = x.shape[0]
+    parts = n // stepper.decay.shape[1]
+    decay, w1, w2 = (np.repeat(v[0], parts) for v in (stepper.decay, stepper.w1, stepper.w2))
+    Lin = p.alpha * np.eye(n) - (p.mu * stepper.A) @ stepper.O
+    P, W2L = w1[:, None] * Lin + np.diag(decay), w2[:, None] * Lin
+    Q, W2T = w1[:, None] * T, w2[:, None] * T
+    w = x @ S.T
+    w3 = w * w * w
+    y = x @ P.T - w3 @ Q.T
+    if stepper.scheme == "etd1":
+        return y
+    v = y @ S.T
+    return y + (y - x) @ W2L.T - (v * v * v - w3) @ W2T.T
+
+
 # grid sizes that keep the stepper's operators dense, and past the crossover
 DENSE_M = {NEUMANN: (8, 178), PERIODIC: (8, 175)}
 FFT_M = {NEUMANN: (179, 288), PERIODIC: (176, 288)}
@@ -256,6 +277,12 @@ def test_fused_step_matches_unfused_composition(kind, scheme, dense, data):
     want, want_max = unfused_step(stepper, c)
     got, s = stepper.advance(c, stepper.samples(c))
     assert got.dtype == c.dtype and got.shape == c.shape
+    if dense:
+        # the same products in the same order: bit for bit, whether the
+        # stepper applies Lin's maps densely (volume, nodal, delta) or, where
+        # Lin is diagonal (fourier, the open loop), as row weights
+        assert np.array_equal(got.view(np.float64),
+                              dense_stage_maps_step(stepper, c.view(np.float64)))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert abs(stepper.cube(c)[1] - want_max) <= 1e-13 * want_max
     # the carried samples are those of the new state
