@@ -407,8 +407,9 @@ def rank_scan(
     ratio, whether it is stabilized and its certificate (:func:`certified`), and
     per ``alpha_key`` the minimal and the reference rank.  Each cell runs from
     the random band state of :func:`sweep_cell_config`; one :func:`integrate` call
-    steps the cells that share a grid and a step schedule together (a cell that
-    blows up gets an infinite ratio).  Every rank is run: :func:`minimal_rank` does
+    steps the cells of one grid family (Neumann grids of one L) and scheme
+    together, cut by step count only where that is cheaper (a cell that blows
+    up gets an infinite ratio).  Every rank is run: :func:`minimal_rank` does
     not assume stabilization monotone."""
     keys = [alpha_key(alpha) for alpha in alphas]
     if len(set(keys)) < len(keys):

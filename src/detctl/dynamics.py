@@ -25,13 +25,16 @@ observation products and reduces them to the recorded series
 
 One engine steps a batch of runs: :func:`integrate` steps the runs that
 can share one (B, n) state as a group on its largest grid (which grids
-merge, and why, is stated there), a member that trips the stability guard
-stays in its group as a zero row, and it returns every member's outcome,
-from which :func:`simulate` reads one.  A run on its own is a batch of
+merge, and why, is stated there), whatever their record strides and, where
+it costs fewer row-steps than apart, their step counts.  A member that
+trips the stability guard or has taken its last record stays in its group
+as a zero row.  It returns every member's outcome, from which
+:func:`simulate` reads one.  A run on its own is a batch of
 one, a (1, n) state on the same path; the guard compares the batch's
 largest squared sample on the group's padded grid, which samples a member
 of a smaller M more finely than its own, with a cap on max u^2 precomputed
-from each member's dt.
+from each member's dt, and only past the smallest cap looks at the rows of
+each cap.
 
 Every controller family enters through its (O, A, q) triple from
 :func:`detctl.interpolants.control_operator`: the control term is
@@ -52,6 +55,7 @@ integrator: the stability hypotheses and the rates they certify are in
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +227,12 @@ def stability_limit(alpha, mu, max_abs_u):
     return 0.5 / (alpha + 3.0 * max_abs_u ** 2 + mu)
 
 
+def _u2_cap(dt, alpha, mu):
+    """The cap on max u^2 that ``stability_limit`` puts on a step: dt <=
+    0.5 / (alpha + 3 max|u|^2 + mu) reads max u^2 <= (0.5 / dt - alpha - mu) / 3."""
+    return (0.5 / dt - alpha - mu) / 3.0
+
+
 def _phi1(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     small = np.abs(z) < 1e-7
@@ -319,16 +329,34 @@ def _padded_transforms(grid: Grid1D, fine: Grid1D) -> tuple[np.ndarray, np.ndarr
     if fine.M * n * parts > DENSE_MAX_ENTRIES:
         return None
     E = fields.point_eval_matrix(grid, fine.points()) * (fine.w[:n] / grid.w)
-    S = _real_columns(E, parts)
-    T = np.ascontiguousarray(S.T * (fine.dx / np.repeat(fine.w[:n], parts))[:, None])
+    S = _aligned(_real_columns(E, parts))
+    T = _aligned(S.T * (fine.dx / np.repeat(fine.w[:n], parts))[:, None])
     return S, T
 
 
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``a`` that starts on a 64-byte boundary.
+
+    Every matrix a step or a record multiplies by is one, or a transposed
+    view of one; the elementwise weights are not copied.  numpy aligns its allocations to 16 bytes only, and with every
+    map 16 bytes past a boundary the sweep group's step took 54.6 against
+    48.9 us, its (24 x 168) @ (168 x 84) analysis 15.7 against 12.8 us and a
+    single run's (1 x 128) @ (128 x 64) product 1.50 against 1.18 us
+    (2-vCPU x86-64, OpenBLAS 0.3.31, min of 5 runs)."""
+    a = np.asarray(a)
+    buf = np.empty(a.nbytes + 64, dtype=np.uint8)
+    start = -buf.ctypes.data % 64
+    out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
 def _transposed(M: np.ndarray, copy: bool) -> np.ndarray:
-    """M's transpose, a C-contiguous copy when ``copy``: ``np.dot`` of a
-    batch's rows with the transposed view is 1.2-1.8x slower from B = 12 on
-    and as fast for one row, so only members that differ take the copy."""
-    return np.ascontiguousarray(M.T) if copy else M.T
+    """M's transpose, a C-contiguous aligned copy when ``copy``: ``np.dot``
+    of a batch's rows with the transposed view is 1.2-1.8x slower from
+    B = 12 on and as fast for one row, so only members that differ take the
+    copy."""
+    return _aligned(M.T) if copy else M.T
 
 
 class Stepper:
@@ -405,15 +433,22 @@ class Stepper:
     still makes one S product per stage.  It guards every member before the
     step on the samples it is given, which are on the padded grid of the
     largest M and so sample a member of a smaller M more finely than its own
-    run does.  dt <= stability_limit reads max u^2 <= (0.5 / dt - alpha -
-    mu) / 3, so the guard compares the largest squared sample of the batch
-    with the smallest such cap; only when that fails does it compare each
-    member's largest squared sample with its own cap, and only when some
-    rows are past theirs (a NaN state included) does it format their
+    run does.  dt <= stability_limit reads max u^2 <= cap (``_u2_cap``), so
+    the guard compares the largest squared sample of the batch with the
+    smallest cap.  Only when that fails does it walk the blocks of
+    contiguous rows of equal cap in ascending order of cap, up to the first
+    cap that the batch's largest sample is within: each block is one
+    reduction of its rows' samples against its cap, and only a block past
+    its cap (a NaN state included) is read row by row.  :func:`integrate`
+    orders a group's members by cap, so the blocks are as few as its caps.
+    Only when some rows are past theirs does it format their
     ``stability_limit`` and raise ``BlowupError`` with ``failed`` naming
-    them.  ``release`` stops guarding a failed member's row, which the batch
-    then holds at 0, a fixed point of every stage map (P 0 - Q 0 = 0,
-    d1 0 - w1 (T 0 + F 0) = 0); the caps are all of a Stepper that changes.
+    them.  ``release`` stops guarding an ended member's row (failed, or
+    past its last record), which the batch then holds at 0, a fixed point
+    of every stage map (P 0 - Q 0 = 0, d1 0 - w1 (T 0 + F 0) = 0): its cap
+    becomes infinite and the blocks are cut again; the caps are all of a
+    Stepper that changes.  Every matrix that a step multiplies by is a
+    64-byte-aligned array (``_aligned``) or a transposed view of one.
     ``cube`` exposes the unfused transforms.
     """
 
@@ -444,7 +479,8 @@ class Stepper:
                 O.append(np.pad(_real_columns(ctl.O, parts), ((0, 0), (0, pad))))
                 A.append(np.pad(_real_rows(ctl.A, parts), ((0, pad), (0, 0))))
                 q.append(ctl.q)
-        self.O, self.A, self.q = np.concatenate(O), np.concatenate(A, axis=1), np.concatenate(q)
+        self.O, self.A = _aligned(np.concatenate(O)), _aligned(np.concatenate(A, axis=1))
+        self.q = np.concatenate(q)
         self.G = np.zeros((B, len(self.q)))
         for i, (pm, g) in enumerate(zip(self.params, grids)):
             if not pm.open_loop:
@@ -458,8 +494,8 @@ class Stepper:
         self.w1 = np.where(band, self.dt[:, None] * _phi1(z), 0.0)
         self.w2 = np.where(band, self.dt[:, None] * _phi2(z), 0.0)
         self._alpha, self._mu = alpha, mu
-        self._caps = (0.5 / self.dt - alpha - mu) / 3.0   # on max u^2, per member
-        self._cap_min = float(self._caps.min())
+        self._caps = _u2_cap(self.dt, alpha, mu)     # on max u^2, per member
+        self._block()
 
         self.shared = len(set(zip(self.params, self.dt.tolist(), grids))) == 1
         copy = not self.shared
@@ -472,9 +508,9 @@ class Stepper:
             self._synth, self._analyze = (lambda x: x.dot(ST)), (lambda v: v.dot(TT))
         if self._S is not None and self.shared:
             Lin = alpha[0] * np.eye(n) - (mu[0] * self.A) @ self.O
-            P = w1[0][:, None] * Lin + np.diag(decay[0])
-            W2L = w2[0][:, None] * Lin
-            QT, W2TT = (w1[0][:, None] * self._T).T, (w2[0][:, None] * self._T).T
+            P = _aligned(w1[0][:, None] * Lin + np.diag(decay[0]))
+            W2L = _aligned(w2[0][:, None] * Lin)
+            QT, W2TT = (_aligned(w * self._T).T for w in (w1[0][:, None], w2[0][:, None]))
             # row weights where Lin is diagonal, as np.multiply: the same
             # C-level call shape as ndarray.dot, so one body serves both
             if np.array_equal(Lin, np.diag(np.diagonal(Lin))):
@@ -539,10 +575,17 @@ class Stepper:
         w2 = w * w
         return w, w2, w2.max()
 
+    def _block(self) -> None:
+        """Cut the rows into runs of equal cap, ``_blocks`` in ascending order of cap."""
+        caps = self._caps
+        cut = [0, *(np.flatnonzero(caps[1:] != caps[:-1]) + 1).tolist(), len(caps)]
+        self._blocks = sorted((float(caps[lo]), lo, hi) for lo, hi in zip(cut, cut[1:]))
+        self._cap_min = self._blocks[0][0]
+
     def release(self, row: int) -> None:
-        """Stop guarding ``row``, whose member failed and whose state is held at 0."""
+        """Stop guarding ``row``, whose member has ended and whose state is held at 0."""
         self._caps[row] = np.inf
-        self._cap_min = float(self._caps.min())
+        self._block()
 
     def advance(self, c: np.ndarray, s: tuple) -> tuple[np.ndarray, tuple]:
         """One step of every member; returns the new state and its samples.
@@ -554,14 +597,20 @@ class Stepper:
         """
         real = c.dtype == _REAL     # a Neumann state is its own real view
         w, w2, top = s
-        # a NaN state fails both comparisons
+        # a NaN state fails every comparison
         if not top <= self._cap_min:
-            row_max2 = w2.reshape(len(self.dt), -1).max(axis=1)
-            past = ~(row_max2 <= self._caps)
-            if past.any():
-                limit = stability_limit(self._alpha, self._mu, np.sqrt(row_max2))
-                failed = {int(i): f"dt={self.dt[i]:.3g} exceeds the stability limit {limit[i]:.3g}"
-                          for i in np.flatnonzero(past)}
+            rows, past = w2.reshape(len(self.dt), -1), []
+            for cap, lo, hi in self._blocks:
+                if top <= cap:
+                    break
+                if not rows[lo:hi].max() <= cap:
+                    past += (lo + np.flatnonzero(~(rows[lo:hi].max(axis=1) <= cap))).tolist()
+            if past:
+                past.sort()
+                limit = stability_limit(self._alpha[past], self._mu[past],
+                                        np.sqrt(rows[past].max(axis=1)))
+                failed = {i: f"dt={self.dt[i]:.3g} exceeds the stability limit {lim:.3g}"
+                          for i, lim in zip(past, limit)}
                 raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
         y, w = self._step(c if real else c.view(_REAL), w2 * w)
         w2 = w * w
@@ -590,12 +639,17 @@ class _Recorder:
     weights are those of its own grid, and the L4 sum on the group's padded
     grid is exact for every smaller band.  A row whose squared sums overflow
     is summed again scaled by its largest entry, so a finite norm records
-    finite.  A failed member's row stays, at 0: a row is one member all run.
+    finite.  An ended member's row stays, at 0: a row is one member all run.
+    A record is taken of every row at each of ``steps``, the union of the
+    members' ``schedules``, and ``result`` reads a member's own columns;
+    each member calls it as it ends, so ``flush`` returns at once when
+    nothing is pending.
     """
 
-    def __init__(self, st: Stepper, steps: list[int]):
+    def __init__(self, st: Stepper, steps: list[int], schedules: list[list[int]]):
         B = len(st.params)
-        self._params, self._dt, self._steps = st.params, st.dt, steps
+        self._params, self._dt, self._schedules = st.params, st.dt, schedules
+        self._cols = [np.searchsorted(steps, own) for own in schedules]   # of ``steps``
         self._L2 = np.array([q.L ** 2 for q in st.params])
         self._series = {name: np.zeros((B, len(steps))) for name in SERIES}
         self.count = 0      # records taken
@@ -608,7 +662,7 @@ class _Recorder:
         rows = min(RECORD_CHUNK, len(steps))
         self._x = np.empty((rows, B, self._w.shape[0]))
         self._u2 = np.empty((rows, B, st._fine.M))
-        H = np.concatenate([st.O, st.A.T * self._w])
+        H = _aligned(np.concatenate([st.O, st.A.T * self._w]))
         self._q, self._own = st.q, st.G != 0    # each member's own rows of the stack
         self._HT = H.T
         self._hx = np.empty((rows, B, H.shape[0]))
@@ -625,6 +679,8 @@ class _Recorder:
 
     def flush(self) -> None:
         k = self.count - self._done
+        if not k:
+            return
         at, s = (slice(None), slice(self._done, self.count)), self._series
         x, L2 = self._x[:k], self._L2
         x2 = np.square(x)
@@ -659,8 +715,9 @@ class _Recorder:
     def result(self, m: int) -> TrajectoryRecord:
         """Member ``m``'s records so far, with their energy residual."""
         self.flush()
-        cut = {name: values[m, : self.count] for name, values in self._series.items()}
-        times = np.array(self._steps[: self.count]) * self._dt[m]
+        n = int(np.searchsorted(self._cols[m], self.count))
+        cut = {name: values[m, self._cols[m][:n]] for name, values in self._series.items()}
+        times = np.array(self._schedules[m][:n]) * self._dt[m]
         res = energy_residual_series(
             times, cut["l2"], cut["h1x"], cut["l4p4"], cut["pairing"], self._params[m]
         )
@@ -671,33 +728,81 @@ def integrate(members) -> dict[tuple, TrajectoryRecord | BlowupError]:
     """Every member's record, or the ``BlowupError`` that ended it, keyed by member.
 
     ``members`` are (SimConfig, ClosedLoopParams) pairs; one listed twice is
-    integrated once.  The members with the same step count, record stride
-    and scheme form one group if they also share a periodic grid, or Neumann
-    grids of one length L, whatever their M: a Neumann state on M points is
-    exactly the first M columns of the same state on a larger Neumann grid
-    (the basis, its wavenumbers and the weights ``Grid1D.w`` do not depend on
-    M, and the cube dealiased on twice the largest M is exact for every
-    smaller band), while an even M's periodic Nyquist column weighs L on its
-    own grid and 2L on a larger one.  A group is cut, in order of M and
-    between grids, where its stack of distinct controllers would hold more
-    rows R than the M of its largest grid (see :func:`_split`).  Each part
-    is stepped as one (B, n) state by one ``Stepper`` on its largest grid
-    and recorded by one recorder (dt, initial state, grid and parameters may
-    differ).  A member that trips the stability guard, or whose recorded
-    state is not finite, stops with its failure time and partial record; its
-    row stays in the batch at 0, unguarded, and the others go on.
+    integrated once.  The members with the same scheme form one group if
+    they also share a periodic grid, or Neumann grids of one length L,
+    whatever their M, step count and record stride: a Neumann state on M
+    points is exactly the first M columns of the same state on a larger
+    Neumann grid (the basis, its wavenumbers and the weights ``Grid1D.w`` do
+    not depend on M, and the cube dealiased on twice the largest M is exact
+    for every smaller band), while an even M's periodic Nyquist column weighs L on its
+    own grid and 2L on a larger one.  A group is cut into runs of adjacent
+    step counts where that costs fewer row-steps (see :func:`_by_steps`),
+    and a run, in order of M and between grids, where its stack of distinct
+    controllers would hold more rows R than the M of its largest grid (see
+    :func:`_split`).  Each part
+    is stepped as one (B, n) state by one ``Stepper`` on its largest grid,
+    its members in ascending order of their cap on max u^2 (see the
+    ``Stepper``'s guard), to the largest step count any of them takes, and
+    recorded by one recorder at every step that some member records (dt,
+    T, record stride, initial state, grid and parameters may differ); each
+    member's record holds only its own steps.  A member that has taken its
+    last record ends with it; one that trips the stability guard, or whose
+    state at a record step is not finite, ends with its failure time and
+    partial record.  Either way its row stays in the batch at 0, unguarded,
+    and the others go on.  Each member's outcome is the one it has on its
+    own but in one case: a state that is not finite at another member's
+    record step, which a guarded step from a finite state reaches only by
+    overflow, ends there as "non-finite state", where on its own the guard
+    would end it at the next step.
     """
     groups: dict[tuple, dict] = {}
     for cfg, p in members:
         if abs(cfg.grid.L - p.L) > 1e-14 * p.L:
             raise ValueError(f"grid length {cfg.grid.L} differs from params length {p.L}")
         on = cfg.grid if cfg.grid.bc == fields.PERIODIC else cfg.grid.L
-        groups.setdefault((on, cfg.n_steps, cfg.record_every, cfg.scheme), {})[cfg, p] = None
+        groups.setdefault((on, cfg.scheme), {})[cfg, p] = None
     outcomes = {}
     for group in groups.values():
-        for part in _split(group):
+        for part in (part for run in _by_steps(group) for part in _split(run)):
+            part.sort(key=lambda m: _u2_cap(m[0].dt, m[1].alpha, m[1].mu))
             outcomes.update(zip(part, _integrate(part)))
     return outcomes
+
+
+# What a group's step costs beyond its rows' work, in rows: a row costs less
+# in a larger batch, and each run has its own setup, so this is set between
+# the bounds the sweep preset's cells put on it.  At IC seed 0 and amplitude
+# 1.5 (1,800 steps x 16, 2,247 x 8) one run took 123 ms against 132 as two,
+# which needs more than 4; at amplitude 2 (1,800 x 16, 3,528 x 8) two took
+# 165 against 190 ms as one, which needs fewer than 15 (2-vCPU x86-64,
+# OpenBLAS 0.3.31, min of 5 runs)
+_STEP_ROWS = 8
+
+
+def _by_steps(group) -> list[list]:
+    """``group``'s members in runs of adjacent step counts, cut where that
+    costs the fewest row-steps.
+
+    A run is stepped to its largest step count n with every row, so it
+    costs n (_STEP_ROWS + B) row-steps, zero rows included; the cuts that
+    minimize the sum are found over the members in descending order of
+    step count, cutting only between two counts.  On the sweep preset at IC
+    seed 7 the 24 cells (1,800 steps x 16, 1,908 x 6, 1,909 x 2) stay one
+    run; at amplitude 10 they cut into three, one per alpha (about 8,800,
+    33,300 and 131,400 steps)."""
+    members = sorted(group, key=lambda m: -m[0].n_steps)
+    n = [cfg.n_steps for cfg, _ in members]
+    counts = [i for i in range(len(n)) if i == 0 or n[i] < n[i - 1]]   # where each count starts
+    cost, start = [0], [0]   # of the cheapest cut of members[:j], and where its last run starts
+    for j in range(1, len(n) + 1):
+        c, i = min((cost[i] + n[i] * (_STEP_ROWS + j - i), i) for i in counts if i < j)
+        cost.append(c)
+        start.append(i)
+    runs, j = [], len(n)
+    while j:
+        runs.append(members[start[j]:j])
+        j = start[j]
+    return runs
 
 
 def _split(group) -> list[list]:
@@ -727,16 +832,29 @@ def _split(group) -> list[list]:
     return parts
 
 
+def _schedule(cfg: SimConfig) -> list[int]:
+    """The steps a run records: every ``record_every``-th and its last."""
+    steps = list(range(0, cfg.n_steps + 1, cfg.record_every))
+    if steps[-1] != cfg.n_steps:
+        steps.append(cfg.n_steps)
+    return steps
+
+
 def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
-    """The time loop of one group; each member's record or its error, in order."""
+    """The time loop of one group; each member's record or its error, in order.
+
+    The loop steps from one record step of the union of the members'
+    schedules to the next; after a record, the members whose last record it
+    was end as a failed member does."""
     cfgs = [cfg for cfg, _ in members]
-    n_steps, scheme = cfgs[0].n_steps, cfgs[0].scheme
-    rec_steps = list(range(0, n_steps + 1, cfgs[0].record_every))
-    if rec_steps[-1] != n_steps:
-        rec_steps.append(n_steps)
+    schedules = [_schedule(cfg) for cfg in cfgs]
+    steps = sorted(set().union(*schedules))    # every step some member records
+    last: dict[int, list[int]] = {}     # records taken -> the members they end
+    for m, own in enumerate(schedules):
+        last.setdefault(bisect_left(steps, own[-1]) + 1, []).append(m)
     st = Stepper([cfg.grid for cfg in cfgs], [p for _, p in members], [cfg.dt for cfg in cfgs],
-                 scheme)
-    rec = _Recorder(st, rec_steps)
+                 cfgs[0].scheme)
+    rec = _Recorder(st, steps, schedules)
     x = np.zeros((len(cfgs), st.O.shape[1]))    # each member zero-padded to the group's band
     for row, cfg in zip(x, cfgs):
         c = coeffs_of(cfg.ic.realize(cfg.grid)).view(np.float64)
@@ -744,13 +862,13 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
     s = st.samples(x)
     out: list = [None] * len(members)
     n = k = 0   # steps taken, records taken
-    while k < len(rec_steps):
-        stop = rec_steps[k]
+    while True:
+        stop = steps[k]
         try:
             for n in range(n + 1, stop + 1):
                 x, s = st.advance(x, s)
         except BlowupError as err:  # step n was not taken
-            failed = {row: (n, reason) for row, reason in err.failed.items()}
+            ended = {row: (n, reason) for row, reason in err.failed.items()}
             n -= 1
         else:
             # a state that is not finite has a largest w^2 that is not; only
@@ -758,19 +876,24 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
             if s[2] < np.inf or np.isfinite(x).all():
                 rec.add(x, s)
                 k += 1
-                continue
-            finite = np.isfinite(x).all(axis=1)
-            failed = {int(row): (stop, "non-finite state") for row in np.flatnonzero(~finite)}
-        # a failed member takes its record so far; its row stays in the batch
+                if k not in last:
+                    continue
+                # the members whose last record this is and that are still stepping
+                ended = dict.fromkeys(m for m in last[k] if out[m] is None)
+            else:
+                finite = np.isfinite(x).all(axis=1)
+                ended = {int(row): (stop, "non-finite state") for row in np.flatnonzero(~finite)}
+        # an ended member takes its record so far; its row stays in the batch
         # at 0, which every stage map keeps at 0, and is no longer guarded
-        for m, (step, reason) in failed.items():
-            out[m] = BlowupError(step * cfgs[m].dt, reason, rec.result(m))
+        for m, failure in ended.items():
+            record = rec.result(m)
+            out[m] = record if failure is None else BlowupError(
+                failure[0] * cfgs[m].dt, failure[1], record)
             st.release(m)
         if None not in out:
             return out
-        x[list(failed)] = 0.0
+        x[list(ended)] = 0.0
         s = st.samples(x)
-    return [rec.result(m) if o is None else o for m, o in enumerate(out)]
 
 
 def simulate(cfg: SimConfig, p: ClosedLoopParams,

@@ -177,10 +177,12 @@ class TestMinimalN:
             rank_scan(1.0, [4.0000001, 4.0000002], 1.0, [20.0, 20.0], [1])
 
     def test_sweep_steps_its_cells_in_groups(self, monkeypatch):
-        # the preset's 24 cells: T = 20/alpha and dt ~ 1/alpha give every cell
-        # the same step count, and Neumann members of any M share a group, so
-        # one Stepper steps all 24 on the largest grid, M = 84, with one stack
-        # of the 8 volume controllers, R = 1 + ... + 8 = 36 <= 84 rows
+        # the preset's 24 cells: Neumann members of any M and any step count
+        # share a group, so one Stepper steps all 24 on the largest grid,
+        # M = 84, with one stack of the 8 volume controllers, R = 1 + ... + 8
+        # = 36 <= 84 rows.  At IC seed 0 every cell takes 1,800 steps; at
+        # seed 7 the initial state's max|u| sets the step count of some
+        # alpha = 4 cells (1,800 x 16, 1,908 x 6 and 1,909 x 2)
         made = []
         init = dynamics.Stepper.__init__
 
@@ -190,10 +192,17 @@ class TestMinimalN:
 
         monkeypatch.setattr(dynamics.Stepper, "__init__", counted)
         alphas = [4.0, 16.0, 64.0]
-        scan = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9))
-        assert [(c["alpha"], c["N"]) for c in scan["cells"]] == [
-            (alpha, N) for alpha in alphas for N in range(1, 9)]
-        assert made == [(84, 24, 36)]
+        for ic_seed, want in ((0, [1800] * 24), (7, [1800] * 16 + [1908] * 6 + [1909] * 2)):
+            made.clear()
+            scan = rank_scan(1.0, alphas, 1.0, [5.0 * a for a in alphas], range(1, 9),
+                             ic_seed=ic_seed)
+            steps = sorted(sweep_cell_config(1.0, alpha, 1.0, 5.0 * alpha, N,
+                                             ic_seed=ic_seed)[0].n_steps
+                           for alpha in alphas for N in range(1, 9))
+            assert steps == want
+            assert [(c["alpha"], c["N"]) for c in scan["cells"]] == [
+                (alpha, N) for alpha in alphas for N in range(1, 9)]
+            assert made == [(84, 24, 36)]
 
     def test_sweep_group_stacks_each_distinct_controller_once(self):
         # the preset's M=64 group, 3 alphas x N in {1, 2, 4, 8}, shares four

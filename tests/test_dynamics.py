@@ -211,6 +211,64 @@ class TestStep:
             alone, _ = one.advance(x[row], one.samples(x[row]))
             assert np.max(np.abs(y[row] - alone)) <= 1e-14 * np.max(np.abs(alone))
 
+    @pytest.mark.parametrize("order", ([0, 1, 2, 3, 4, 5], [5, 2, 0, 4, 1, 3]))
+    def test_guard_checks_the_blocks_of_equal_cap(self, order):
+        # three caps on max u^2, 2^2, 3^2 and 4^2, two constant members each,
+        # in ascending order of cap or shuffled.  Every row within its own
+        # cap steps, although the batch's largest sample is past the
+        # smallest cap; one row of the middle block past its cap is the one
+        # failed row
+        g = neumann(M=32)
+        p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0, mu=3.0,
+                             spec=InterpolantSpec(FOURIER, 2, 1.0))
+        limits = [2.0, 2.0, 3.0, 3.0, 4.0, 4.0]
+        dts = [stability_limit(p.alpha, p.mu, limits[i]) for i in order]
+        st = Stepper(g, [p] * 6, dts)
+        # in ascending order every run of equal cap is one block
+        caps = [cap for cap, _, _ in st._blocks]
+        assert caps == sorted(caps) and len(caps) == (3 if order == sorted(order) else 6)
+        assert caps[0] == pytest.approx(4.0) and caps[-1] == pytest.approx(16.0)
+        for amps, failed in (([1.9, 1.5, 2.9, 2.5, 3.9, 3.5], []),
+                             ([1.9, 1.5, 2.9, 3.1, 3.9, 3.5], [3])):
+            x = np.zeros((6, g.M))
+            x[:, 0] = [amps[i] for i in order]
+            s = st.samples(x)
+            assert s[2] > st._cap_min
+            if not failed:
+                y, _ = st.advance(x, s)
+                assert np.isfinite(y).all()
+                continue
+            with pytest.raises(BlowupError, match="stability") as exc:
+                st.advance(x, s)
+            assert list(exc.value.failed) == [order.index(row) for row in failed]
+
+    # the dense shared path with row weights (the open loop) and with dense
+    # maps (volume), the dense factored path (members that differ) and the
+    # FFT path (M = 256)
+    @pytest.mark.parametrize("M, alphas, spec", [
+        (64, [4.0], None), (64, [4.0], InterpolantSpec(VOLUME, 4, 1.0)),
+        (64, [4.0, 5.0], InterpolantSpec(VOLUME, 4, 1.0)),
+        (256, [4.0, 5.0], InterpolantSpec(VOLUME, 4, 1.0))])
+    @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
+    def test_every_map_starts_on_a_64_byte_boundary(self, M, alphas, spec, scheme):
+        ps = [ClosedLoopParams(nu=1.0, alpha=a, L=1.0, mu=0.0 if spec is None else 20.0, spec=spec)
+              for a in alphas]
+        st = Stepper(neumann(M=M), ps, 1e-3, scheme)
+        assert (st._S is not None) == (M == 64) and st.shared == (len(ps) == 1)
+        rec = dynamics._Recorder(st, [0, 1], [[0, 1]] * len(ps))
+        step = st._step
+        cells = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
+        # the operands of the step's matrix products; the row weights (1-D
+        # PL and W2Lin, d1, w1, ...) are elementwise and may start anywhere
+        maps = [a for name, a in cells.items()
+                if name in ("ST", "TT", "QT", "W2TT", "OT", "AT")
+                or name in ("PL", "W2Lin") and a.ndim == 2]
+        assert len(maps) >= 2
+        # a transposed view starts where its base does; an empty array
+        # (the open loop's stack) is never read
+        for a in maps + [rec._HT]:
+            assert a.size == 0 or a.ctypes.data % 64 == 0, a.shape
+
     def test_nan_state_rejected(self):
         # a NaN state gives a NaN limit, which no comparison with dt may let
         # through; M=256 takes the FFT transforms above the dense crossover
@@ -552,6 +610,81 @@ class TestSimulate:
             for name in SERIES:
                 a, b = getattr(got, name), getattr(want, name)
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_members_with_their_own_schedules_share_one_group(self, monkeypatch):
+        # one Stepper on M = 64 steps members that differ in T, record_every
+        # and dt to the largest step count.  Each records its own schedule;
+        # the first finishes at its step 50, after which its row is 0 and
+        # unguarded, and the third (alpha = 100, on the largest grid) trips
+        # the guard at its step 97 with its single run's error and record
+        made = stepper_groups(monkeypatch)
+        fourier = InterpolantSpec(FOURIER, 2, 1.0)
+        batch = [
+            (32, 1e-3, 50, 7, ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0, spec=fourier),
+             ICSpec("random-band", seed=5, kmax=3, amplitude=1.0)),
+            (48, 5e-4, 120, 1, ClosedLoopParams(nu=1.0, alpha=8.0, L=1.0, mu=40.0,
+                                                spec=InterpolantSpec(VOLUME, 4, 1.0)),
+             ICSpec("random-band", seed=6, kmax=3, amplitude=1.0)),
+            (64, 1.5e-3, 300, 1, ClosedLoopParams(nu=1.0, alpha=100.0, L=1.0),
+             ICSpec("single-mode", k=1, amplitude=1e-4)),
+            (32, 2e-3, 200, 9, open_loop(nu=0.5),
+             ICSpec("random-band", seed=7, kmax=3, amplitude=1.0)),
+        ]
+        members = [(SimConfig(grid=neumann(M=M), dt=dt, T=n * dt, record_every=every, ic=ic), p)
+                   for M, dt, n, every, p, ic in batch]
+        first = members[0][1]
+        seen = []   # (first member's row, its cap) at every advance
+        advance = Stepper.advance
+
+        def watched(self, c, s):
+            row = self.params.index(first)
+            seen.append((c[row].copy(), self._caps[row]))
+            return advance(self, c, s)
+
+        monkeypatch.setattr(Stepper, "advance", watched)
+        outcomes = integrate(members)
+        assert made == [(64, 4, 3 + 4)]
+        assert all(row.any() and cap < np.inf for row, cap in seen[:50])
+        assert all(not row.any() and cap == np.inf for row, cap in seen[50:])
+        assert len(seen) > 200
+        monkeypatch.setattr(Stepper, "advance", advance)
+        for (cfg, p), (_, dt, n, every, _, _) in zip(members, batch):
+            try:
+                want = simulate(cfg, p)
+            except BlowupError as err:
+                want = err
+            got = outcomes[cfg, p]
+            assert type(got) is type(want)
+            if isinstance(want, BlowupError):
+                assert p.alpha == 100.0 and round(want.time / dt) == 97
+                assert (got.time, got.reason) == (want.time, want.reason)
+                got, want = got.record, want.record
+                n = 96
+            steps = list(range(0, n + 1, every))
+            steps += [] if steps[-1] == n else [n]
+            assert np.array_equal(got.times, np.array(steps) * dt)
+            assert np.array_equal(got.times, want.times)
+            for name in SERIES:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
+
+    def test_members_of_widely_spread_step_counts_step_in_runs(self, monkeypatch):
+        # four members of 1,000 steps and four of 20 on one grid: one run of
+        # 1,000 steps would cost 1,000 (8 + 8) row-steps, two runs 1,000 (8 + 4)
+        # + 20 (8 + 4), so they step as two; 100 steps and 80 stay one run
+        made = stepper_groups(monkeypatch)
+        p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0, spec=InterpolantSpec(VOLUME, 2, 1.0))
+        for long, short, want in ((1000, 20, [(32, 4, 2), (32, 4, 2)]), (100, 80, [(32, 8, 2)])):
+            made.clear()
+            members = [(SimConfig(grid=neumann(M=32), dt=1e-3, T=n * 1e-3, record_every=n,
+                                  ic=ICSpec("random-band", seed=seed, kmax=3, amplitude=1.0)), p)
+                       for seed, n in enumerate([long] * 4 + [short] * 4)]
+            outcomes = integrate(members)
+            assert sorted(made) == want
+            for cfg, p in members:
+                got, alone = outcomes[cfg, p], simulate(cfg, p)
+                assert np.array_equal(got.times, alone.times)
+                assert np.max(np.abs(got.l2 - alone.l2)) <= 1e-12 * np.max(alone.l2)
 
     # (M, bc) on both sides of the dense/FFT crossover
     @pytest.mark.parametrize("M, bc", [(32, NEUMANN), (32, PERIODIC), (256, NEUMANN)])
