@@ -51,7 +51,9 @@ def certified_c(spec: InterpolantSpec) -> float | None:
 
     Volume and nodal families carry c = 1; the fourier family with the mean
     carries c = 1/pi.  Without the mean (constants invisible) and for the
-    delta family no finite constant exists.
+    delta family no finite constant exists.  The exact band constants
+    (:func:`oracle.bh_constant`) are smaller: 1/pi for volume, 1/pi for nodal
+    at the cell midpoints, and N/((N+1) pi) for fourier.
     """
     if spec.kind in (VOLUME, NODAL):
         return 1.0

@@ -1,11 +1,11 @@
 """Independent references: closed-form solutions and brute-force constants.
 
 Linear-mode and logistic solutions validate the integrator and reuse none of
-its code.  The empirical interpolation-constant search brackets the
-certified constants from below by random trial plus coordinate ascent,
-entirely in coefficient space with exact integrals.  It shares one helper
-with the solver: its volume and nodal ratios take the exact cell averages
-from :func:`interpolants.cell_average_matrix`, from which
+its code.  The interpolation constant of a family is a ratio of two quadratic
+forms in the cosine coefficients, the defect's and the derivative's, so its
+supremum over a band of modes is one top eigenvalue, computed exactly.  It
+shares one helper with the solver: the volume and nodal defect forms take the
+exact cell averages from :func:`interpolants.cell_average_matrix`, from which
 :func:`interpolants.control_operator` also builds the volume and nodal maps.
 """
 
@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .dynamics import ClosedLoopParams
-from .fields import Field, Grid1D, random_cosine_coeffs
+from .fields import Field, Grid1D
 from .interpolants import (
     DELTA,
+    FOURIER,
     NODAL,
     VOLUME,
     InterpolantSpec,
@@ -52,93 +53,47 @@ def logistic_constant_state(c0: float, t: float, p: ClosedLoopParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# empirical interpolation constants
+# exact interpolation constants
 
-def _ratio_fn(spec: InterpolantSpec, n_modes: int):
-    """defect / (h ||phi_x||) of each row of a (K, n_modes) coefficient stack.
+def _defect_form(spec: InterpolantSpec, n_modes: int) -> np.ndarray:
+    """D with ||phi - I_h(phi)||^2 = a^T D a for phi = sum_k a_k cos(k pi x / L),
+    k = 0..n_modes-1.
 
-    Uses exact integrals of the true interpolant (analytic cell averages),
-    so the returned values are lower bounds on the sharp constant of the
-    family itself, free of quadrature effects.  A row with a vanishing
-    derivative gets NaN.
+    Exact integrals of the true interpolant (analytic cell averages C, point
+    values E), free of quadrature effects.
     """
     L, h = spec.L, spec.h
     k = np.arange(n_modes)
-    deriv_w = (L / 2.0) * (k * np.pi / L) ** 2
-
-    def l2_sq(a):
-        return L * (a[:, 0] ** 2 + 0.5 * np.sum(a[:, 1:] ** 2, axis=1))
-
+    w = np.where(k == 0, L, L / 2.0)
     if spec.kind == VOLUME:
         C = cell_average_matrix(spec, n_modes)
-
-        def defect_sq(a):
-            return l2_sq(a) - h * np.sum((a @ C.T) ** 2, axis=1)
-
-    elif spec.kind == NODAL:
+        return np.diag(w) - h * C.T @ C
+    if spec.kind == NODAL:
         C = cell_average_matrix(spec, n_modes)
         E = np.cos(np.outer(spec.obs_points, k) * (np.pi / L))
-
-        def defect_sq(a):
-            fx = a @ E.T
-            return l2_sq(a) - 2.0 * h * np.sum(fx * (a @ C.T), axis=1) + h * np.sum(fx ** 2, axis=1)
-
-    else:  # fourier
-
-        def defect_sq(a):
-            d = 0.5 * L * np.sum(a[:, spec.N + 1:] ** 2, axis=1)
-            if not spec.include_mean:
-                d = d + L * a[:, 0] ** 2
-            return d
-
-    def ratio(a):
-        dx_sq = np.sum(deriv_w * a ** 2, axis=1)
-        d_sq = np.maximum(defect_sq(a), 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(dx_sq > 0.0, np.sqrt(d_sq) / (h * np.sqrt(dx_sq)), np.nan)
-
-    return ratio
+        cross = E.T @ C
+        return np.diag(w) - h * (cross + cross.T) + h * E.T @ E
+    kept = (k <= spec.N) & ((k > 0) | spec.include_mean)  # fourier
+    return np.diag(np.where(kept, 0.0, w))
 
 
-def _coordinate_ascent(ratio, a0: np.ndarray) -> float:
-    """Greedy coordinate sharpening with step halving, at most 100 passes:
-    each pass tries every coordinate up and down as one stack and keeps the
-    best trial if it improves."""
-    a = a0.copy()
-    best = float(ratio(a[None])[0])
-    step = 0.5
-    scale = np.abs(a) + 0.1 * max(np.max(np.abs(a)), 1e-12)
-    moves = np.concatenate([np.diag(scale), -np.diag(scale)])
-    for _ in range(100):
-        trials = a + step * moves
-        r = np.nan_to_num(ratio(trials), nan=-np.inf)
-        j = int(np.argmax(r))
-        if r[j] > best:
-            best, a = float(r[j]), trials[j]
-        else:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return best
+def bh_constant(spec: InterpolantSpec, kmax: int) -> float:
+    """Sharp c in ||phi - I_h(phi)|| <= c h ||phi_x|| over cosine sums up to
+    mode ``kmax``: sqrt(lambda_max(K^-1/2 D K^-1/2)) / h on modes 1..kmax,
+    with K the derivative weights (L/2)(k pi / L)^2.
 
-
-def empirical_bh_constant(spec: InterpolantSpec, seed: int, n_trials: int, kmax: int) -> float:
-    """Largest defect / (h ||phi_x||) over ``n_trials`` seeded random cosine
-    sums up to mode ``kmax`` (the 1/(k+1) amplitude law), refined.
-
-    A lower bound on the sharp constant of the family; it must never exceed
-    the certified constant used by the condition checker.
+    Mode 0 carries no derivative, and the defect vanishes on constants for
+    every family with a finite constant, so its row of D is 0 and dropping it
+    loses nothing.  This is the exact supremum over the band, so a lower bound
+    on the family's constant over all of H1; the certified constant used by
+    the condition checker must not fall below it.
     """
     if spec.kind == DELTA:
         raise ValueError("delta controllers have no interpolation constant")
-    if n_trials < 1:
-        raise ValueError("ensemble needs at least one trial")
-    if kmax < 0:
-        raise ValueError("kmax must be nonnegative")
-    ratio = _ratio_fn(spec, kmax + 1)
-    rng = np.random.default_rng(seed)
-    trials = np.array([random_cosine_coeffs(rng, kmax) for _ in range(n_trials)])
-    r = ratio(trials)
-    if np.isnan(r).all():
-        raise ValueError("degenerate ensemble: every trial has a vanishing derivative")
-    return _coordinate_ascent(ratio, trials[np.nanargmax(r)])
+    if spec.kind == FOURIER and not spec.include_mean:
+        raise ValueError("fourier without the mean has no finite constant: constants are invisible")
+    if kmax < 1:
+        raise ValueError(f"kmax must be at least 1 (mode 0 has no derivative), got {kmax}")
+    s = 1.0 / (np.sqrt(spec.L / 2.0) * np.arange(1, kmax + 1) * (np.pi / spec.L))
+    lam = np.linalg.eigvalsh(s[:, None] * _defect_form(spec, kmax + 1)[1:, 1:] * s)[-1]
+    return float(np.sqrt(max(lam, 0.0))) / spec.h

@@ -170,16 +170,13 @@ def oracle_suite(seed: int = 0) -> dict:
         worst = _worst((abs(l2 - e), e) for l2, e in zip(traj.l2, exact))
         props[name] = _prop(worst, len(traj), bound)
 
-    # the fourier constant is sharp (mode N + 1 reaches N / ((N + 1) pi)), so
-    # its bound carries a roundoff allowance
-    for name, spec, roundoff in (
-        ("volume_constant", InterpolantSpec(VOLUME, 8, 1.0), 0.0),
-        ("nodal_constant", InterpolantSpec(NODAL, 8, 1.0), 0.0),
-        ("fourier_constant", InterpolantSpec(FOURIER, 4, 1.0), 1e-6),
+    # one exact band constant per family, so one trial, whatever the seed
+    for name, spec in (
+        ("volume_constant", InterpolantSpec(VOLUME, 8, 1.0)),
+        ("nodal_constant", InterpolantSpec(NODAL, 8, 1.0)),
+        ("fourier_constant", InterpolantSpec(FOURIER, 4, 1.0)),
     ):
-        cert = certified_c(spec) + roundoff
-        c = oracle.empirical_bh_constant(spec, seed, 50, _KMAX)
-        props["empirical_" + name] = _prop(c, 50, cert)
+        props["empirical_" + name] = _prop(oracle.bh_constant(spec, _KMAX), 1, certified_c(spec))
 
     return _report("oracle", seed, props)
 

@@ -16,7 +16,7 @@ from detctl.cli import main
 from detctl.dynamics import ClosedLoopParams, ICSpec, SimConfig, TrajectoryRecord, simulate
 from detctl.fields import Grid1D
 from detctl.interpolants import FOURIER, InterpolantSpec
-from detctl.oracle import empirical_bh_constant
+from detctl.oracle import bh_constant
 
 PRESETS = Path(__file__).parents[1] / "presets"
 
@@ -70,14 +70,9 @@ def test_criterion_1_interpolation_inequalities():
 
 
 def test_criterion_2_fourier_constant():
-    bound = 1.0 / np.pi + 1e-6
-    worst = 0.0
-    spec = InterpolantSpec(FOURIER, 4, 1.0)
-    for seed in range(50):
-        c = empirical_bh_constant(spec, seed, 50, 20)
-        worst = max(worst, c)
-    ok = worst <= bound
-    assert report(2, f"fourier interpolant constant {worst:.6f} <= 1/pi + 1e-6", ok)
+    c = bh_constant(InterpolantSpec(FOURIER, 4, 1.0), 20)
+    ok = c <= 1.0 / np.pi
+    assert report(2, f"fourier interpolant constant {c:.12f} (exact, modes 1..20) <= 1/pi", ok)
 
 
 def test_criterion_3_linear_oracle():
