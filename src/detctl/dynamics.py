@@ -6,19 +6,12 @@ two-stage exponential Runge-Kutta scheme optionally).  The cubic is always
 evaluated on a padded grid, so the resolved band never sees aliasing from
 the tripled bandwidth: 2M points on Neumann grids, and on periodic ones the
 smallest fast FFT size of at least 2M + 1 points, enough to keep both the
-cube's band and the L4 quadrature exact.  The stepper keeps the state
-as one real vector (the coefficients, real and imaginary parts interleaved
-on periodic grids) and folds everything linear in a step (diffusion,
-alpha u and the rank-N feedback) into stage maps built once, whose algebra
-:class:`Stepper` states, so a step is the cube plus a few matrix-vector
-products, made by one straight-line function that the stepper builds for
-its path and scheme.  On small grids every operator, the transforms to and
-from the padded grid included, is one dense real matrix (or a row weight,
-where it is diagonal); above ``DENSE_MAX_ENTRIES`` the transforms are numpy
-FFTs (the Neumann DCT an M-point real FFT, see :mod:`detctl.fields`) and the
-linear part a diagonal plus the feedback's factors.  A step returns the
-padded-grid samples of its new state with it, so the next step's guard and
-cube and the recorder read them and no state is synthesized twice.  One
+cube's band and the L4 quadrature exact.  The stepper keeps the state as
+one real (B, n) array and folds everything linear in a step (diffusion,
+alpha u and the rank-N feedback) into maps built once; :class:`Stepper`
+states their algebra and the two bodies a step is made of.  A step returns
+the padded-grid samples of its new state with it, so the next step's guard
+and cube and the recorder read them and no state is synthesized twice.  One
 recorder per group keeps each record's state rows, squared samples and
 observation products and reduces them to the recorded series
 ``RECORD_CHUNK`` records at a time.
@@ -295,10 +288,6 @@ def next_fast_len(n: int) -> int:
 RECORD_CHUNK = 64
 
 
-# the dtype of the stepper's state x, the real view of either coefficient layout
-_REAL = np.dtype(np.float64)
-
-
 def _real_columns(E: np.ndarray, parts: int) -> np.ndarray:
     """R with R @ c.view(float64) == (E @ c).real (``parts`` = 2 for complex c)."""
     if parts == 1:
@@ -313,7 +302,8 @@ def _real_rows(A: np.ndarray, parts: int) -> np.ndarray:
     return np.stack([A.real, A.imag], axis=1).reshape(-1, A.shape[1])
 
 
-def _padded_transforms(grid: Grid1D, fine: Grid1D) -> tuple[np.ndarray, np.ndarray] | None:
+def _padded_transforms(grid: Grid1D, fine: Grid1D,
+                       parts: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Dense S (x -> samples on ``fine``) and T (such samples -> x, truncated
     to the band), or None above ``DENSE_MAX_ENTRIES``.
 
@@ -325,7 +315,6 @@ def _padded_transforms(grid: Grid1D, fine: Grid1D) -> tuple[np.ndarray, np.ndarr
     are never formed.
     """
     n = grid.w.shape[0]
-    parts = 2 if grid.bc == fields.PERIODIC else 1
     if fine.M * n * parts > DENSE_MAX_ENTRIES:
         return None
     E = fields.point_eval_matrix(grid, fine.points()) * (fine.w[:n] / grid.w)
@@ -363,13 +352,14 @@ class Stepper:
     """Precomputed one-step map of B members that share a scheme and a grid.
 
     ``grid``, ``p`` and ``dt`` are one member's, or sequences with one entry
-    per member; the state has shape (B, n), one row per member (a run on its
-    own is B = 1), and a state of shape (n,) steps as its single row.  The
-    state is the real view x = c.view(float64): the cosine coefficients on
-    Neumann grids, the rfft coefficients with real and imaginary parts
-    interleaved on periodic ones.  Members' grids share L and the boundary
-    condition, and periodic ones also M; Neumann members may differ in M
-    (why is :func:`integrate`'s).  The Stepper works on the largest grid,
+    per member.  The state is one real (B, n) array, one row per member (a
+    run on its own is B = 1), which ``advance``, ``samples`` and ``cube``
+    take and return: each row is the real view x = c.view(float64) of the
+    member's coefficients, the cosine coefficients on Neumann grids, the
+    rfft coefficients with real and imaginary parts interleaved on periodic
+    ones.  Members' grids share L and the boundary condition, and periodic
+    ones also M; Neumann members may differ in M (why is
+    :func:`integrate`'s).  The Stepper works on the largest grid,
     ``grid``, with each member's state, controller columns and weights
     ``decay``, ``w1`` and ``w2`` zero past its own band, and its padded
     columns stay exactly 0.  The group's feedback is one operator
@@ -398,34 +388,35 @@ class Stepper:
     W2T = diag(w2) T.  ``decay``, ``w1`` and ``w2`` are the ETD weights
     exp(z), dt phi1(z) and dt phi2(z), z = -nu k^2 dt, one row per member.
 
-    A step of the whole batch is one function ``_step``, (x, w^3) -> (y, S y),
-    built once for the Stepper's path and scheme: its stages and the closing
-    synthesis are straight-line products with the precomputed maps, and on
-    the dense paths each is a bound ``ndarray.dot`` with a transposed map,
-    with no Python function called in between.  Up to ``DENSE_MAX_ENTRIES``
-    S and T are dense matrices, and when every member has the same
-    parameters, dt and grid (``shared``; a single run always does) so are P,
-    Q, W2L and W2T, each one product with its transposed view.  Where Lin is
-    exactly diagonal (a test of the matrix: today the open loop, and fourier
-    on Neumann grids) P and W2L are applied as their diagonals, p * x, which
-    has the bits of the dense product: its other terms are exact zeros.
-    Otherwise the stages are factored, with the (B, n) weights
-    d1 = decay + alpha w1 and a2 = alpha w2, and S, T, O and A enter as
-    C-contiguous copies of their transposes, on which a product of many rows
-    is faster:
+    S and T are two callables, ``_synth`` and ``_analyze``, bound once and
+    shared by the step, ``samples`` and ``cube``: up to ``DENSE_MAX_ENTRIES``
+    the products with dense matrices, ``ST.__rmatmul__`` and
+    ``TT.__rmatmul__`` of their transposes; above it the numpy FFT
+    transforms of :mod:`detctl.fields` on the padded grid along the last
+    axis, handed and returning only the band's columns.  A step of the whole
+    batch is one function ``_step``, (x, w^3) -> (y, S y), made of one of two
+    bodies, and in both ETDRK2 is ETD1 plus its corrector: it calls the
+    body's ETD1 step for (y, v = S y) and applies only the corrector to
+    them.  The fused body serves dense transforms when every member has the
+    same parameters, dt and grid (``shared``; a single run always does):
+    P, Q, W2L and W2T are dense matrices, each one ``ndarray.dot`` with its
+    transposed view, except that where Lin is exactly diagonal (a
+    test of the matrix: today the open loop, and fourier on Neumann grids)
+    P and W2L are applied as their diagonals, p * x, which has the bits of
+    the dense product: its other terms are exact zeros.  The factored body
+    serves every other group, whatever its transforms, with the (B, n)
+    weights d1 = decay + alpha w1 and a2 = alpha w2:
 
         ETD1:    y = d1 x - w1 (T w^3 + F x)
         ETDRK2:  y + a2 z - w2 (F z + T (v^3 - w^3)),  z = y - x,
 
     so a stage costs its T product and two products of the (B, n) state
-    with the (n, R) stack, whatever B and the members' controllers.  Above
-    ``DENSE_MAX_ENTRIES`` S and T are the numpy FFT transforms of
-    :mod:`detctl.fields` on the padded grid along the last axis, handed and
-    returning only the band's columns, and the stages are factored.
-    ``_synth`` and ``_analyze`` apply S and T on their own, for ``samples``
-    and ``cube``.  BLAS rounds a product of several rows differently from
-    one row, so a member of a batch may differ from its single run in the
-    last bits; a given batch is deterministic.
+    with the (n, R) stack, whatever B and the members' controllers.  Where
+    members differ, S, T, O and A enter as C-contiguous copies of their
+    transposes, on which a product of many rows is faster.  BLAS rounds a
+    product of several rows differently from one row, so a member of a
+    batch may differ from its single run in the last bits; a given batch is
+    deterministic.
 
     ``advance`` takes the state with its ``samples`` (w = S x, w^2 and the
     largest w^2) and returns the new state with its own: the synthesis of a
@@ -449,7 +440,8 @@ class Stepper:
     becomes infinite and the blocks are cut again; the caps are all of a
     Stepper that changes.  Every matrix that a step multiplies by is a
     64-byte-aligned array (``_aligned``) or a transposed view of one.
-    ``cube`` exposes the unfused transforms.
+    ``cube`` exposes the unfused transforms.  ``_w`` and ``_k`` hold each
+    real column's Parseval weight and wavenumber, which the recorder reads.
     """
 
     def __init__(self, grid, p, dt, scheme: str = "etd1"):
@@ -468,7 +460,9 @@ class Stepper:
         else:
             self._fine = Grid1D(grid.L, next_fast_len(2 * grid.M + 1), fields.PERIODIC)
         parts = 2 if grid.bc == fields.PERIODIC else 1
-        n = grid.w.shape[0] * parts
+        # the real layout: each column's Parseval weight and wavenumber
+        self._w, self._k = (np.repeat(v, parts) for v in (grid.w, grid.wavenumbers))
+        n = self._w.shape[0]
         rows = {}   # each distinct controller's rows of the stack
         O, A, q = [np.zeros((0, n))], [np.zeros((n, 0))], [np.zeros(0)]
         for pm, g in zip(self.params, grids):
@@ -500,12 +494,20 @@ class Stepper:
         self.shared = len(set(zip(self.params, self.dt.tolist(), grids))) == 1
         copy = not self.shared
         decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
-        self._S, self._T = _padded_transforms(grid, self._fine) or (None, None)
-        if self._S is None:
-            self._synth, self._analyze = self._fft_synth, self._fft_analyze
-        else:
+        self._S, self._T = _padded_transforms(grid, self._fine, parts) or (None, None)
+        if self._S is not None:
             ST, TT = _transposed(self._S, copy), _transposed(self._T, copy)
-            self._synth, self._analyze = (lambda x: x.dot(ST)), (lambda v: v.dot(TT))
+            synth, analyze = ST.__rmatmul__, TT.__rmatmul__
+        else:
+            fine, cols = self._fine, grid.w.shape[0]
+            layout = np.complex128 if parts == 2 else np.float64
+
+            def synth(x):
+                return samples_of(fine, x.view(layout))
+
+            def analyze(v):
+                return coeffs_of_samples(fine, v, cols).view(np.float64)
+        self._synth, self._analyze = synth, analyze
         if self._S is not None and self.shared:
             Lin = alpha[0] * np.eye(n) - (mu[0] * self.A) @ self.O
             P = _aligned(w1[0][:, None] * Lin + np.diag(decay[0]))
@@ -518,60 +520,41 @@ class Stepper:
             else:
                 lin, PL, W2Lin = np.ndarray.dot, P.T, W2L.T
 
+            # the synthesis is y.dot(ST), not synth(y): for one row the matmul
+            # ufunc behind ST.__rmatmul__ took 1.85 against 1.46 us a call
+            # (M = 64, 2-vCPU x86-64, OpenBLAS 0.3.31), 7% of a step
             def etd1(x, w3):
                 y = lin(x, PL) - w3.dot(QT)
                 return y, y.dot(ST)
 
             def etdrk2(x, w3):
-                y = lin(x, PL) - w3.dot(QT)
-                v = y.dot(ST)
+                y, v = etd1(x, w3)
                 y = y + lin(y - x, W2Lin) - (v * v * v - w3).dot(W2TT)
                 return y, y.dot(ST)
         else:
             d1, a2, G = decay + alpha[:, None] * w1, alpha[:, None] * w2, self.G
-            if self.shared:     # one row for all members, so a (n,) state stays one
-                d1, a2, w1, w2, G = d1[0], a2[0], w1[0], w2[0], G[0]
             OT, AT = _transposed(self.O, copy), _transposed(self.A, copy)
-            if self._S is not None:
-                def etd1(x, w3):
-                    y = d1 * x - w1 * (w3.dot(TT) + (x.dot(OT) * G).dot(AT))
-                    return y, y.dot(ST)
 
-                def etdrk2(x, w3):
-                    y = d1 * x - w1 * (w3.dot(TT) + (x.dot(OT) * G).dot(AT))
-                    v, z = y.dot(ST), y - x
-                    y = y + a2 * z - w2 * ((z.dot(OT) * G).dot(AT) + (v * v * v - w3).dot(TT))
-                    return y, y.dot(ST)
-            else:
-                synth, analyze = self._fft_synth, self._fft_analyze
+            def etd1(x, w3):
+                y = d1 * x - w1 * (analyze(w3) + (x.dot(OT) * G).dot(AT))
+                return y, synth(y)
 
-                def etd1(x, w3):
-                    y = d1 * x - w1 * (analyze(w3) + (x.dot(OT) * G).dot(AT))
-                    return y, synth(y)
-
-                def etdrk2(x, w3):
-                    y = d1 * x - w1 * (analyze(w3) + (x.dot(OT) * G).dot(AT))
-                    v, z = synth(y), y - x
-                    y = y + a2 * z - w2 * ((z.dot(OT) * G).dot(AT) + analyze(v * v * v - w3))
-                    return y, synth(y)
+            def etdrk2(x, w3):
+                y, v = etd1(x, w3)
+                z = y - x
+                y = y + a2 * z - w2 * ((z.dot(OT) * G).dot(AT) + analyze(v * v * v - w3))
+                return y, synth(y)
         self._step = etd1 if scheme == "etd1" else etdrk2
 
-    def _fft_synth(self, x: np.ndarray) -> np.ndarray:
-        dtype = np.complex128 if self.grid.bc == fields.PERIODIC else np.float64
-        return samples_of(self._fine, x.view(dtype))
+    def cube(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Dealiased coefficients of u^3 and max|u| on the padded grid, of the real state ``x``."""
+        w = self._synth(x)
+        return self._analyze(w * w * w), float(np.max(np.abs(w)))
 
-    def _fft_analyze(self, v: np.ndarray) -> np.ndarray:
-        return coeffs_of_samples(self._fine, v, self.grid.w.shape[0]).view(np.float64)
-
-    def cube(self, c: np.ndarray) -> tuple[np.ndarray, float]:
-        """Dealiased coefficients of u^3 and max|u| on the padded grid."""
-        w = self._synth(c.view(np.float64))
-        return self._analyze(w * w * w).view(c.dtype), float(np.max(np.abs(w)))
-
-    def samples(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
-        """The samples of state ``c`` that a step carries: w = S x on the
+    def samples(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
+        """The samples of state ``x`` that a step carries: w = S x on the
         padded grid, w^2 and the largest w^2."""
-        w = self._synth(c.view(np.float64))
+        w = self._synth(x)
         w2 = w * w
         return w, w2, w2.max()
 
@@ -587,15 +570,13 @@ class Stepper:
         self._caps[row] = np.inf
         self._block()
 
-    def advance(self, c: np.ndarray, s: tuple) -> tuple[np.ndarray, tuple]:
+    def advance(self, x: np.ndarray, s: tuple) -> tuple[np.ndarray, tuple]:
         """One step of every member; returns the new state and its samples.
 
-        ``c`` is the state in the grid's coefficient layout or its real view
-        x, one row per member, and ``s`` its ``samples``; the new state comes
-        back in the same dtype and shape, with its own ``samples``, which the
-        next step and the recorder read.
+        ``x`` is the real (B, n) state and ``s`` its ``samples``; the new
+        state comes back with its own ``samples``, which the next step and
+        the recorder read.
         """
-        real = c.dtype == _REAL     # a Neumann state is its own real view
         w, w2, top = s
         # a NaN state fails every comparison
         if not top <= self._cap_min:
@@ -612,9 +593,9 @@ class Stepper:
                 failed = {i: f"dt={self.dt[i]:.3g} exceeds the stability limit {lim:.3g}"
                           for i, lim in zip(past, limit)}
                 raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
-        y, w = self._step(c if real else c.view(_REAL), w2 * w)
+        y, w = self._step(x, w2 * w)
         w2 = w * w
-        return (y if real else y.view(c.dtype)), (w, w2, np.maximum.reduce(w2, None))
+        return y, (w, w2, np.maximum.reduce(w2, None))
 
 
 SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
@@ -654,10 +635,7 @@ class _Recorder:
         self._series = {name: np.zeros((B, len(steps))) for name in SERIES}
         self.count = 0      # records taken
         self._done = 0      # records reduced into ``_series``
-        grid = st.grid
-        parts = 2 if grid.bc == fields.PERIODIC else 1
-        self._w = np.repeat(grid.w, parts)
-        self._wk2 = self._w * np.repeat(grid.wavenumbers, parts) ** 2
+        self._w, self._wk2 = st._w, st._w * st._k ** 2
         self._dw = st._fine.dx
         rows = min(RECORD_CHUNK, len(steps))
         self._x = np.empty((rows, B, self._w.shape[0]))

@@ -207,18 +207,13 @@ def cosine_mode(grid: Grid1D, k: int, amplitude: float = 1.0) -> Field:
     return Field(grid, samples_of(grid, c))
 
 
-def random_cosine_coeffs(rng: np.random.Generator, kmax: int) -> np.ndarray:
-    """Seeded coefficients a_k ~ U[-1, 1] / (k + 1), k = 0..kmax."""
-    k = np.arange(kmax + 1)
-    return rng.uniform(-1.0, 1.0, kmax + 1) / (k + 1.0)
-
-
 def random_band(grid: Grid1D, kmax: int, seed: int, l2: float | None = None) -> Field:
     """Random band-limited field with the 1/(k+1) amplitude law.
 
-    Neumann grids draw cosine coefficients; periodic grids draw both cosine
-    and sine amplitudes per wavenumber.  With ``l2`` set, the result is
-    rescaled to that exact L2 norm.
+    Neumann grids draw cosine coefficients a_k ~ U[-1, 1] / (k + 1),
+    k = 0..kmax; periodic grids draw both cosine and sine amplitudes per
+    wavenumber.  With ``l2`` set, the result is rescaled to that exact L2
+    norm.
     """
     hard = grid.M - 1 if grid.bc == NEUMANN else grid.M // 2 - 1
     if kmax < 0 or kmax > hard:
@@ -226,7 +221,7 @@ def random_band(grid: Grid1D, kmax: int, seed: int, l2: float | None = None) -> 
     rng = np.random.default_rng(seed)
     if grid.bc == NEUMANN:
         c = np.zeros(grid.M)
-        c[: kmax + 1] = random_cosine_coeffs(rng, kmax)
+        c[: kmax + 1] = rng.uniform(-1.0, 1.0, kmax + 1) / np.arange(1.0, kmax + 2)
         f = Field(grid, samples_of(grid, c))
     else:
         c = np.zeros(grid.M // 2 + 1, dtype=complex)

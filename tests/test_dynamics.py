@@ -59,7 +59,7 @@ def rhs(u, p):
     control operator."""
     c = coeffs_of(u)
     st = Stepper(u.grid, p, dt=1.0)
-    cubed, _ = st.cube(c)
+    cubed = st.cube(c.view(np.float64)[None])[0][0].view(c.dtype)
     n = p.alpha * c - cubed
     if not p.open_loop:
         ctl = control_operator(p.spec, u.grid)
@@ -70,8 +70,9 @@ def rhs(u, p):
 def step(u, p, dt):
     """Samples after one exponential-Euler step of the stepper."""
     st, c = Stepper(u.grid, p, dt), coeffs_of(u)
-    c, _ = st.advance(c, st.samples(c))
-    return samples_of(u.grid, c)
+    x = c.view(np.float64)[None]
+    x, _ = st.advance(x, st.samples(x))
+    return samples_of(u.grid, x[0].view(c.dtype))
 
 
 class TestParams:
@@ -168,12 +169,12 @@ class TestStep:
         k, dt, n = 1, 1e-4, 100
         u = cosine_mode(g, k, amplitude=1e-6)
         st = Stepper(g, p, dt)
-        c = coeffs_of(u)
-        s = st.samples(c)
+        x = coeffs_of(u)[None]
+        s = st.samples(x)
         for _ in range(n):
-            c, s = st.advance(c, s)
+            x, s = st.advance(x, s)
         lam = p.alpha - p.nu * (k * np.pi / p.L) ** 2
-        ratio = np.sqrt(l2_sq_of_coeffs(g, c)) / l2_norm(u)
+        ratio = np.sqrt(l2_sq_of_coeffs(g, x[0])) / l2_norm(u)
         assert abs(ratio - np.exp(lam * n * dt)) < 1e-4 * np.exp(lam * n * dt)
 
     def test_stability_limit_enforced(self):
@@ -208,8 +209,8 @@ class TestStep:
         y, _ = st.advance(x, st.samples(x))
         for row, dt in enumerate(dts):
             one = Stepper(g, p, dt)
-            alone, _ = one.advance(x[row], one.samples(x[row]))
-            assert np.max(np.abs(y[row] - alone)) <= 1e-14 * np.max(np.abs(alone))
+            alone, _ = one.advance(x[row:row + 1], one.samples(x[row:row + 1]))
+            assert np.max(np.abs(y[row] - alone[0])) <= 1e-14 * np.max(np.abs(alone))
 
     @pytest.mark.parametrize("order", ([0, 1, 2, 3, 4, 5], [5, 2, 0, 4, 1, 3]))
     def test_guard_checks_the_blocks_of_equal_cap(self, order):
@@ -244,11 +245,13 @@ class TestStep:
 
     # the dense shared path with row weights (the open loop) and with dense
     # maps (volume), the dense factored path (members that differ) and the
-    # FFT path (M = 256)
+    # FFT path (M = 256), whose single run takes the transposed views of the
+    # stack
     @pytest.mark.parametrize("M, alphas, spec", [
         (64, [4.0], None), (64, [4.0], InterpolantSpec(VOLUME, 4, 1.0)),
         (64, [4.0, 5.0], InterpolantSpec(VOLUME, 4, 1.0)),
-        (256, [4.0, 5.0], InterpolantSpec(VOLUME, 4, 1.0))])
+        (256, [4.0, 5.0], InterpolantSpec(VOLUME, 4, 1.0)),
+        (256, [4.0], InterpolantSpec(VOLUME, 4, 1.0))])
     @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
     def test_every_map_starts_on_a_64_byte_boundary(self, M, alphas, spec, scheme):
         ps = [ClosedLoopParams(nu=1.0, alpha=a, L=1.0, mu=0.0 if spec is None else 20.0, spec=spec)
@@ -256,14 +259,27 @@ class TestStep:
         st = Stepper(neumann(M=M), ps, 1e-3, scheme)
         assert (st._S is not None) == (M == 64) and st.shared == (len(ps) == 1)
         rec = dynamics._Recorder(st, [0, 1], [[0, 1]] * len(ps))
-        step = st._step
-        cells = dict(zip(step.__code__.co_freevars, (c.cell_contents for c in step.__closure__)))
-        # the operands of the step's matrix products; the row weights (1-D
+
+        def cells(f):
+            return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))
+
+        # the step and, for ETDRK2, the ETD1 step it calls for its first stage
+        steps = [cells(st._step)]
+        if scheme == "etdrk2":
+            steps.append(cells(steps[0]["etd1"]))
+        # the operands of the stages' matrix products; the row weights (1-D
         # PL and W2Lin, d1, w1, ...) are elementwise and may start anywhere
-        maps = [a for name, a in cells.items()
-                if name in ("ST", "TT", "QT", "W2TT", "OT", "AT")
-                or name in ("PL", "W2Lin") and a.ndim == 2]
-        assert len(maps) >= 2
+        maps = []
+        for step in steps:
+            own = [a for name, a in step.items()
+                   if name in ("ST", "QT", "W2TT", "OT", "AT")
+                   or name in ("PL", "W2Lin") and a.ndim == 2]
+            assert own
+            maps += own
+        # S and T, applied by the bound products of the dense transforms (the
+        # fused body also holds ST itself)
+        if st._S is not None:
+            maps += [st._synth.__self__, st._analyze.__self__]
         # a transposed view starts where its base does; an empty array
         # (the open loop's stack) is never read
         for a in maps + [rec._HT]:
@@ -274,11 +290,11 @@ class TestStep:
         # through; M=256 takes the FFT transforms above the dense crossover
         p = ClosedLoopParams(nu=1.0, alpha=1.0, L=1.0)
         for M in (32, 256):
-            c = np.zeros(M)
-            c[3] = np.nan
+            x = np.zeros((1, M))
+            x[0, 3] = np.nan
             st = Stepper(neumann(M=M), p, 1e-3)
             with pytest.raises(BlowupError, match="stability"):
-                st.advance(c, st.samples(c))
+                st.advance(x, st.samples(x))
 
     def test_convergence_order(self):
         # closed-loop smooth run: halving dt reduces the terminal error
@@ -356,12 +372,12 @@ class TestSimulate:
         # every record, the unflushed tail of the chunk included, is the norm
         # of the stepped state
         st = Stepper(g, p, dt)
-        c = coeffs_of(ic.realize(g))
-        s = st.samples(c)
+        x = coeffs_of(ic.realize(g))[None]
+        s = st.samples(x)
         for k, l2 in enumerate(rec.l2):
             if k:
-                c, s = st.advance(c, s)
-            assert abs(l2 - np.sqrt(l2_sq_of_coeffs(g, c))) <= 1e-13 * l2
+                x, s = st.advance(x, s)
+            assert abs(l2 - np.sqrt(l2_sq_of_coeffs(g, x[0]))) <= 1e-13 * l2
 
     def test_member_that_trips_the_guard_leaves_the_batch(self, monkeypatch):
         # one member trips the guard at its first step and one mid-run, in

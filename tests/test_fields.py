@@ -158,7 +158,7 @@ class TestNorms:
         for f in (cosine_mode(neumann(M=64), 1, amplitude=2.0),
                   field_from_function(periodic(M=64), lambda x: 2.0 * np.cos(2 * np.pi * x))):
             st = Stepper(f.grid, p, dt=1e-3)
-            w, dw = st.samples(coeffs_of(f))[0], st._fine.dx
+            w, dw = st.samples(coeffs_of(f).view(np.float64)[None])[0], st._fine.dx
             assert abs(np.sum(w ** 4) * dw - 6.0) < 1e-10
 
     def test_parseval_against_quadrature(self):

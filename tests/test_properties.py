@@ -118,6 +118,11 @@ def padded_reference(stepper, c):
     return w, coeffs_of(Field(fine, w ** 3))[: c.shape[0]]
 
 
+def state_of(c):
+    """The stepper's real (1, n) state of one run's coefficients ``c``."""
+    return c.view(np.float64)[None]
+
+
 @st.composite
 def padded_states(draw):
     """A stepper of either boundary condition and a random state over its
@@ -141,12 +146,14 @@ def test_stepper_transforms_match_padded_scipy(case):
     """The stepper's padded synthesis and cube, dense matrices or band-limited
     FFTs, match the padded grid's full-layout transforms."""
     stepper, c = case
+    x = state_of(c)
     w_ref, cubed_ref = padded_reference(stepper, c)
-    w, dw = stepper.samples(c)[0], stepper._fine.dx
+    w, dw = stepper.samples(x)[0][0], stepper._fine.dx
     assert dw == L / stepper._fine.M
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
-    cubed, max_abs = stepper.cube(c)
-    assert cubed.dtype == c.dtype and cubed.shape == c.shape
+    cubed, max_abs = stepper.cube(x)
+    assert cubed.dtype == x.dtype and cubed.shape == x.shape
+    cubed = cubed[0].view(c.dtype)
     assert np.max(np.abs(cubed - cubed_ref)) <= 1e-13 * np.max(np.abs(cubed_ref))
     assert abs(max_abs - np.max(np.abs(w_ref))) <= 1e-13 * np.max(np.abs(w_ref))
 
@@ -164,9 +171,10 @@ def test_padded_cube_and_l4_match_an_8m_point_reference(case):
     w_ref = samples_of(ref, pad)
     cubed_ref = coeffs_of(Field(ref, w_ref ** 3))[: c.shape[0]]
     l4_ref = np.sum(w_ref ** 4) * ref.dx
-    cubed, _ = stepper.cube(c)
+    x = state_of(c)
+    cubed = stepper.cube(x)[0][0].view(c.dtype)
     assert np.max(np.abs(cubed - cubed_ref)) <= 1e-13 * np.max(np.abs(cubed_ref))
-    w, dw = stepper.samples(c)[0], stepper._fine.dx
+    w, dw = stepper.samples(x)[0], stepper._fine.dx
     assert abs(np.sum(w ** 4) * dw - l4_ref) <= 1e-13 * l4_ref
 
 
@@ -179,11 +187,12 @@ def test_even_periodic_nyquist_column_is_a_conjugate_pair_on_the_padded_grid():
     c = np.zeros(grid.w.shape, dtype=complex)
     c[-1] = 0.75
     w_ref, cubed_ref = padded_reference(stepper, c)
-    w = stepper.samples(c)[0]
+    w = stepper.samples(state_of(c))[0][0]
     x = stepper._fine.points()
     assert np.max(np.abs(w - 1.5 * np.cos(np.pi * grid.M * x / L))) <= 1e-13
     assert np.max(np.abs(w - w_ref)) <= 1e-13 * np.max(np.abs(w_ref))
-    cubed, max_abs = stepper.cube(c)
+    cubed, max_abs = stepper.cube(state_of(c))
+    cubed = cubed[0].view(c.dtype)
     assert np.max(np.abs(cubed - cubed_ref)) <= 1e-13 * np.max(np.abs(cubed_ref))
     assert abs(max_abs - 1.5) <= 1e-13
 
@@ -214,7 +223,7 @@ def dense_stage_maps_step(stepper, x):
     W2T^T with v = S y (the algebra in ``Stepper``'s docstring)."""
     (p,) = stepper.params
     S, T = stepper._S, stepper._T
-    n = x.shape[0]
+    n = x.shape[-1]
     parts = n // stepper.decay.shape[1]
     decay, w1, w2 = (np.repeat(v[0], parts) for v in (stepper.decay, stepper.w1, stepper.w2))
     Lin = p.alpha * np.eye(n) - (p.mu * stepper.A) @ stepper.O
@@ -275,25 +284,20 @@ def test_fused_step_matches_unfused_composition(kind, scheme, dense, data):
     stepper, c = data.draw(stepped_states(kind, scheme, dense))
     assert (stepper._fine.M * c.view(np.float64).shape[0] <= DENSE_MAX_ENTRIES) == dense
     want, want_max = unfused_step(stepper, c)
-    got, s = stepper.advance(c, stepper.samples(c))
-    assert got.dtype == c.dtype and got.shape == c.shape
+    x = state_of(c)
+    got, s = stepper.advance(x, stepper.samples(x))
+    assert got.dtype == x.dtype and got.shape == x.shape
     if dense:
         # the same products in the same order: bit for bit, whether the
         # stepper applies Lin's maps densely (volume, nodal, delta) or, where
         # Lin is diagonal (fourier, the open loop), as row weights
-        assert np.array_equal(got.view(np.float64),
-                              dense_stage_maps_step(stepper, c.view(np.float64)))
+        assert np.array_equal(got, dense_stage_maps_step(stepper, x))
+    got = got[0].view(c.dtype)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    assert abs(stepper.cube(c)[1] - want_max) <= 1e-13 * want_max
+    assert abs(stepper.cube(x)[1] - want_max) <= 1e-13 * want_max
     # the carried samples are those of the new state
-    for have, fresh in zip(s, stepper.samples(got)):
+    for have, fresh in zip(s, stepper.samples(state_of(got))):
         assert np.array_equal(have, fresh)
-    # the real view is the same state, and so is a batch of that one row
-    x = c.view(np.float64)
-    x, _ = stepper.advance(x, stepper.samples(x))
-    assert np.array_equal(x, got.view(np.float64))
-    row, _ = stepper.advance(c[None], stepper.samples(c[None]))
-    assert np.array_equal(row, got[None])
 
 
 @st.composite
