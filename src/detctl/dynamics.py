@@ -251,13 +251,14 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 # both schemes up to 62k entries (Neumann M=176, periodic M=171), within 5% at
 # 67k (Neumann M=184; periodic M=176 to 180 hold 64k to 68k) and behind on
 # ETDRK2 from 74k (Neumann M=192, periodic M=190).  Against the numpy FFTs a
-# single run with the one-function step still crosses there (2-vCPU x86-64,
+# single run stepping in its workspace still crosses there (2-vCPU x86-64,
 # OpenBLAS 0.3.31, min of 6 alternating processes, volume N=4): dense is
-# ahead at Neumann M=176 on both schemes (ETD1 22.6 against 31.9 us a step,
-# ETDRK2 59.6 against 64.4), and at M=184 ETD1 still is (24.2 against 33.0)
-# while on ETDRK2 neither is clearly ahead (min 64.7 against 67.0, median
-# 71.5 against 67.3).  The open loop, whose P and W2L are row weights, is
-# further ahead (M=184: ETD1 18.3 against 32.3, ETDRK2 48.2 against 65.6).
+# ahead at Neumann M=176 on both schemes (ETD1 17.8 against 28.5 us a step,
+# ETDRK2 49.2 against 58.0), and at M=184 ETD1 still is (19.0 against 29.6)
+# while on ETDRK2 it is within 4% (min 57.7 against 59.9, median 59.5
+# against 60.2); at M=192 ETDRK2 is behind (68.5 against 57.1, min of 4).
+# The open loop, whose P and W2L are row weights, is further ahead (M=184:
+# ETD1 15.3 against 27.2, ETDRK2 35.3 against 55.3).
 # A batch of 12 members with distinct alpha crosses lower, less so since its
 # factored maps are contiguous copies (min of 6 alternating processes,
 # Neumann M=176): the FFTs are still ahead, ETD1 80 against 88 us dense (125
@@ -327,11 +328,13 @@ def _aligned(a: np.ndarray) -> np.ndarray:
     """A C-contiguous copy of ``a`` that starts on a 64-byte boundary.
 
     Every matrix a step or a record multiplies by is one, or a transposed
-    view of one; the elementwise weights are not copied.  numpy aligns its allocations to 16 bytes only, and with every
-    map 16 bytes past a boundary the sweep group's step took 54.6 against
-    48.9 us, its (24 x 168) @ (168 x 84) analysis 15.7 against 12.8 us and a
-    single run's (1 x 128) @ (128 x 64) product 1.50 against 1.18 us
-    (2-vCPU x86-64, OpenBLAS 0.3.31, min of 5 runs)."""
+    view of one, and so is every buffer of a Stepper's workspace; the
+    elementwise weights are not copied.  numpy aligns its allocations to 16
+    bytes only, and with every map 16 bytes past a boundary the sweep
+    group's step took 54.6 against 48.9 us, its (24 x 168) @ (168 x 84)
+    analysis 15.7 against 12.8 us and a single run's (1 x 128) @ (128 x 64)
+    product 1.50 against 1.18 us (2-vCPU x86-64, OpenBLAS 0.3.31, min of 5
+    runs)."""
     a = np.asarray(a)
     buf = np.empty(a.nbytes + 64, dtype=np.uint8)
     start = -buf.ctypes.data % 64
@@ -388,35 +391,51 @@ class Stepper:
     W2T = diag(w2) T.  ``decay``, ``w1`` and ``w2`` are the ETD weights
     exp(z), dt phi1(z) and dt phi2(z), z = -nu k^2 dt, one row per member.
 
-    S and T are two callables, ``_synth`` and ``_analyze``, bound once and
-    shared by the step, ``samples`` and ``cube``: up to ``DENSE_MAX_ENTRIES``
-    the products with dense matrices, ``ST.__rmatmul__`` and
-    ``TT.__rmatmul__`` of their transposes; above it the numpy FFT
+    S and T are two callables, ``_synth`` and ``_analyze``, (x, out) ->
+    S x, built once and shared by the step, ``samples`` and ``cube``: up to
+    ``DENSE_MAX_ENTRIES`` ``ndarray.dot`` with the dense matrices'
+    transposes ST and TT, written into ``out``; above it the numpy FFT
     transforms of :mod:`detctl.fields` on the padded grid along the last
-    axis, handed and returning only the band's columns.  A step of the whole
-    batch is one function ``_step``, (x, w^3) -> (y, S y), made of one of two
-    bodies, and in both ETDRK2 is ETD1 plus its corrector: it calls the
-    body's ETD1 step for (y, v = S y) and applies only the corrector to
-    them.  The fused body serves dense transforms when every member has the
-    same parameters, dt and grid (``shared``; a single run always does):
-    P, Q, W2L and W2T are dense matrices, each one ``ndarray.dot`` with its
-    transposed view, except that where Lin is exactly diagonal (a
-    test of the matrix: today the open loop, and fourier on Neumann grids)
-    P and W2L are applied as their diagonals, p * x, which has the bits of
-    the dense product: its other terms are exact zeros.  The factored body
-    serves every other group, whatever its transforms, with the (B, n)
-    weights d1 = decay + alpha w1 and a2 = alpha w2:
+    axis, handed and returning only the band's columns, which ignore ``out``
+    and return fresh arrays.  A step of the whole batch is one function
+    ``_step``, (x, w^3, y, w) -> (y, S y), which writes the new state into
+    ``y`` and its samples into ``w``, made of one of two bodies, and in both
+    ETDRK2 is ETD1 plus its corrector: it calls the body's ETD1 step for
+    (y, v = S y) and applies only the corrector to them.  The fused body
+    serves dense transforms when every member has the same parameters, dt
+    and grid (``shared``; a single run always does): P, Q, W2L and W2T are
+    dense matrices, each one ``ndarray.dot`` with its transposed view,
+    except that where Lin is exactly diagonal (a test of the matrix: today
+    the open loop, and fourier on Neumann grids) P and W2L are applied as
+    their diagonals, (1, n) rows p * x, which has the bits of the dense
+    product: its other terms are exact zeros.  The factored body serves
+    every other group, whatever its transforms, with the (B, n) weights
+    d1 = decay + alpha w1 and a2 = alpha w2:
 
         ETD1:    y = d1 x - w1 (T w^3 + F x)
         ETDRK2:  y + a2 z - w2 (F z + T (v^3 - w^3)),  z = y - x,
 
     so a stage costs its T product and two products of the (B, n) state
-    with the (n, R) stack, whatever B and the members' controllers.  Where
-    members differ, S, T, O and A enter as C-contiguous copies of their
-    transposes, on which a product of many rows is faster.  BLAS rounds a
-    product of several rows differently from one row, so a member of a
-    batch may differ from its single run in the last bits; a given batch is
-    deterministic.
+    with the (n, R) stack, whatever B and the members' controllers; a group
+    with R = 0 (members that differ and have no feedback) adds no F x and
+    makes neither product, which leaves every bit but the sign of an exact
+    zero.  Where members differ, S, T, O and A enter as C-contiguous copies
+    of their transposes, on which a product of many rows is faster.  BLAS
+    rounds a product of several rows differently from one row, so a member
+    of a batch may differ from its single run in the last bits; a given
+    batch is deterministic.
+
+    A step writes every stage into the Stepper's workspace, 64-byte-aligned
+    buffers allocated once: two (y, w, w^2) triples and the temporaries of
+    the stages.  Its statements are ufunc calls with ``out``, in-place
+    arithmetic and ``ndarray.dot`` with ``out``, grouping every sum and
+    product as the algebra above does, so the bits are those of the same
+    algebra on fresh arrays, and a steady-state step allocates no array.
+    ``advance`` writes the triple that its ``x`` is not, and returns it:
+    the state and samples it returns belong to the Stepper, stay valid
+    through the next ``advance`` and are overwritten by the one after it,
+    so a caller that keeps them longer keeps a copy.  ``samples`` and
+    ``cube`` return fresh arrays.
 
     ``advance`` takes the state with its ``samples`` (w = S x, w^2 and the
     largest w^2) and returns the new state with its own: the synthesis of a
@@ -497,53 +516,91 @@ class Stepper:
         self._S, self._T = _padded_transforms(grid, self._fine, parts) or (None, None)
         if self._S is not None:
             ST, TT = _transposed(self._S, copy), _transposed(self._T, copy)
-            synth, analyze = ST.__rmatmul__, TT.__rmatmul__
+
+            def synth(x, out=None):
+                return x.dot(ST, out=out)
+
+            def analyze(v, out=None):
+                return v.dot(TT, out=out)
         else:
             fine, cols = self._fine, grid.w.shape[0]
             layout = np.complex128 if parts == 2 else np.float64
 
-            def synth(x):
+            def synth(x, out=None):
                 return samples_of(fine, x.view(layout))
 
-            def analyze(v):
+            def analyze(v, out=None):
                 return coeffs_of_samples(fine, v, cols).view(np.float64)
         self._synth, self._analyze = synth, analyze
+
+        # the workspace: two (y, w, w^2) triples, one per parity of the step,
+        # and the stages' temporaries: w^3, v and v^3 on the padded grid, the
+        # (B, n) sums a and f, the feedback's (B, R) g and the difference z
+        def buf(cols):
+            return _aligned(np.zeros((B, cols)))
+        Nf, R = self._fine.M, len(self.q)
+        self._out = [(buf(n), buf(Nf), buf(Nf)) for _ in range(2)]
+        self._w3, v, v3 = buf(Nf), buf(Nf), buf(Nf)
+        a, f, g, z = buf(n), buf(n), buf(R), buf(n)
         if self._S is not None and self.shared:
             Lin = alpha[0] * np.eye(n) - (mu[0] * self.A) @ self.O
             P = _aligned(w1[0][:, None] * Lin + np.diag(decay[0]))
             W2L = _aligned(w2[0][:, None] * Lin)
             QT, W2TT = (_aligned(w * self._T).T for w in (w1[0][:, None], w2[0][:, None]))
-            # row weights where Lin is diagonal, as np.multiply: the same
-            # C-level call shape as ndarray.dot, so one body serves both
+            # (1, n) row weights where Lin is diagonal, as np.multiply: the
+            # same C-level call shape as ndarray.dot, so one body serves both
             if np.array_equal(Lin, np.diag(np.diagonal(Lin))):
-                lin, PL, W2Lin = np.multiply, np.diagonal(P).copy(), np.diagonal(W2L).copy()
+                lin, PL, W2Lin = np.multiply, *(np.diagonal(m)[None].copy() for m in (P, W2L))
             else:
                 lin, PL, W2Lin = np.ndarray.dot, P.T, W2L.T
 
-            # the synthesis is y.dot(ST), not synth(y): for one row the matmul
-            # ufunc behind ST.__rmatmul__ took 1.85 against 1.46 us a call
-            # (M = 64, 2-vCPU x86-64, OpenBLAS 0.3.31), 7% of a step
-            def etd1(x, w3):
-                y = lin(x, PL) - w3.dot(QT)
-                return y, y.dot(ST)
+            # the synthesis is y.dot(ST, out=w), not synth(y, w): the closure's
+            # call would be one more Python frame in a single run's step
+            def etd1(x, w3, y, w):
+                lin(x, PL, out=y)
+                y -= w3.dot(QT, out=a)
+                return y, y.dot(ST, out=w)
 
-            def etdrk2(x, w3):
-                y, v = etd1(x, w3)
-                y = y + lin(y - x, W2Lin) - (v * v * v - w3).dot(W2TT)
-                return y, y.dot(ST)
+            def etdrk2(x, w3, y, w):
+                y, vy = etd1(x, w3, y, v)
+                lin(np.subtract(y, x, out=z), W2Lin, out=f)
+                c = np.multiply(vy, vy, out=v3)
+                c *= vy
+                c -= w3
+                y += f
+                y -= c.dot(W2TT, out=a)
+                return y, y.dot(ST, out=w)
         else:
             d1, a2, G = decay + alpha[:, None] * w1, alpha[:, None] * w2, self.G
             OT, AT = _transposed(self.O, copy), _transposed(self.A, copy)
 
-            def etd1(x, w3):
-                y = d1 * x - w1 * (analyze(w3) + (x.dot(OT) * G).dot(AT))
-                return y, synth(y)
+            # the transforms may return fresh arrays (the FFTs) in place of
+            # ``out``; with R = 0 (an open-loop group) F d is 0 and not formed
+            def weighted(c, d, wt):     # wt (T c + F d)
+                s = analyze(c, a)
+                if R:
+                    h = d.dot(OT, out=g)
+                    h *= G
+                    s += h.dot(AT, out=f)
+                s *= wt
+                return s
 
-            def etdrk2(x, w3):
-                y, v = etd1(x, w3)
-                z = y - x
-                y = y + a2 * z - w2 * ((z.dot(OT) * G).dot(AT) + analyze(v * v * v - w3))
-                return y, synth(y)
+            def etd1(x, w3, y, w):
+                np.multiply(d1, x, out=y)
+                y -= weighted(w3, x, w1)
+                return y, synth(y, w)
+
+            def etdrk2(x, w3, y, w):
+                y, vy = etd1(x, w3, y, v)
+                c = np.multiply(vy, vy, out=v3)
+                c *= vy
+                c -= w3
+                d = np.subtract(y, x, out=z)
+                s = weighted(c, d, w2)
+                d *= a2
+                y += d
+                y -= s
+                return y, synth(y, w)
         self._step = etd1 if scheme == "etd1" else etdrk2
 
     def cube(self, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -551,12 +608,12 @@ class Stepper:
         w = self._synth(x)
         return self._analyze(w * w * w), float(np.max(np.abs(w)))
 
-    def samples(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.float64]:
+    def samples(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """The samples of state ``x`` that a step carries: w = S x on the
         padded grid, w^2 and the largest w^2."""
         w = self._synth(x)
         w2 = w * w
-        return w, w2, w2.max()
+        return w, w2, w2.item(w2.argmax())
 
     def _block(self) -> None:
         """Cut the rows into runs of equal cap, ``_blocks`` in ascending order of cap."""
@@ -575,7 +632,9 @@ class Stepper:
 
         ``x`` is the real (B, n) state and ``s`` its ``samples``; the new
         state comes back with its own ``samples``, which the next step and
-        the recorder read.
+        the recorder read.  Both are the Stepper's arrays, valid until the
+        ``advance`` after next; a ``BlowupError`` leaves ``x`` and ``s`` as
+        they were.
         """
         w, w2, top = s
         # a NaN state fails every comparison
@@ -593,9 +652,11 @@ class Stepper:
                 failed = {i: f"dt={self.dt[i]:.3g} exceeds the stability limit {lim:.3g}"
                           for i, lim in zip(past, limit)}
                 raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
-        y, w = self._step(x, w2 * w)
-        w2 = w * w
-        return y, (w, w2, np.maximum.reduce(w2, None))
+        # the step writes the triple that x is not, so x and s stay valid
+        y, v, v2 = self._out[x is self._out[0][0]]
+        y, v = self._step(x, np.multiply(w2, w, out=self._w3), y, v)
+        np.multiply(v, v, out=v2)
+        return y, (v, v2, v2.item(v2.argmax()))
 
 
 SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
@@ -650,7 +711,7 @@ class _Recorder:
         i = self.count - self._done
         self._x[i] = x
         self._u2[i] = s[1]
-        self._hx[i] = x.dot(self._HT)
+        x.dot(self._HT, out=self._hx[i])
         self.count += 1
         if i + 1 == self._x.shape[0]:
             self.flush()

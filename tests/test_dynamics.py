@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from detctl.fields import (
     l2_sq_of_coeffs,
     samples_of,
 )
-from detctl import dynamics
+from detctl import analysis, dynamics
 from detctl.dynamics import (
     RECORD_CHUNK,
     SERIES,
@@ -263,23 +264,28 @@ class TestStep:
         def cells(f):
             return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))
 
-        # the step and, for ETDRK2, the ETD1 step it calls for its first stage
-        steps = [cells(st._step)]
-        if scheme == "etdrk2":
-            steps.append(cells(steps[0]["etd1"]))
-        # the operands of the stages' matrix products; the row weights (1-D
-        # PL and W2Lin, d1, w1, ...) are elementwise and may start anywhere
-        maps = []
+        # the step and the stage closures it calls: for ETDRK2 the ETD1 step
+        # of its first stage, and on the factored body the weighted stage sum
+        steps, todo = [], [st._step]
+        while todo:
+            steps.append(cells(todo.pop()))
+            todo += [steps[-1][name] for name in ("etd1", "weighted") if name in steps[-1]]
+        # the operands of the stages' matrix products, and the workspace the
+        # stages write; the row weights ((1, n) PL and W2Lin, d1, w1, ...) are
+        # elementwise and may start anywhere
+        maps, names = [], set()
         for step in steps:
-            own = [a for name, a in step.items()
-                   if name in ("ST", "QT", "W2TT", "OT", "AT")
-                   or name in ("PL", "W2Lin") and a.ndim == 2]
-            assert own
-            maps += own
-        # S and T, applied by the bound products of the dense transforms (the
-        # fused body also holds ST itself)
+            for name, a in step.items():
+                if (name in ("ST", "QT", "W2TT", "OT", "AT", "a", "f", "g", "z", "v", "v3")
+                        or name in ("PL", "W2Lin") and step["lin"] is np.ndarray.dot):
+                    maps.append(a)
+                    names.add(name)
+        assert names >= ({"ST", "QT"} if st.shared and st._S is not None else {"OT", "AT"})
+        maps += [st._w3, *(b for triple in st._out for b in triple)]
+        # S and T, applied by the dense transforms' closures (the fused body
+        # also holds ST itself)
         if st._S is not None:
-            maps += [st._synth.__self__, st._analyze.__self__]
+            maps += [cells(st._synth)["ST"], cells(st._analyze)["TT"]]
         # a transposed view starts where its base does; an empty array
         # (the open loop's stack) is never read
         for a in maps + [rec._HT]:
@@ -315,6 +321,103 @@ class TestStep:
             e2 = abs(terminal(T / 256, scheme) - ref)
             order = np.log2(e1 / e2)
             assert order > order_floor, (scheme, order)
+
+
+class TestWorkspace:
+    """``advance`` writes every stage into the Stepper's own buffers and
+    returns them: the new state and its samples never share memory with
+    the state and samples it was given, stay valid through the next step,
+    and a steady-state step allocates no array."""
+
+    # the fused body with row weights (fourier on Neumann grids) and with
+    # dense maps (volume), and the factored body (members that differ), all
+    # on the dense side
+    BODIES = {
+        "fused-rows": [ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
+                                        spec=InterpolantSpec(FOURIER, 2, 1.0))],
+        "fused-dense": [ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=20.0,
+                                         spec=InterpolantSpec(VOLUME, 4, 1.0))],
+        "factored": [ClosedLoopParams(nu=1.0, alpha=alpha, L=1.0, mu=20.0,
+                                      spec=InterpolantSpec(VOLUME, N, 1.0))
+                     for alpha, N in ((4.0, 4), (5.0, 4), (6.0, 2))],
+    }
+
+    @staticmethod
+    def state(B, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(-1.0, 1.0, (B, n)) / (1.0 + np.arange(n)) ** 2
+
+    @pytest.mark.parametrize("body", list(BODIES))
+    @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
+    def test_advance_returns_its_own_arrays_valid_through_the_next_step(self, body, scheme):
+        ps = self.BODIES[body]
+        st = Stepper(neumann(), ps, 1e-4, scheme)
+        assert st._S is not None and st.shared == (body != "factored")
+        x = self.state(len(ps), 64)
+        s = st.samples(x)
+        # what samples and cube return is the caller's: no later step writes it
+        fresh = [s[0], s[1], st.cube(x)[0]]
+        kept = [a.copy() for a in fresh]
+        held = []   # (state, samples) of the last two steps, with copies
+        for _ in range(5):
+            y, t = st.advance(x, s)
+            for out in (y, t[0], t[1]):
+                assert not any(np.shares_memory(out, a) for a in (x, s[0], s[1]))
+            # the state a step was given, and its samples, are as they were
+            if held:
+                (x_, s_), copies = held[-1]
+                assert all(np.array_equal(a, b) for a, b in zip((x_, *s_[:2]), copies))
+            x, s = y, t
+            held.append(((x, s), [a.copy() for a in (x, s[0], s[1])]))
+            fresh += [*st.samples(x)[:2], st.cube(x)[0]]
+            kept += [a.copy() for a in fresh[-3:]]
+        for a, b in zip(fresh, kept):
+            assert np.array_equal(a, b)
+        assert np.array_equal(s[2], st.samples(x)[2])
+
+    @pytest.mark.parametrize("case", ["thm41", "sweep"])
+    def test_a_steady_state_step_allocates_no_array(self, case):
+        # thm41's single run (the fused ETDRK2 body with row weights), or
+        # the sweep preset's 24 cells (the factored ETD1 body, B = 24, R = 36)
+        if case == "thm41":
+            ps, grids, dts, scheme = self.BODIES["fused-rows"], neumann(), 1e-4, "etdrk2"
+        else:
+            cells = [analysis.sweep_cell_config(1.0, alpha, 1.0, 5.0 * alpha, N)
+                     for alpha in (4.0, 16.0, 64.0) for N in range(1, 9)]
+            ps, grids = [p for _, p in cells], [cfg.grid for cfg, _ in cells]
+            dts, scheme = [cfg.dt for cfg, _ in cells], "etd1"
+        st = Stepper(grids, ps, dts, scheme)
+        x = self.state(len(st.params), st.O.shape[1]) * 0.1
+        x[:, st.grid.M // 2:] = 0.0
+        s = st.samples(x)
+        for _ in range(3):
+            x, s = st.advance(x, s)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(20):
+                x, s = st.advance(x, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < x.nbytes, (peak - base, x.nbytes)
+
+    @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
+    def test_an_open_loop_group_makes_no_feedback_product(self, scheme):
+        # members that differ and have no feedback (R = 0) step on the
+        # factored body without reading the stack: with its transposes
+        # taken away, the step is that of the intact Stepper
+        ps = [open_loop(alpha=alpha) for alpha in (2.0, 4.0)]
+        st, intact = (Stepper(neumann(), ps, 1e-4, scheme) for _ in range(2))
+        assert st.O.shape[0] == 0 and not st.shared
+        cells = dict(zip(st._step.__code__.co_freevars, st._step.__closure__))
+        weighted = cells["weighted"].cell_contents
+        cells = dict(zip(weighted.__code__.co_freevars, weighted.__closure__))
+        cells["OT"].cell_contents = cells["AT"].cell_contents = None
+        x = self.state(2, 64)
+        y, _ = st.advance(x, st.samples(x))
+        assert np.array_equal(y, intact.advance(x, intact.samples(x))[0])
 
 
 class TestSimulate:

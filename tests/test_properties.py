@@ -3,14 +3,15 @@ weights, point evaluation), of the stepper's padded transforms against the
 padded grid's own transforms and its cube and L4 sum against an 8M-point
 reference, of its fused step against the unfused ETD composition, of the
 closed-loop control operator against the field-level interpolant maps, of
-the recorder's independence from its stride, and of a batch's members
-against their single runs."""
+the recorder's independence from its stride, of a batch's members against
+their single runs, and of a batch's factored step, written into the
+stepper's workspace, against its stage algebra with fresh arrays."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detctl.dynamics import (
@@ -238,6 +239,32 @@ def dense_stage_maps_step(stepper, x):
     return y + (y - x) @ W2L.T - (v * v * v - w3) @ W2T.T
 
 
+def factored_stage_maps_step(stepper, x):
+    """A batch's step on the dense factored path, composed here with fresh
+    arrays: y = d1 x - w1 (T w^3 + F x), and for ETDRK2 y + a2 z - w2 (F z +
+    T (v^3 - w^3)) with z = y - x and v = S y, where F x = ((x O^T) * G) A^T
+    (the algebra in ``Stepper``'s docstring).  Each map is taken as the
+    C-contiguous transpose the stepper multiplies by."""
+    ST, TT, OT, AT = (np.ascontiguousarray(m.T) for m in
+                      (stepper._S, stepper._T, stepper.O, stepper.A))
+    parts = x.shape[-1] // stepper.decay.shape[1]
+    decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (stepper.decay, stepper.w1, stepper.w2))
+    alpha = np.array([p.alpha for p in stepper.params])[:, None]
+    d1, a2 = decay + alpha * w1, alpha * w2
+
+    def feedback(x):
+        return (x.dot(OT) * stepper.G).dot(AT)
+
+    w = x.dot(ST)
+    w3 = w * w * w
+    y = d1 * x - w1 * (w3.dot(TT) + feedback(x))
+    if stepper.scheme == "etd1":
+        return y
+    v = y.dot(ST)
+    z = y - x
+    return y + a2 * z - w2 * (feedback(z) + (v * v * v - w3).dot(TT))
+
+
 # grid sizes that keep the stepper's operators dense, and past the crossover
 DENSE_M = {NEUMANN: (8, 178), PERIODIC: (8, 175)}
 FFT_M = {NEUMANN: (179, 288), PERIODIC: (176, 288)}
@@ -437,3 +464,28 @@ def test_batch_members_match_single_runs(dense, data):
             assert np.array_equal(getattr(got, name), getattr(rerun, name)), name
         for name in SERIES:
             assert np.array_equal(getattr(full, name)[steps], getattr(got, name)), name
+
+
+@pytest.mark.parametrize("scheme", ("etd1", "etdrk2"))
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_factored_step_matches_its_stage_algebra(scheme, data):
+    # members that differ step on the factored body, which writes every
+    # stage into the stepper's workspace: the same sums and products as the
+    # allocating algebra, bit for bit, step after step, also once a member
+    # is released and held at 0 as ``integrate`` holds it
+    members = data.draw(batches(True))
+    stepper = Stepper([cfg.grid for cfg, _ in members], [p for _, p in members],
+                      [cfg.dt for cfg, _ in members], scheme)
+    assume(not stepper.shared)
+    x = np.stack([coeffs_of(cfg.ic.realize(cfg.grid)).view(np.float64) for cfg, _ in members])
+    s = stepper.samples(x)
+    for n in range(6):
+        if n == 3:
+            stepper.release(1)
+            x[1] = 0.0
+            s = stepper.samples(x)
+        want = factored_stage_maps_step(stepper, x)
+        x, s = stepper.advance(x, s)
+        assert np.array_equal(x, want)
+    assert not x[1].any()
