@@ -245,25 +245,16 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 # Entries of the real synthesis matrix up to which the stepper's stage
 # operators are dense matrices (S is 2M x M Neumann, N_f x 2(M//2 + 1)
 # periodic with N_f = next_fast_len(2M + 1), and the step's cost grows with
-# its entries while the FFTs' barely grows with M), so one entry count is the
-# crossover for both boundary conditions: Neumann M <= 178, periodic
-# M <= 175.  In the fused-step timing table in CHANGES.md dense is ahead on
-# both schemes up to 62k entries (Neumann M=176, periodic M=171), within 5% at
-# 67k (Neumann M=184; periodic M=176 to 180 hold 64k to 68k) and behind on
-# ETDRK2 from 74k (Neumann M=192, periodic M=190).  Against the numpy FFTs a
-# single run stepping in its workspace still crosses there (2-vCPU x86-64,
-# OpenBLAS 0.3.31, min of 6 alternating processes, volume N=4): dense is
-# ahead at Neumann M=176 on both schemes (ETD1 17.8 against 28.5 us a step,
-# ETDRK2 49.2 against 58.0), and at M=184 ETD1 still is (19.0 against 29.6)
-# while on ETDRK2 it is within 4% (min 57.7 against 59.9, median 59.5
-# against 60.2); at M=192 ETDRK2 is behind (68.5 against 57.1, min of 4).
-# The open loop, whose P and W2L are row weights, is further ahead (M=184:
-# ETD1 15.3 against 27.2, ETDRK2 35.3 against 55.3).
-# A batch of 12 members with distinct alpha crosses lower, less so since its
-# factored maps are contiguous copies (min of 6 alternating processes,
-# Neumann M=176): the FFTs are still ahead, ETD1 80 against 88 us dense (125
-# with transposed views) and ETDRK2 179 against 188 (245).  A single run
-# keeps the views, so its crossover, which sets this constant, did not move.
+# its entries while the FFTs' barely grows with M), so one entry count sets
+# the switch for both boundary conditions: Neumann M <= 178, periodic
+# M <= 175.  A single run with volume N=4 on Neumann grids, dense against
+# FFT, in us a step (2-vCPU x86-64, OpenBLAS 0.3.31, min of 6 processes
+# alternating the dense path forced on and off): at M=176 ETD1 14.4 against
+# 27.6 and ETDRK2 46.6 against 56.9; at M=184 ETD1 16.8 against 29.2 and
+# ETDRK2 57.3 against 57.7 (median 59.9 against 61.4); at M=192 ETD1 19.7
+# against 28.3 and ETDRK2 66.2 against 57.0.  ETDRK2 crosses between
+# M=184 and 192 and ETD1 above 192; moving the constant would change which
+# path, and so which rounding, a run at those M takes.
 DENSE_MAX_ENTRIES = 64_000
 
 
@@ -319,18 +310,17 @@ def _padded_transforms(grid: Grid1D, fine: Grid1D,
     if fine.M * n * parts > DENSE_MAX_ENTRIES:
         return None
     E = fields.point_eval_matrix(grid, fine.points()) * (fine.w[:n] / grid.w)
-    S = _aligned(_real_columns(E, parts))
-    T = _aligned(S.T * (fine.dx / np.repeat(fine.w[:n], parts))[:, None])
-    return S, T
+    S = _real_columns(E, parts)
+    return S, S.T * (fine.dx / np.repeat(fine.w[:n], parts))[:, None]
 
 
 def _aligned(a: np.ndarray) -> np.ndarray:
     """A C-contiguous copy of ``a`` that starts on a 64-byte boundary.
 
-    Every matrix a step or a record multiplies by is one, or a transposed
-    view of one, and so is every buffer of a Stepper's workspace; the
-    elementwise weights are not copied.  numpy aligns its allocations to 16
-    bytes only, and with every map 16 bytes past a boundary the sweep
+    Every matrix a step or a record multiplies by is one, a copy of its
+    transpose made once, and so is every buffer of a Stepper's workspace;
+    the elementwise weights are not copied.  numpy aligns its allocations
+    to 16 bytes only, and with every map 16 bytes past a boundary the sweep
     group's step took 54.6 against 48.9 us, its (24 x 168) @ (168 x 84)
     analysis 15.7 against 12.8 us and a single run's (1 x 128) @ (128 x 64)
     product 1.50 against 1.18 us (2-vCPU x86-64, OpenBLAS 0.3.31, min of 5
@@ -341,14 +331,6 @@ def _aligned(a: np.ndarray) -> np.ndarray:
     out = buf[start:start + a.nbytes].view(a.dtype).reshape(a.shape)
     out[...] = a
     return out
-
-
-def _transposed(M: np.ndarray, copy: bool) -> np.ndarray:
-    """M's transpose, a C-contiguous aligned copy when ``copy``: ``np.dot``
-    of a batch's rows with the transposed view is 1.2-1.8x slower from
-    B = 12 on and as fast for one row, so only members that differ take the
-    copy."""
-    return _aligned(M.T) if copy else M.T
 
 
 class Stepper:
@@ -404,8 +386,8 @@ class Stepper:
     (y, v = S y) and applies only the corrector to them.  The fused body
     serves dense transforms when every member has the same parameters, dt
     and grid (``shared``; a single run always does): P, Q, W2L and W2T are
-    dense matrices, each one ``ndarray.dot`` with its transposed view,
-    except that where Lin is exactly diagonal (a test of the matrix: today
+    dense matrices, each one ``ndarray.dot`` with its transpose, except
+    that where Lin is exactly diagonal (a test of the matrix: today
     the open loop, and fourier on Neumann grids) P and W2L are applied as
     their diagonals, (1, n) rows p * x, which has the bits of the dense
     product: its other terms are exact zeros.  The factored body serves
@@ -419,8 +401,10 @@ class Stepper:
     with the (n, R) stack, whatever B and the members' controllers; a group
     with R = 0 (members that differ and have no feedback) adds no F x and
     makes neither product, which leaves every bit but the sign of an exact
-    zero.  Where members differ, S, T, O and A enter as C-contiguous copies
-    of their transposes, on which a product of many rows is faster.  BLAS
+    zero.  ``shared`` picks only the body: every map, S, T, P, Q, W2L, W2T,
+    O and A, enters as a C-contiguous copy of its transpose, made once
+    (``_aligned``), whatever the body and B; ``np.dot`` of a batch's rows
+    with a transposed view is 1.2-1.8x slower from B = 12 on.  BLAS
     rounds a product of several rows differently from one row, so a member
     of a batch may differ from its single run in the last bits; a given
     batch is deterministic.
@@ -457,10 +441,9 @@ class Stepper:
     past its last record), which the batch then holds at 0, a fixed point
     of every stage map (P 0 - Q 0 = 0, d1 0 - w1 (T 0 + F 0) = 0): its cap
     becomes infinite and the blocks are cut again; the caps are all of a
-    Stepper that changes.  Every matrix that a step multiplies by is a
-    64-byte-aligned array (``_aligned``) or a transposed view of one.
-    ``cube`` exposes the unfused transforms.  ``_w`` and ``_k`` hold each
-    real column's Parseval weight and wavenumber, which the recorder reads.
+    Stepper that changes.  ``cube`` exposes the unfused transforms.  ``_w``
+    and ``_k`` hold each real column's Parseval weight and wavenumber, which
+    the recorder reads.
     """
 
     def __init__(self, grid, p, dt, scheme: str = "etd1"):
@@ -492,7 +475,7 @@ class Stepper:
                 O.append(np.pad(_real_columns(ctl.O, parts), ((0, 0), (0, pad))))
                 A.append(np.pad(_real_rows(ctl.A, parts), ((0, pad), (0, 0))))
                 q.append(ctl.q)
-        self.O, self.A = _aligned(np.concatenate(O)), _aligned(np.concatenate(A, axis=1))
+        self.O, self.A = np.concatenate(O), np.concatenate(A, axis=1)
         self.q = np.concatenate(q)
         self.G = np.zeros((B, len(self.q)))
         for i, (pm, g) in enumerate(zip(self.params, grids)):
@@ -511,11 +494,10 @@ class Stepper:
         self._block()
 
         self.shared = len(set(zip(self.params, self.dt.tolist(), grids))) == 1
-        copy = not self.shared
         decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
         self._S, self._T = _padded_transforms(grid, self._fine, parts) or (None, None)
         if self._S is not None:
-            ST, TT = _transposed(self._S, copy), _transposed(self._T, copy)
+            ST, TT = _aligned(self._S.T), _aligned(self._T.T)
 
             def synth(x, out=None):
                 return x.dot(ST, out=out)
@@ -544,15 +526,15 @@ class Stepper:
         a, f, g, z = buf(n), buf(n), buf(R), buf(n)
         if self._S is not None and self.shared:
             Lin = alpha[0] * np.eye(n) - (mu[0] * self.A) @ self.O
-            P = _aligned(w1[0][:, None] * Lin + np.diag(decay[0]))
-            W2L = _aligned(w2[0][:, None] * Lin)
-            QT, W2TT = (_aligned(w * self._T).T for w in (w1[0][:, None], w2[0][:, None]))
+            P = w1[0][:, None] * Lin + np.diag(decay[0])
+            W2L = w2[0][:, None] * Lin
+            QT, W2TT = (_aligned((w * self._T).T) for w in (w1[0][:, None], w2[0][:, None]))
             # (1, n) row weights where Lin is diagonal, as np.multiply: the
             # same C-level call shape as ndarray.dot, so one body serves both
             if np.array_equal(Lin, np.diag(np.diagonal(Lin))):
                 lin, PL, W2Lin = np.multiply, *(np.diagonal(m)[None].copy() for m in (P, W2L))
             else:
-                lin, PL, W2Lin = np.ndarray.dot, P.T, W2L.T
+                lin, PL, W2Lin = np.ndarray.dot, _aligned(P.T), _aligned(W2L.T)
 
             # the synthesis is y.dot(ST, out=w), not synth(y, w): the closure's
             # call would be one more Python frame in a single run's step
@@ -572,7 +554,7 @@ class Stepper:
                 return y, y.dot(ST, out=w)
         else:
             d1, a2, G = decay + alpha[:, None] * w1, alpha[:, None] * w2, self.G
-            OT, AT = _transposed(self.O, copy), _transposed(self.A, copy)
+            OT, AT = _aligned(self.O.T), _aligned(self.A.T)
 
             # the transforms may return fresh arrays (the FFTs) in place of
             # ``out``; with R = 0 (an open-loop group) F d is 0 and not formed
@@ -701,9 +683,9 @@ class _Recorder:
         rows = min(RECORD_CHUNK, len(steps))
         self._x = np.empty((rows, B, self._w.shape[0]))
         self._u2 = np.empty((rows, B, st._fine.M))
-        H = _aligned(np.concatenate([st.O, st.A.T * self._w]))
+        H = np.concatenate([st.O, st.A.T * self._w])
         self._q, self._own = st.q, st.G != 0    # each member's own rows of the stack
-        self._HT = H.T
+        self._HT = _aligned(H.T)
         self._hx = np.empty((rows, B, H.shape[0]))
 
     def add(self, x: np.ndarray, s: tuple) -> None:

@@ -245,20 +245,22 @@ class TestStep:
             assert list(exc.value.failed) == [order.index(row) for row in failed]
 
     # the dense shared path with row weights (the open loop) and with dense
-    # maps (volume), the dense factored path (members that differ) and the
-    # FFT path (M = 256), whose single run takes the transposed views of the
-    # stack
+    # maps (volume), for a single run and for identical members, the dense
+    # factored path (members that differ) and the FFT path (M = 256), shared
+    # or not
     @pytest.mark.parametrize("M, alphas, spec", [
         (64, [4.0], None), (64, [4.0], InterpolantSpec(VOLUME, 4, 1.0)),
         (64, [4.0, 5.0], InterpolantSpec(VOLUME, 4, 1.0)),
         (256, [4.0, 5.0], InterpolantSpec(VOLUME, 4, 1.0)),
-        (256, [4.0], InterpolantSpec(VOLUME, 4, 1.0))])
+        (256, [4.0], InterpolantSpec(VOLUME, 4, 1.0)),
+        (64, [4.0] * 3, InterpolantSpec(VOLUME, 4, 1.0)),
+        (256, [4.0] * 3, InterpolantSpec(VOLUME, 4, 1.0))])
     @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
     def test_every_map_starts_on_a_64_byte_boundary(self, M, alphas, spec, scheme):
         ps = [ClosedLoopParams(nu=1.0, alpha=a, L=1.0, mu=0.0 if spec is None else 20.0, spec=spec)
               for a in alphas]
         st = Stepper(neumann(M=M), ps, 1e-3, scheme)
-        assert (st._S is not None) == (M == 64) and st.shared == (len(ps) == 1)
+        assert (st._S is not None) == (M == 64) and st.shared == (len(set(alphas)) == 1)
         rec = dynamics._Recorder(st, [0, 1], [[0, 1]] * len(ps))
 
         def cells(f):
@@ -286,9 +288,10 @@ class TestStep:
         # also holds ST itself)
         if st._S is not None:
             maps += [cells(st._synth)["ST"], cells(st._analyze)["TT"]]
-        # a transposed view starts where its base does; an empty array
-        # (the open loop's stack) is never read
+        # every operand is a C-contiguous copy; an empty array (the open
+        # loop's stack) is never read
         for a in maps + [rec._HT]:
+            assert a.flags.c_contiguous, a.shape
             assert a.size == 0 or a.ctypes.data % 64 == 0, a.shape
 
     def test_nan_state_rejected(self):
@@ -565,6 +568,36 @@ class TestSimulate:
                 if p.open_loop:
                     for name in ("gamma2", "ih_l2", "pairing"):
                         assert not getattr(got, name).any() and not getattr(want, name).any()
+
+    # fourier on Neumann grids (Lin as row weights) and delta on periodic
+    # ones (dense Lin), at M=64 below the dense/FFT crossover and M=192 above
+    @pytest.mark.parametrize("bc, M, spec", [
+        (NEUMANN, 64, InterpolantSpec(FOURIER, 2, 1.0)),
+        (NEUMANN, 192, InterpolantSpec(FOURIER, 2, 1.0)),
+        (PERIODIC, 64, InterpolantSpec(DELTA, 4, 1.0)),
+        (PERIODIC, 192, InterpolantSpec(DELTA, 4, 1.0))])
+    @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
+    def test_an_ensemble_of_one_parameter_set_matches_its_single_runs(
+            self, bc, M, spec, scheme, monkeypatch):
+        # one parameter set and one dt over 12 initial conditions: one
+        # shared Stepper steps them all, and each member goes on as its
+        # single run
+        g = Grid1D(1.0, M, bc)
+        p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0, spec=spec)
+        members = [(SimConfig(grid=g, dt=1e-4, T=40e-4, record_every=4, scheme=scheme,
+                              ic=ICSpec("random-band", seed=seed, kmax=3, amplitude=1.0)), p)
+                   for seed in range(12)]
+        made = stepper_groups(monkeypatch)
+        outcomes = integrate(members)
+        assert made == [(M, 12, spec.rank)]
+        st = Stepper(g, [p] * 12, 1e-4, scheme)
+        assert st.shared and (st._S is not None) == (M == 64)
+        for cfg, p in members:
+            got, want = outcomes[cfg, p], simulate(cfg, p)
+            assert np.array_equal(got.times, want.times) and len(got) == 11
+            for name in SERIES:
+                a, b = getattr(got, name), getattr(want, name)
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), name
 
     def test_members_with_one_spec_stack_its_rows_once(self):
         spec = InterpolantSpec(FOURIER, 2, 1.0)

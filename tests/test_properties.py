@@ -221,22 +221,24 @@ def unfused_step(stepper, c):
 def dense_stage_maps_step(stepper, x):
     """A single run's step on the dense path, composed here from its stage
     maps: y = x P^T - w^3 Q^T, and for ETDRK2 y + (y - x) W2L^T - (v^3 - w^3)
-    W2T^T with v = S y (the algebra in ``Stepper``'s docstring)."""
+    W2T^T with v = S y (the algebra in ``Stepper``'s docstring).  Each map
+    is taken as the C-contiguous transpose the stepper multiplies by."""
     (p,) = stepper.params
-    S, T = stepper._S, stepper._T
     n = x.shape[-1]
     parts = n // stepper.decay.shape[1]
     decay, w1, w2 = (np.repeat(v[0], parts) for v in (stepper.decay, stepper.w1, stepper.w2))
     Lin = p.alpha * np.eye(n) - (p.mu * stepper.A) @ stepper.O
-    P, W2L = w1[:, None] * Lin + np.diag(decay), w2[:, None] * Lin
-    Q, W2T = w1[:, None] * T, w2[:, None] * T
-    w = x @ S.T
+    T = stepper._T
+    ST, PT, W2LT, QT, W2TT = (np.ascontiguousarray(m.T) for m in (
+        stepper._S, w1[:, None] * Lin + np.diag(decay), w2[:, None] * Lin,
+        w1[:, None] * T, w2[:, None] * T))
+    w = x.dot(ST)
     w3 = w * w * w
-    y = x @ P.T - w3 @ Q.T
+    y = x.dot(PT) - w3.dot(QT)
     if stepper.scheme == "etd1":
         return y
-    v = y @ S.T
-    return y + (y - x) @ W2L.T - (v * v * v - w3) @ W2T.T
+    v = y.dot(ST)
+    return y + (y - x).dot(W2LT) - (v * v * v - w3).dot(W2TT)
 
 
 def factored_stage_maps_step(stepper, x):
