@@ -200,18 +200,23 @@ class TrajectoryRecord:
 class BlowupError(RuntimeError):
     """Integration failed; carries the failure time and any partial record.
 
-    ``Stepper.advance`` raises it before the step, with ``failed`` mapping
-    the row of every member that tripped the guard to its own reason, so a
-    batch can release those rows and retry the step for the rest.
+    ``Stepper.advance`` raises it before the step that trips the guard, with
+    ``failed`` mapping the row of every member past its cap to its own
+    reason, ``steps`` the steps the call took before it and ``state`` the
+    state and samples they reached, so a batch can release those rows and
+    go on from there for the rest.
     """
 
     def __init__(self, time: float, reason: str, record: TrajectoryRecord | None = None,
-                 failed: dict[int, str] | None = None):
+                 failed: dict[int, str] | None = None, steps: int | None = None,
+                 state: tuple | None = None):
         super().__init__(f"integration failed at t={time:.6g}: {reason}")
         self.time = time
         self.reason = reason
         self.record = record
         self.failed = failed
+        self.steps = steps
+        self.state = state
 
 
 def stability_limit(alpha, mu, max_abs_u):
@@ -247,14 +252,15 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 # periodic with N_f = next_fast_len(2M + 1), and the step's cost grows with
 # its entries while the FFTs' barely grows with M), so one entry count sets
 # the switch for both boundary conditions: Neumann M <= 178, periodic
-# M <= 175.  A single run with volume N=4 on Neumann grids, dense against
-# FFT, in us a step (2-vCPU x86-64, OpenBLAS 0.3.31, min of 6 processes
-# alternating the dense path forced on and off): at M=176 ETD1 14.4 against
-# 27.6 and ETDRK2 46.6 against 56.9; at M=184 ETD1 16.8 against 29.2 and
-# ETDRK2 57.3 against 57.7 (median 59.9 against 61.4); at M=192 ETD1 19.7
-# against 28.3 and ETDRK2 66.2 against 57.0.  ETDRK2 crosses between
-# M=184 and 192 and ETD1 above 192; moving the constant would change which
-# path, and so which rounding, a run at those M takes.
+# M <= 175.  A single run with volume N=4 on Neumann grids, dense (the
+# stacked body) against FFT (the factored body), in us a step (2-vCPU
+# x86-64, OpenBLAS 0.3.31, min of 6 processes alternating the dense path
+# forced on and off): at M=176 ETD1 16.0 against 28.9 and ETDRK2 49.5
+# against 57.1; at M=184 ETD1 17.7 against 30.7 and ETDRK2 58.8 against
+# 59.2 (median 61.2 against 62.6); at M=192 ETD1 21.2 against 28.3 and
+# ETDRK2 69.6 against 56.9.  ETDRK2 crosses between M=184 and 192 and ETD1
+# above 192; moving the constant would change which path, and so which
+# rounding, a run at those M takes.
 DENSE_MAX_ENTRIES = 64_000
 
 
@@ -379,71 +385,79 @@ class Stepper:
     transposes ST and TT, written into ``out``; above it the numpy FFT
     transforms of :mod:`detctl.fields` on the padded grid along the last
     axis, handed and returning only the band's columns, which ignore ``out``
-    and return fresh arrays.  A step of the whole batch is one function
-    ``_step``, (x, w^3, y, w) -> (y, S y), which writes the new state into
-    ``y`` and its samples into ``w``, made of one of two bodies, and in both
-    ETDRK2 is ETD1 plus its corrector: it calls the body's ETD1 step for
-    (y, v = S y) and applies only the corrector to them.  The fused body
-    serves dense transforms when every member has the same parameters, dt
-    and grid (``shared``; a single run always does): P, Q, W2L and W2T are
-    dense matrices, each one ``ndarray.dot`` with its transpose, except
-    that where Lin is exactly diagonal (a test of the matrix: today
-    the open loop, and fourier on Neumann grids) P and W2L are applied as
-    their diagonals, (1, n) rows p * x, which has the bits of the dense
-    product: its other terms are exact zeros.  The factored body serves
-    every other group, whatever its transforms, with the (B, n) weights
-    d1 = decay + alpha w1 and a2 = alpha w2:
+    and return fresh arrays.  A step is made of one of two bodies, and in
+    both ETDRK2 is ETD1 plus its corrector.  The stacked body serves a
+    single run (B = 1) on the dense transforms.  A stage is linear in the
+    pair of its state and its cube, so each is one product of a
+    (1, n + N_f) operand with a stacked map built once:
+
+        ETD1:    y = [x | w^3] [P, -Q]^T
+        ETDRK2:  y + [z | c] [W2L, -W2T]^T,  z = y - x,  c = v^3 - w^3,
+
+    and every stage writes its own slot of an operand, so nothing is
+    copied into one: the step before writes x into the head of [x | w^3]
+    and the step its cube into the tail, and the corrector writes z and c
+    into the halves of [z | c] and its sum with y into the head of the next
+    step's operand.  With a diagonal Lin (fourier on Neumann grids, the
+    open loop) P and W2L are still dense blocks.  The factored body serves
+    every other group, any batch and every run on the FFT transforms, with
+    the (B, n) weights d1 = decay + alpha w1 and a2 = alpha w2:
 
         ETD1:    y = d1 x - w1 (T w^3 + F x)
         ETDRK2:  y + a2 z - w2 (F z + T (v^3 - w^3)),  z = y - x,
 
     so a stage costs its T product and two products of the (B, n) state
     with the (n, R) stack, whatever B and the members' controllers; a group
-    with R = 0 (members that differ and have no feedback) adds no F x and
-    makes neither product, which leaves every bit but the sign of an exact
-    zero.  ``shared`` picks only the body: every map, S, T, P, Q, W2L, W2T,
-    O and A, enters as a C-contiguous copy of its transpose, made once
-    (``_aligned``), whatever the body and B; ``np.dot`` of a batch's rows
-    with a transposed view is 1.2-1.8x slower from B = 12 on.  BLAS
-    rounds a product of several rows differently from one row, so a member
-    of a batch may differ from its single run in the last bits; a given
-    batch is deterministic.
+    with R = 0 (members with no feedback) adds no F x and makes neither
+    product, which leaves every bit but the sign of an exact zero.  Every
+    map either body multiplies by, S, T, the stacked maps, O and A, is a
+    C-contiguous copy of its transpose, made once (``_aligned``).  The two
+    bodies group the sums of a stage differently, and BLAS rounds a product
+    of several rows differently from one row, so a member of a batch may
+    differ from its single run in the last bits; a given batch is
+    deterministic.
 
     A step writes every stage into the Stepper's workspace, 64-byte-aligned
-    buffers allocated once: two (y, w, w^2) triples and the temporaries of
-    the stages.  Its statements are ufunc calls with ``out``, in-place
+    buffers allocated once: two (x, w, w^2) sets of state, samples and
+    squared samples, one per parity of the step, and the temporaries of the
+    stages.  Its statements are ufunc calls with ``out``, in-place
     arithmetic and ``ndarray.dot`` with ``out``, grouping every sum and
     product as the algebra above does, so the bits are those of the same
     algebra on fresh arrays, and a steady-state step allocates no array.
-    ``advance`` writes the triple that its ``x`` is not, and returns it:
-    the state and samples it returns belong to the Stepper, stay valid
-    through the next ``advance`` and are overwritten by the one after it,
-    so a caller that keeps them longer keeps a copy.  ``samples`` and
-    ``cube`` return fresh arrays.
+    A body is two closures ``_steps``, (w, w^2) -> the new (w, w^2, largest
+    w^2), one per parity, each bound once to the buffers it reads and
+    writes, so a step looks up no attribute.
 
-    ``advance`` takes the state with its ``samples`` (w = S x, w^2 and the
-    largest w^2) and returns the new state with its own: the synthesis of a
-    step's first stage is the last product of the step before, so a step
-    still makes one S product per stage.  It guards every member before the
-    step on the samples it is given, which are on the padded grid of the
-    largest M and so sample a member of a smaller M more finely than its own
-    run does.  dt <= stability_limit reads max u^2 <= cap (``_u2_cap``), so
-    the guard compares the largest squared sample of the batch with the
-    smallest cap.  Only when that fails does it walk the blocks of
-    contiguous rows of equal cap in ascending order of cap, up to the first
-    cap that the batch's largest sample is within: each block is one
-    reduction of its rows' samples against its cap, and only a block past
-    its cap (a NaN state included) is read row by row.  :func:`integrate`
-    orders a group's members by cap, so the blocks are as few as its caps.
-    Only when some rows are past theirs does it format their
-    ``stability_limit`` and raise ``BlowupError`` with ``failed`` naming
-    them.  ``release`` stops guarding an ended member's row (failed, or
-    past its last record), which the batch then holds at 0, a fixed point
-    of every stage map (P 0 - Q 0 = 0, d1 0 - w1 (T 0 + F 0) = 0): its cap
-    becomes infinite and the blocks are cut again; the caps are all of a
-    Stepper that changes.  ``cube`` exposes the unfused transforms.  ``_w``
-    and ``_k`` hold each real column's Parseval weight and wavenumber, which
-    the recorder reads.
+    ``advance(x, s, k)`` takes the state with its ``samples`` (w = S x,
+    w^2 and the largest w^2) and returns the state k steps on with its own:
+    the synthesis of a step's first stage is the last product of the step
+    before, so a step still makes one S product per stage.  Each step
+    writes the set of the parity that its state is not, so the state and
+    samples a call returns belong to the Stepper and stay valid until the
+    next call, and through it if that call takes one step; a caller that
+    keeps them longer keeps a copy.  ``samples`` and ``cube`` return fresh
+    arrays.
+
+    Every step is guarded on the samples of the state it starts from, which
+    are on the padded grid of the largest M and so sample a member of a
+    smaller M more finely than its own run does.  dt <= stability_limit
+    reads max u^2 <= cap (``_u2_cap``), so the guard compares the largest
+    squared sample of the batch with the smallest cap.  Only when that
+    fails does it walk the blocks of contiguous rows of equal cap in
+    ascending order of cap, up to the first cap that the batch's largest
+    sample is within: each block is one reduction of its rows' samples
+    against its cap, and only a block past its cap (a NaN state included)
+    is read row by row.  :func:`integrate` orders a group's members by cap,
+    so the blocks are as few as its caps.  Only when some rows are past
+    theirs does it format their ``stability_limit`` and raise
+    ``BlowupError`` with ``failed`` naming them, ``steps`` the steps the
+    call took and ``state`` the state and samples they reached.
+    ``release`` stops guarding an ended member's row (failed, or past its
+    last record), which the batch then holds at 0, a fixed point of every
+    stage map (d1 0 - w1 (T 0 + F 0) = 0): its cap becomes infinite and the
+    blocks are cut again; the caps are all of a Stepper that changes.
+    ``cube`` exposes the unfused transforms.  ``_w`` and ``_k`` hold each
+    real column's Parseval weight and wavenumber, which the recorder reads.
     """
 
     def __init__(self, grid, p, dt, scheme: str = "etd1"):
@@ -493,8 +507,6 @@ class Stepper:
         self._caps = _u2_cap(self.dt, alpha, mu)     # on max u^2, per member
         self._block()
 
-        self.shared = len(set(zip(self.params, self.dt.tolist(), grids))) == 1
-        decay, w1, w2 = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
         self._S, self._T = _padded_transforms(grid, self._fine, parts) or (None, None)
         if self._S is not None:
             ST, TT = _aligned(self._S.T), _aligned(self._T.T)
@@ -514,76 +526,111 @@ class Stepper:
             def analyze(v, out=None):
                 return coeffs_of_samples(fine, v, cols).view(np.float64)
         self._synth, self._analyze = synth, analyze
+        weights = (np.repeat(v, parts, axis=1) for v in (self.decay, self.w1, self.w2))
+        if B == 1 and self._S is not None:
+            self._x, self._steps = self._stacked(ST, *(v[0] for v in weights))
+        else:
+            self._x, self._steps = self._factored(*weights)
 
-        # the workspace: two (y, w, w^2) triples, one per parity of the step,
-        # and the stages' temporaries: w^3, v and v^3 on the padded grid, the
-        # (B, n) sums a and f, the feedback's (B, R) g and the difference z
+    def _stacked(self, ST, decay, w1, w2):
+        """The state buffers and the steps, one per parity, of the stacked body."""
+        (p,), T, scheme = self.params, self._T, self.scheme
+        n, Nf = self._w.shape[0], self._fine.M
+        Lin = p.alpha * np.eye(n) - (p.mu * self.A) @ self.O
+        P = w1[:, None] * Lin + np.diag(decay)
+        K1 = _aligned(np.concatenate([P, -w1[:, None] * T], axis=1).T)   # [P, -Q]^T
+        K2 = _aligned(np.concatenate([w2[:, None] * Lin, -w2[:, None] * T], axis=1).T)
+        # per parity the operand [x | w^3], and the samples w and w^2 of its x;
+        # the predictor y, its samples v and the corrector's operand [z | c]
+        def buf(cols):
+            return _aligned(np.zeros((1, cols)))
+        ops, ws = [buf(n + Nf) for _ in range(2)], [[buf(Nf), buf(Nf)] for _ in range(2)]
+        y, v, zc = buf(n), buf(Nf), buf(n + Nf)
+        z, c = zc[:, :n], zc[:, n:]
+
+        def bind(i):
+            U, x, w3 = ops[i], ops[i][:, :n], ops[i][:, n:]
+            xn, (wn, sqn) = ops[1 - i][:, :n], ws[1 - i]
+            if scheme == "etd1":
+                def step(w, sq):
+                    np.multiply(sq, w, out=w3)
+                    u = U.dot(K1, out=xn).dot(ST, out=wn)
+                    sq = np.multiply(u, u, out=sqn)
+                    return u, sq, sq.item(sq.argmax())
+            else:
+                def step(w, sq):
+                    np.multiply(sq, w, out=w3)
+                    vy = U.dot(K1, out=y).dot(ST, out=v)
+                    cv = np.multiply(vy, vy, out=c)
+                    cv *= vy
+                    cv -= w3
+                    np.subtract(y, x, out=z)
+                    x1 = zc.dot(K2, out=xn)
+                    x1 += y
+                    u = x1.dot(ST, out=wn)
+                    sq = np.multiply(u, u, out=sqn)
+                    return u, sq, sq.item(sq.argmax())
+            return step
+        return tuple(u[:, :n] for u in ops), (bind(0), bind(1))
+
+    def _factored(self, decay, w1, w2):
+        """The state buffers and the steps, one per parity, of the factored body."""
+        B, n, Nf, R = len(self.params), self._w.shape[0], self._fine.M, len(self.q)
+        synth, analyze, scheme = self._synth, self._analyze, self.scheme
+        alpha = self._alpha[:, None]
+        d1, a2, G = decay + alpha * w1, alpha * w2, self.G
+        OT, AT = _aligned(self.O.T), _aligned(self.A.T)
+
         def buf(cols):
             return _aligned(np.zeros((B, cols)))
-        Nf, R = self._fine.M, len(self.q)
-        self._out = [(buf(n), buf(Nf), buf(Nf)) for _ in range(2)]
-        self._w3, v, v3 = buf(Nf), buf(Nf), buf(Nf)
+        # per parity the state x and its samples w and w^2; the stages'
+        # temporaries: w^3, v and v^3 on the padded grid, the (B, n) sums a
+        # and f, the feedback's (B, R) g and the difference z
+        xs, ws = [buf(n) for _ in range(2)], [[buf(Nf), buf(Nf)] for _ in range(2)]
+        w3, v, v3 = buf(Nf), buf(Nf), buf(Nf)
         a, f, g, z = buf(n), buf(n), buf(R), buf(n)
-        if self._S is not None and self.shared:
-            Lin = alpha[0] * np.eye(n) - (mu[0] * self.A) @ self.O
-            P = w1[0][:, None] * Lin + np.diag(decay[0])
-            W2L = w2[0][:, None] * Lin
-            QT, W2TT = (_aligned((w * self._T).T) for w in (w1[0][:, None], w2[0][:, None]))
-            # (1, n) row weights where Lin is diagonal, as np.multiply: the
-            # same C-level call shape as ndarray.dot, so one body serves both
-            if np.array_equal(Lin, np.diag(np.diagonal(Lin))):
-                lin, PL, W2Lin = np.multiply, *(np.diagonal(m)[None].copy() for m in (P, W2L))
+
+        # the transforms may return fresh arrays (the FFTs) in place of
+        # ``out``; with R = 0 (an open-loop group) F d is 0 and not formed
+        def weighted(c, d, wt):     # wt (T c + F d)
+            s = analyze(c, a)
+            if R:
+                h = d.dot(OT, out=g)
+                h *= G
+                s += h.dot(AT, out=f)
+            s *= wt
+            return s
+
+        def bind(i):
+            x, y, (wn, sqn) = xs[i], xs[1 - i], ws[1 - i]
+
+            def etd1(w, sq, out):     # the new state in y, and its samples in ``out``
+                c = np.multiply(sq, w, out=w3)
+                x1 = np.multiply(d1, x, out=y)
+                x1 -= weighted(c, x, w1)
+                return x1, synth(x1, out)
+
+            if scheme == "etd1":
+                def step(w, sq):
+                    u = etd1(w, sq, wn)[1]
+                    sq = np.multiply(u, u, out=sqn)
+                    return u, sq, sq.item(sq.argmax())
             else:
-                lin, PL, W2Lin = np.ndarray.dot, _aligned(P.T), _aligned(W2L.T)
-
-            # the synthesis is y.dot(ST, out=w), not synth(y, w): the closure's
-            # call would be one more Python frame in a single run's step
-            def etd1(x, w3, y, w):
-                lin(x, PL, out=y)
-                y -= w3.dot(QT, out=a)
-                return y, y.dot(ST, out=w)
-
-            def etdrk2(x, w3, y, w):
-                y, vy = etd1(x, w3, y, v)
-                lin(np.subtract(y, x, out=z), W2Lin, out=f)
-                c = np.multiply(vy, vy, out=v3)
-                c *= vy
-                c -= w3
-                y += f
-                y -= c.dot(W2TT, out=a)
-                return y, y.dot(ST, out=w)
-        else:
-            d1, a2, G = decay + alpha[:, None] * w1, alpha[:, None] * w2, self.G
-            OT, AT = _aligned(self.O.T), _aligned(self.A.T)
-
-            # the transforms may return fresh arrays (the FFTs) in place of
-            # ``out``; with R = 0 (an open-loop group) F d is 0 and not formed
-            def weighted(c, d, wt):     # wt (T c + F d)
-                s = analyze(c, a)
-                if R:
-                    h = d.dot(OT, out=g)
-                    h *= G
-                    s += h.dot(AT, out=f)
-                s *= wt
-                return s
-
-            def etd1(x, w3, y, w):
-                np.multiply(d1, x, out=y)
-                y -= weighted(w3, x, w1)
-                return y, synth(y, w)
-
-            def etdrk2(x, w3, y, w):
-                y, vy = etd1(x, w3, y, v)
-                c = np.multiply(vy, vy, out=v3)
-                c *= vy
-                c -= w3
-                d = np.subtract(y, x, out=z)
-                s = weighted(c, d, w2)
-                d *= a2
-                y += d
-                y -= s
-                return y, synth(y, w)
-        self._step = etd1 if scheme == "etd1" else etdrk2
+                def step(w, sq):
+                    x1, vy = etd1(w, sq, v)
+                    c = np.multiply(vy, vy, out=v3)
+                    c *= vy
+                    c -= w3
+                    d = np.subtract(x1, x, out=z)
+                    s = weighted(c, d, w2)
+                    d *= a2
+                    x1 += d
+                    x1 -= s
+                    u = synth(x1, wn)
+                    sq = np.multiply(u, u, out=sqn)
+                    return u, sq, sq.item(sq.argmax())
+            return step
+        return tuple(xs), (bind(0), bind(1))
 
     def cube(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Dealiased coefficients of u^3 and max|u| on the padded grid, of the real state ``x``."""
@@ -609,36 +656,49 @@ class Stepper:
         self._caps[row] = np.inf
         self._block()
 
-    def advance(self, x: np.ndarray, s: tuple) -> tuple[np.ndarray, tuple]:
-        """One step of every member; returns the new state and its samples.
+    def _failed(self, w2: np.ndarray, top: float) -> dict[int, str]:
+        """The rows whose squared samples ``w2`` are past their caps, each
+        with its reason; ``top`` is their largest entry."""
+        rows, past = w2.reshape(len(self.dt), -1), []
+        for cap, lo, hi in self._blocks:
+            if top <= cap:
+                break
+            if not rows[lo:hi].max() <= cap:
+                past += (lo + np.flatnonzero(~(rows[lo:hi].max(axis=1) <= cap))).tolist()
+        if not past:
+            return {}
+        past.sort()
+        limit = stability_limit(self._alpha[past], self._mu[past], np.sqrt(rows[past].max(axis=1)))
+        return {i: f"dt={self.dt[i]:.3g} exceeds the stability limit {lim:.3g}"
+                for i, lim in zip(past, limit)}
+
+    def advance(self, x: np.ndarray, s: tuple, k: int = 1) -> tuple[np.ndarray, tuple]:
+        """``k`` guarded steps of every member; returns the new state and its samples.
 
         ``x`` is the real (B, n) state and ``s`` its ``samples``; the new
         state comes back with its own ``samples``, which the next step and
         the recorder read.  Both are the Stepper's arrays, valid until the
-        ``advance`` after next; a ``BlowupError`` leaves ``x`` and ``s`` as
-        they were.
+        next call, and through it if that call takes one step.  A step that
+        trips the guard raises ``BlowupError`` carrying the steps taken and
+        the state and samples they reached; with none taken, those are ``x``
+        and ``s`` as they were.
         """
+        xs, steps = self._x, self._steps
+        i = int(x is xs[1])     # the parity of the state; a state of the caller's is copied in
+        if x is not xs[i]:
+            xs[i][...] = x
         w, w2, top = s
-        # a NaN state fails every comparison
-        if not top <= self._cap_min:
-            rows, past = w2.reshape(len(self.dt), -1), []
-            for cap, lo, hi in self._blocks:
-                if top <= cap:
-                    break
-                if not rows[lo:hi].max() <= cap:
-                    past += (lo + np.flatnonzero(~(rows[lo:hi].max(axis=1) <= cap))).tolist()
-            if past:
-                past.sort()
-                limit = stability_limit(self._alpha[past], self._mu[past],
-                                        np.sqrt(rows[past].max(axis=1)))
-                failed = {i: f"dt={self.dt[i]:.3g} exceeds the stability limit {lim:.3g}"
-                          for i, lim in zip(past, limit)}
-                raise BlowupError(np.nan, next(iter(failed.values())), failed=failed)
-        # the step writes the triple that x is not, so x and s stay valid
-        y, v, v2 = self._out[x is self._out[0][0]]
-        y, v = self._step(x, np.multiply(w2, w, out=self._w3), y, v)
-        np.multiply(v, v, out=v2)
-        return y, (v, v2, v2.item(v2.argmax()))
+        cap = self._cap_min
+        for j in range(k):
+            # a NaN state fails every comparison
+            if not top <= cap:
+                failed = self._failed(w2, top)
+                if failed:
+                    raise BlowupError(np.nan, next(iter(failed.values())), failed=failed,
+                                      steps=j, state=(xs[i], (w, w2, top)))
+            w, w2, top = steps[i](w, w2)
+            i ^= 1
+        return xs[i], (w, w2, top)
 
 
 SERIES = ("l2", "h1x", "h1", "l4p4", "gamma2", "ih_l2", "pairing")
@@ -865,8 +925,8 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
     """The time loop of one group; each member's record or its error, in order.
 
     The loop steps from one record step of the union of the members'
-    schedules to the next; after a record, the members whose last record it
-    was end as a failed member does."""
+    schedules to the next in one ``Stepper.advance`` call; after a record,
+    the members whose last record it was end as a failed member does."""
     cfgs = [cfg for cfg, _ in members]
     schedules = [_schedule(cfg) for cfg in cfgs]
     steps = sorted(set().union(*schedules))    # every step some member records
@@ -886,12 +946,13 @@ def _integrate(members) -> list[TrajectoryRecord | BlowupError]:
     while True:
         stop = steps[k]
         try:
-            for n in range(n + 1, stop + 1):
-                x, s = st.advance(x, s)
-        except BlowupError as err:  # step n was not taken
-            ended = {row: (n, reason) for row, reason in err.failed.items()}
-            n -= 1
+            x, s = st.advance(x, s, stop - n)
+        except BlowupError as err:  # step n + 1 was not taken
+            n += err.steps
+            x, s = err.state
+            ended = {row: (n + 1, reason) for row, reason in err.failed.items()}
         else:
+            n = stop
             # a state that is not finite has a largest w^2 that is not; only
             # a finite state whose samples overflow needs the exact test
             if s[2] < np.inf or np.isfinite(x).all():

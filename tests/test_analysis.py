@@ -235,7 +235,10 @@ class TestMinimalN:
         other = sweep_cell_config(1.0, 16.0, 1.0, 80.0, 4)
         outcomes = integrate([cell, other, cell])
         assert list(outcomes) == [cell, other]
-        assert np.array_equal(outcomes[cell].l2, simulate(*cell).l2)
+        # the pair steps on the factored body and the cell alone on the
+        # stacked one, whose sums round differently: equal to the last bits
+        got, want = outcomes[cell].l2, simulate(*cell).l2
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_sweep_grid_alignment(self):
         g = sweep_grid(3, 2)

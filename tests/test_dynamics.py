@@ -55,6 +55,17 @@ def stepper_groups(monkeypatch):
     return made
 
 
+def cells(f):
+    """The closure variables of ``f``, by name."""
+    return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))
+
+
+def stacked(st):
+    """Whether ``st`` steps on the stacked body (a single run on dense
+    transforms) and not on the factored one."""
+    return "K1" in cells(st._steps[0])
+
+
 def rhs(u, p):
     """Samples of nu u_xx + alpha u - u^3 - mu I_h(u) from the stepper's cube and
     control operator."""
@@ -244,10 +255,9 @@ class TestStep:
                 st.advance(x, s)
             assert list(exc.value.failed) == [order.index(row) for row in failed]
 
-    # the dense shared path with row weights (the open loop) and with dense
-    # maps (volume), for a single run and for identical members, the dense
-    # factored path (members that differ) and the FFT path (M = 256), shared
-    # or not
+    # the stacked body (a single run on dense transforms: the open loop and
+    # volume), and the factored body: dense (members that differ, and
+    # identical members) and on the FFT transforms (M = 256)
     @pytest.mark.parametrize("M, alphas, spec", [
         (64, [4.0], None), (64, [4.0], InterpolantSpec(VOLUME, 4, 1.0)),
         (64, [4.0, 5.0], InterpolantSpec(VOLUME, 4, 1.0)),
@@ -260,32 +270,30 @@ class TestStep:
         ps = [ClosedLoopParams(nu=1.0, alpha=a, L=1.0, mu=0.0 if spec is None else 20.0, spec=spec)
               for a in alphas]
         st = Stepper(neumann(M=M), ps, 1e-3, scheme)
-        assert (st._S is not None) == (M == 64) and st.shared == (len(set(alphas)) == 1)
+        assert (st._S is not None) == (M == 64) and stacked(st) == (M == 64 and len(alphas) == 1)
         rec = dynamics._Recorder(st, [0, 1], [[0, 1]] * len(ps))
-
-        def cells(f):
-            return dict(zip(f.__code__.co_freevars, (c.cell_contents for c in f.__closure__)))
-
-        # the step and the stage closures it calls: for ETDRK2 the ETD1 step
-        # of its first stage, and on the factored body the weighted stage sum
-        steps, todo = [], [st._step]
+        # the steps of both parities and the stage closures they call: on the
+        # factored body the ETD1 stage and the weighted stage sum
+        steps, todo = [], list(st._steps)
         while todo:
             steps.append(cells(todo.pop()))
             todo += [steps[-1][name] for name in ("etd1", "weighted") if name in steps[-1]]
         # the operands of the stages' matrix products, and the workspace the
-        # stages write; the row weights ((1, n) PL and W2Lin, d1, w1, ...) are
-        # elementwise and may start anywhere
-        maps, names = [], set()
-        for step in steps:
-            for name, a in step.items():
-                if (name in ("ST", "QT", "W2TT", "OT", "AT", "a", "f", "g", "z", "v", "v3")
-                        or name in ("PL", "W2Lin") and step["lin"] is np.ndarray.dot):
-                    maps.append(a)
-                    names.add(name)
-        assert names >= ({"ST", "QT"} if st.shared and st._S is not None else {"OT", "AT"})
-        maps += [st._w3, *(b for triple in st._out for b in triple)]
-        # S and T, applied by the dense transforms' closures (the fused body
-        # also holds ST itself)
+        # stages write; the row weights (d1, w1, ...) are elementwise and may
+        # start anywhere.  On the stacked body the stacked maps K1 = [P, -Q]^T
+        # and K2 = [W2L, -W2T]^T, and the operands [x | w^3] (U) and [z | c]
+        # (zc) of their products
+        if stacked(st):
+            read = ("ST", "K1", "K2", "U", "zc", "y", "v", "wn", "sqn")
+            want = {"ST", "K1", "U", "wn", "sqn"} | (
+                {"K2", "zc", "y", "v"} if scheme == "etdrk2" else set())
+        else:
+            read = ("OT", "AT", "a", "f", "g", "z", "w3", "v", "v3", "wn", "sqn")
+            want = {"OT", "AT", "a", "w3", "wn", "sqn"}
+        maps = [a for step in steps for name, a in step.items() if name in read]
+        assert {name for step in steps for name in step if name in read} >= want
+        maps += list(st._x)
+        # S and T, applied by the dense transforms' closures
         if st._S is not None:
             maps += [cells(st._synth)["ST"], cells(st._analyze)["TT"]]
         # every operand is a C-contiguous copy; an empty array (the open
@@ -332,14 +340,14 @@ class TestWorkspace:
     the state and samples it was given, stay valid through the next step,
     and a steady-state step allocates no array."""
 
-    # the fused body with row weights (fourier on Neumann grids) and with
-    # dense maps (volume), and the factored body (members that differ), all
-    # on the dense side
+    # the stacked body of a single run with a diagonal Lin (fourier on
+    # Neumann grids) and with a dense one (volume), and the factored body
+    # (members that differ), all on the dense side
     BODIES = {
-        "fused-rows": [ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
-                                        spec=InterpolantSpec(FOURIER, 2, 1.0))],
-        "fused-dense": [ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=20.0,
-                                         spec=InterpolantSpec(VOLUME, 4, 1.0))],
+        "stacked-fourier": [ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
+                                             spec=InterpolantSpec(FOURIER, 2, 1.0))],
+        "stacked-volume": [ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=20.0,
+                                            spec=InterpolantSpec(VOLUME, 4, 1.0))],
         "factored": [ClosedLoopParams(nu=1.0, alpha=alpha, L=1.0, mu=20.0,
                                       spec=InterpolantSpec(VOLUME, N, 1.0))
                      for alpha, N in ((4.0, 4), (5.0, 4), (6.0, 2))],
@@ -355,7 +363,7 @@ class TestWorkspace:
     def test_advance_returns_its_own_arrays_valid_through_the_next_step(self, body, scheme):
         ps = self.BODIES[body]
         st = Stepper(neumann(), ps, 1e-4, scheme)
-        assert st._S is not None and st.shared == (body != "factored")
+        assert st._S is not None and stacked(st) == (body != "factored")
         x = self.state(len(ps), 64)
         s = st.samples(x)
         # what samples and cube return is the caller's: no later step writes it
@@ -378,33 +386,103 @@ class TestWorkspace:
             assert np.array_equal(a, b)
         assert np.array_equal(s[2], st.samples(x)[2])
 
-    @pytest.mark.parametrize("case", ["thm41", "sweep"])
+    @pytest.mark.parametrize("case", ["thm41", "thm21-etd1", "sweep"])
     def test_a_steady_state_step_allocates_no_array(self, case):
-        # thm41's single run (the fused ETDRK2 body with row weights), or
-        # the sweep preset's 24 cells (the factored ETD1 body, B = 24, R = 36)
+        # thm41's single run and thm21's in ETD1 (the stacked body, ETDRK2
+        # and ETD1), or the sweep preset's 24 cells (the factored ETD1 body,
+        # B = 24, R = 36); one step a call, and many steps in one call
         if case == "thm41":
-            ps, grids, dts, scheme = self.BODIES["fused-rows"], neumann(), 1e-4, "etdrk2"
+            ps, grids, dts, scheme = self.BODIES["stacked-fourier"], neumann(), 1e-4, "etdrk2"
+        elif case == "thm21-etd1":
+            ps, grids, dts, scheme = self.BODIES["stacked-volume"], neumann(), 2e-4, "etd1"
         else:
-            cells = [analysis.sweep_cell_config(1.0, alpha, 1.0, 5.0 * alpha, N)
+            sweep = [analysis.sweep_cell_config(1.0, alpha, 1.0, 5.0 * alpha, N)
                      for alpha in (4.0, 16.0, 64.0) for N in range(1, 9)]
-            ps, grids = [p for _, p in cells], [cfg.grid for cfg, _ in cells]
-            dts, scheme = [cfg.dt for cfg, _ in cells], "etd1"
+            ps, grids = [p for _, p in sweep], [cfg.grid for cfg, _ in sweep]
+            dts, scheme = [cfg.dt for cfg, _ in sweep], "etd1"
         st = Stepper(grids, ps, dts, scheme)
+        assert stacked(st) == (case != "sweep")
         x = self.state(len(st.params), st.O.shape[1]) * 0.1
         x[:, st.grid.M // 2:] = 0.0
         s = st.samples(x)
-        for _ in range(3):
-            x, s = st.advance(x, s)
+        x, s = st.advance(x, s, 3)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            for _ in range(20):
+            for _ in range(10):
                 x, s = st.advance(x, s)
+            x, s = st.advance(x, s, 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak - base < x.nbytes, (peak - base, x.nbytes)
+
+    # the stacked body, and the factored body on the dense transforms (a
+    # batch) and on the FFT ones (a single run above the crossover)
+    @pytest.mark.parametrize("M, alphas", [(64, [4.0]), (64, [4.0, 5.0]), (256, [4.0])],
+                             ids=["stacked", "factored-dense", "factored-fft"])
+    @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
+    def test_k_steps_in_one_call_are_k_single_steps(self, M, alphas, scheme):
+        # bit for bit, the state and its samples, from either parity; a call
+        # of no step hands back the state it was given
+        ps = [ClosedLoopParams(nu=1.0, alpha=alpha, L=1.0, mu=20.0,
+                               spec=InterpolantSpec(VOLUME, 4, 1.0)) for alpha in alphas]
+        one, many = (Stepper(neumann(M=M), ps, 1e-4, scheme) for _ in range(2))
+        assert stacked(one) == (M == 64 and len(ps) == 1)
+        x = self.state(len(ps), M)
+        y, t = x, one.samples(x)
+        want = []
+        for _ in range(7):
+            y, t = one.advance(y, t)
+            want.append([a.copy() for a in (y, *t[:2])] + [t[2]])
+        y, t = many.advance(x, many.samples(x), 0)
+        assert np.array_equal(y, x)
+        for k, n in ((3, 3), (4, 7)):
+            y, t = many.advance(y, t, k)
+            for a, b in zip([y, *t], want[n - 1]):
+                assert np.array_equal(a, b)
+
+    # blow51, thm51 at dt 0.01 and amplitude 3, trips the guard at its first
+    # step; an open loop at alpha = 100 from a small constant trips it
+    # mid-run, alone (the stacked body) and beside a member that does not
+    # (the factored body)
+    BLOW51 = (ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
+                               spec=InterpolantSpec(FOURIER, 2, 1.0)),
+              0.01, ICSpec("random-band", seed=20, kmax=3, amplitude=3.0))
+    GROWS = (open_loop(alpha=100.0), 1.5e-3, ICSpec("constant", value=1e-4))
+    HEALTHY = (ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
+                                spec=InterpolantSpec(FOURIER, 2, 1.0)),
+               1e-3, ICSpec("random-band", seed=5, kmax=3, amplitude=1.0))
+
+    @pytest.mark.parametrize("case", ["blow51", "mid-run", "batch"])
+    def test_a_trip_at_step_j_of_k_reports_j_steps_and_their_state(self, case):
+        # the call that meets the trip raises the error of a single step
+        # there, with the steps it took and the state and samples they
+        # reached, those of as many single steps
+        members = {"blow51": [self.BLOW51], "mid-run": [self.GROWS],
+                   "batch": [self.GROWS, self.HEALTHY]}[case]
+        g = neumann()
+        ps, dts = [p for p, _, _ in members], [dt for _, dt, _ in members]
+        one, many = (Stepper([g] * len(ps), ps, dts, "etdrk2") for _ in range(2))
+        assert stacked(one) == (case != "batch")
+        x = np.stack([coeffs_of(ic.realize(g)) for _, _, ic in members])
+        y, t, j = x, one.samples(x), 0
+        while True:
+            try:
+                y, t = one.advance(y, t)
+            except BlowupError as err:
+                want = err
+                break
+            j += 1
+        assert (j == 0) == (case == "blow51") and list(want.failed) == [0]
+        with pytest.raises(BlowupError) as exc:
+            many.advance(x, many.samples(x), j + 5)
+        err = exc.value
+        assert (err.steps, err.reason, err.failed) == (j, want.reason, want.failed)
+        assert np.array_equal(err.state[0], y)
+        for a, b in zip(err.state[1], t):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("scheme", ["etd1", "etdrk2"])
     def test_an_open_loop_group_makes_no_feedback_product(self, scheme):
@@ -413,11 +491,10 @@ class TestWorkspace:
         # taken away, the step is that of the intact Stepper
         ps = [open_loop(alpha=alpha) for alpha in (2.0, 4.0)]
         st, intact = (Stepper(neumann(), ps, 1e-4, scheme) for _ in range(2))
-        assert st.O.shape[0] == 0 and not st.shared
-        cells = dict(zip(st._step.__code__.co_freevars, st._step.__closure__))
-        weighted = cells["weighted"].cell_contents
-        cells = dict(zip(weighted.__code__.co_freevars, weighted.__closure__))
-        cells["OT"].cell_contents = cells["AT"].cell_contents = None
+        assert st.O.shape[0] == 0 and not stacked(st)
+        weighted = cells(cells(st._steps[0])["etd1"])["weighted"]
+        stack = dict(zip(weighted.__code__.co_freevars, weighted.__closure__))
+        stack["OT"].cell_contents = stack["AT"].cell_contents = None
         x = self.state(2, 64)
         y, _ = st.advance(x, st.samples(x))
         assert np.array_equal(y, intact.advance(x, intact.samples(x))[0])
@@ -484,6 +561,23 @@ class TestSimulate:
             if k:
                 x, s = st.advance(x, s)
             assert abs(l2 - np.sqrt(l2_sq_of_coeffs(g, x[0]))) <= 1e-13 * l2
+
+    def test_blow51_fails_at_its_first_step_with_its_initial_record(self):
+        # thm51 at dt 0.01 and amplitude 3: the failure time, the reason and
+        # the one record, of the initial state, that this run has always had
+        cfg = SimConfig(grid=neumann(), dt=0.01, T=2.0, record_every=2, scheme="etdrk2",
+                        ic=ICSpec("random-band", seed=20, kmax=3, amplitude=3.0))
+        p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0,
+                             spec=InterpolantSpec(FOURIER, 2, 1.0))
+        with pytest.raises(BlowupError) as exc:
+            simulate(cfg, p)
+        err = exc.value
+        assert (err.time, err.reason) == (0.01, "dt=0.01 exceeds the stability limit 0.00659")
+        assert err.record.times.tolist() == [0.0] and np.isnan(err.record.energy_residual[0])
+        want = {"l2": 3.0, "h1x": 7.10611163425852, "h1": 7.713418344582659,
+                "l4p4": 122.23335088377175, "gamma2": 10.293368392749654,
+                "ih_l2": 2.9995760645805634, "pairing": 8.99745656720462}
+        assert {name: float(getattr(err.record, name)[0]) for name in SERIES} == want
 
     def test_member_that_trips_the_guard_leaves_the_batch(self, monkeypatch):
         # one member trips the guard at its first step and one mid-run, in
@@ -554,7 +648,7 @@ class TestSimulate:
                                   ic=ICSpec("random-band", seed=i, kmax=3, amplitude=1.0)), p)
                        for i, (dt, p) in enumerate(batch)]
             st = Stepper(g, [p for _, p in members], [cfg.dt for cfg, _ in members])
-            assert (st._S is not None) == dense and not st.shared
+            assert (st._S is not None) == dense and not stacked(st)
             assert st.O.shape[0] == (0 if batch[-1] is pair else 3)
             for row, (_, p) in zip(st.G, members):
                 assert row.any() != p.open_loop
@@ -569,8 +663,8 @@ class TestSimulate:
                     for name in ("gamma2", "ih_l2", "pairing"):
                         assert not getattr(got, name).any() and not getattr(want, name).any()
 
-    # fourier on Neumann grids (Lin as row weights) and delta on periodic
-    # ones (dense Lin), at M=64 below the dense/FFT crossover and M=192 above
+    # fourier on Neumann grids (a diagonal Lin) and delta on periodic ones
+    # (a dense Lin), at M=64 below the dense/FFT crossover and M=192 above
     @pytest.mark.parametrize("bc, M, spec", [
         (NEUMANN, 64, InterpolantSpec(FOURIER, 2, 1.0)),
         (NEUMANN, 192, InterpolantSpec(FOURIER, 2, 1.0)),
@@ -580,8 +674,8 @@ class TestSimulate:
     def test_an_ensemble_of_one_parameter_set_matches_its_single_runs(
             self, bc, M, spec, scheme, monkeypatch):
         # one parameter set and one dt over 12 initial conditions: one
-        # shared Stepper steps them all, and each member goes on as its
-        # single run
+        # Stepper steps them all on the factored body, and each member goes
+        # on as its single run
         g = Grid1D(1.0, M, bc)
         p = ClosedLoopParams(nu=1.0, alpha=4.0, L=1.0, mu=10.0, spec=spec)
         members = [(SimConfig(grid=g, dt=1e-4, T=40e-4, record_every=4, scheme=scheme,
@@ -591,7 +685,7 @@ class TestSimulate:
         outcomes = integrate(members)
         assert made == [(M, 12, spec.rank)]
         st = Stepper(g, [p] * 12, 1e-4, scheme)
-        assert st.shared and (st._S is not None) == (M == 64)
+        assert not stacked(st) and (st._S is not None) == (M == 64)
         for cfg, p in members:
             got, want = outcomes[cfg, p], simulate(cfg, p)
             assert np.array_equal(got.times, want.times) and len(got) == 11
@@ -624,7 +718,7 @@ class TestSimulate:
                               ic=ICSpec("random-band", seed=11 + i, kmax=2, amplitude=1.0)), p)
                    for i, (dt, p) in enumerate(batch)]
         st = Stepper(g, [p for _, p in members], [cfg.dt for cfg, _ in members], "etdrk2")
-        assert st._S is not None and not st.shared and st.O.shape[0] == 6
+        assert st._S is not None and not stacked(st) and st.O.shape[0] == 6
         outcomes = integrate(members)
         for cfg, p in members:
             got, want = outcomes[cfg, p], simulate(cfg, p)
@@ -668,13 +762,13 @@ class TestSimulate:
                 assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), name
 
     def test_one_run_on_two_grids_takes_the_factored_maps(self):
-        # the same parameters and dt on M = 64 and 128: the members' bands
-        # differ, so no fused map serves both
+        # the same parameters and dt on M = 64 and 128: a batch of two, on
+        # the factored body
         p = ClosedLoopParams(nu=1.0, alpha=16.0, L=1.0, mu=80.0, spec=InterpolantSpec(VOLUME, 4, 1.0))
         members = [(SimConfig(grid=neumann(M=M), dt=1e-3, T=0.03,
                               ic=ICSpec("random-band", seed=2, kmax=3, amplitude=1.0)), p)
                    for M in (64, 128)]
-        assert not Stepper([neumann(M=64), neumann(M=128)], [p, p], 1e-3).shared
+        assert not stacked(Stepper([neumann(M=64), neumann(M=128)], [p, p], 1e-3))
         outcomes = integrate(members)
         for cfg, _ in members:
             got, want = outcomes[cfg, p], simulate(cfg, p)
@@ -785,13 +879,13 @@ class TestSimulate:
         members = [(SimConfig(grid=neumann(M=M), dt=dt, T=n * dt, record_every=every, ic=ic), p)
                    for M, dt, n, every, p, ic in batch]
         first = members[0][1]
-        seen = []   # (first member's row, its cap) at every advance
+        seen = []   # (first member's row, its cap) at every step, as its call finds them
         advance = Stepper.advance
 
-        def watched(self, c, s):
+        def watched(self, c, s, k=1):
             row = self.params.index(first)
-            seen.append((c[row].copy(), self._caps[row]))
-            return advance(self, c, s)
+            seen.extend([(c[row].copy(), self._caps[row])] * k)
+            return advance(self, c, s, k)
 
         monkeypatch.setattr(Stepper, "advance", watched)
         outcomes = integrate(members)

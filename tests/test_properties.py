@@ -1,7 +1,7 @@
 """Property tests of the grid's coefficient layout (transforms, Parseval
 weights, point evaluation), of the stepper's padded transforms against the
 padded grid's own transforms and its cube and L4 sum against an 8M-point
-reference, of its fused step against the unfused ETD composition, of the
+reference, of its step against the unfused ETD composition, of the
 closed-loop control operator against the field-level interpolant maps, of
 the recorder's independence from its stride, of a batch's members against
 their single runs, and of a batch's factored step, written into the
@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detctl.dynamics import (
@@ -219,26 +219,27 @@ def unfused_step(stepper, c):
 
 
 def dense_stage_maps_step(stepper, x):
-    """A single run's step on the dense path, composed here from its stage
-    maps: y = x P^T - w^3 Q^T, and for ETDRK2 y + (y - x) W2L^T - (v^3 - w^3)
-    W2T^T with v = S y (the algebra in ``Stepper``'s docstring).  Each map
-    is taken as the C-contiguous transpose the stepper multiplies by."""
+    """A single run's step on the dense path, composed here with fresh
+    arrays from its stacked stage maps: y = [x | w^3] [P, -Q]^T, and for
+    ETDRK2 y + [y - x | v^3 - w^3] [W2L, -W2T]^T with v = S y (the algebra
+    in ``Stepper``'s docstring).  Each map is taken as the C-contiguous
+    transpose the stepper multiplies by."""
     (p,) = stepper.params
     n = x.shape[-1]
     parts = n // stepper.decay.shape[1]
     decay, w1, w2 = (np.repeat(v[0], parts) for v in (stepper.decay, stepper.w1, stepper.w2))
     Lin = p.alpha * np.eye(n) - (p.mu * stepper.A) @ stepper.O
     T = stepper._T
-    ST, PT, W2LT, QT, W2TT = (np.ascontiguousarray(m.T) for m in (
-        stepper._S, w1[:, None] * Lin + np.diag(decay), w2[:, None] * Lin,
-        w1[:, None] * T, w2[:, None] * T))
+    ST, K1, K2 = (np.ascontiguousarray(m.T) for m in (
+        stepper._S, np.hstack([w1[:, None] * Lin + np.diag(decay), -w1[:, None] * T]),
+        np.hstack([w2[:, None] * Lin, -w2[:, None] * T])))
     w = x.dot(ST)
     w3 = w * w * w
-    y = x.dot(PT) - w3.dot(QT)
+    y = np.hstack([x, w3]).dot(K1)
     if stepper.scheme == "etd1":
         return y
     v = y.dot(ST)
-    return y + (y - x).dot(W2LT) - (v * v * v - w3).dot(W2TT)
+    return y + np.hstack([y - x, v * v * v - w3]).dot(K2)
 
 
 def factored_stage_maps_step(stepper, x):
@@ -317,9 +318,8 @@ def test_fused_step_matches_unfused_composition(kind, scheme, dense, data):
     got, s = stepper.advance(x, stepper.samples(x))
     assert got.dtype == x.dtype and got.shape == x.shape
     if dense:
-        # the same products in the same order: bit for bit, whether the
-        # stepper applies Lin's maps densely (volume, nodal, delta) or, where
-        # Lin is diagonal (fourier, the open loop), as row weights
+        # the same stacked products: bit for bit, whether Lin is dense
+        # (volume, nodal, delta) or diagonal (fourier, the open loop)
         assert np.array_equal(got, dense_stage_maps_step(stepper, x))
     got = got[0].view(c.dtype)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -472,14 +472,13 @@ def test_batch_members_match_single_runs(dense, data):
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_factored_step_matches_its_stage_algebra(scheme, data):
-    # members that differ step on the factored body, which writes every
-    # stage into the stepper's workspace: the same sums and products as the
-    # allocating algebra, bit for bit, step after step, also once a member
-    # is released and held at 0 as ``integrate`` holds it
+    # a batch steps on the factored body, which writes every stage into the
+    # stepper's workspace: the same sums and products as the allocating
+    # algebra, bit for bit, step after step, also once a member is released
+    # and held at 0 as ``integrate`` holds it
     members = data.draw(batches(True))
     stepper = Stepper([cfg.grid for cfg, _ in members], [p for _, p in members],
                       [cfg.dt for cfg, _ in members], scheme)
-    assume(not stepper.shared)
     x = np.stack([coeffs_of(cfg.ic.realize(cfg.grid)).view(np.float64) for cfg, _ in members])
     s = stepper.samples(x)
     for n in range(6):
